@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,10 +49,10 @@ from .linearized import (
     lin_empirical_grad,
     lin_empirical_loss,
 )
-from .network import LossKind, NetArch, ParamVector, init_betas, sample_init
+from .network import SCHEME_NAMES, LossKind, NetArch, ParamVector, init_betas, sample_init
 from .numerics import RngStream
 
-SCHEMES = ("lecun", "he", "ntk", "xavier")
+SCHEMES = SCHEME_NAMES
 
 # Fixed substream indices, disjoint from the run indices used by the trainer.
 _DATA_CHILD = 1 << 20
@@ -59,45 +60,58 @@ _POOL_CHILD = _DATA_CHILD + 1
 _INIT_CHILD = _DATA_CHILD + 2
 
 
+def _flag(default, commands: tuple[str, ...] | None = None, **argparse_kwargs):
+    """A RunConfig field that is a flag of ``commands`` (None: of every command).
+
+    The flag is ``--`` plus the field name with hyphens; its type and default
+    come from the field, extra argparse keywords (``choices``, ``help``) from
+    ``argparse_kwargs``.
+    """
+    return field(default=default, metadata={"commands": commands, **argparse_kwargs})
+
+
 @dataclass
 class RunConfig:
-    """Resolved options of one CLI invocation; serialized into every output."""
+    """Resolved options of one CLI invocation; serialized into every output.
+
+    Every field but ``command`` is a command line flag and a config-file key.
+    """
 
     command: str = ""
-    scheme: str = "lecun"
-    d: int = 16
-    width: int = 64
-    depth: int = 3
-    outputs: int = 1
-    eta: float = 0.01
-    steps: int = 100
-    sigma2: float = 0.01
-    runs: int = 6
-    seed: int = 0
-    neighbor: str = "remove"
-    kl_constant: str = "paper"
-    data: str = "synth:32"
-    out: str | None = None
-    time: float | None = None
-    n: int | None = None
-    x_sqnorm: float | None = None
-    beta_smooth: float | None = None
-    c_grad: float | None = None
-    rank_mt: int | None = None
-    e_delta0: float | None = None
-    e_grad0: float | None = None
-    samples: int = 4000
-    mc_n: int = 32
-    ridge: float | None = None
-    pool_size: int = 8
-    record_every: int = 1
-    cap: int = 256
-    replay_sigma2: float | None = None
-    label_column: str = "label"
-    widths: str = "16,64,256"
-    depths: str = "3"
-    metric: str = "analytic"
-    linearize: bool = False
+    scheme: str = _flag("lecun", choices=SCHEMES + ("all",))
+    d: int = _flag(16)
+    width: int = _flag(64)
+    depth: int = _flag(3)
+    outputs: int = _flag(1)
+    eta: float = _flag(0.01)
+    steps: int = _flag(100)
+    sigma2: float = _flag(0.01)
+    runs: int = _flag(6)
+    seed: int = _flag(0)
+    neighbor: str = _flag("remove", choices=("replace", "remove", "add"))
+    kl_constant: str = _flag("paper", choices=("paper", "exact"))
+    data: str = _flag("synth:32", help="synth:<n> or csv:<path>")
+    out: str | None = _flag(None)
+    time: float | None = _flag(None, ("bound",))
+    n: int | None = _flag(None, ("bound", "sweep"))
+    x_sqnorm: float | None = _flag(None, ("bound",))
+    beta_smooth: float | None = _flag(None, ("bound",))
+    c_grad: float | None = _flag(None, ("bound",))
+    rank_mt: int | None = _flag(None, ("bound",))
+    e_delta0: float | None = _flag(None, ("bound",))
+    e_grad0: float | None = _flag(None, ("bound",))
+    samples: int = _flag(4000, ("mc-verify",))
+    mc_n: int = _flag(32, ("mc-verify",))
+    ridge: float | None = _flag(None, ("lazy",))
+    pool_size: int = _flag(8)
+    record_every: int = _flag(1)
+    cap: int = _flag(256)
+    replay_sigma2: float | None = _flag(None, ("estimate",))
+    label_column: str = _flag("label")
+    widths: str = _flag("16,64,256", ("sweep",))
+    depths: str = _flag("3", ("sweep",))
+    metric: str = _flag("analytic", ("sweep",), choices=("analytic", "empirical", "both"))
+    linearize: bool = _flag(False, ("estimate",))
 
     def validate(self) -> None:
         if min(self.d, self.width, self.outputs) < 1 or self.depth < 2:
@@ -108,12 +122,11 @@ class RunConfig:
             raise ValueError("steps must be >= 0, runs >= 1, samples >= 2")
         if self.pool_size < 1 or self.cap < 1 or self.record_every < 1:
             raise ValueError("pool-size, cap and record-every must be positive")
-        if self.scheme not in SCHEMES + ("all",):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.neighbor not in ("replace", "remove", "add"):
-            raise ValueError(f"unknown neighbor notion {self.neighbor!r}")
-        if self.kl_constant not in ("paper", "exact"):
-            raise ValueError(f"unknown KL constant convention {self.kl_constant!r}")
+        # argparse checks choices on the command line only, not on --config values
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {f.name.replace('_', ' ')} {value!r}")
         if self.replay_sigma2 is not None and self.replay_sigma2 <= 0:
             raise ValueError("replay sigma2 must be positive")
 
@@ -141,31 +154,27 @@ class RunConfig:
         return self.time if self.time is not None else self.eta * self.steps
 
 
-_BOOL_FIELDS = {"linearize"}
+def _base_type(hint) -> type:
+    """``int`` for ``int`` and ``int | None``; likewise for the other field types."""
+    return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
+
+
+_FIELD_TYPES = {name: _base_type(hint)
+                for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def _coerce_field(name: str, raw: str):
     """Convert a config-file string to the RunConfig field type."""
-    typed = {f.name: f for f in fields(RunConfig)}
-    if name not in typed:
+    if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {name!r}")
     if raw == "":
         return None
-    if name in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[name]
+    if kind is bool:
         if raw not in ("0", "1", "true", "false"):
             raise ValueError(f"bad boolean for {name!r}: {raw!r}")
         return raw in ("1", "true")
-    for probe in (int, float):
-        default = typed[name].default
-        if isinstance(default, probe) and not isinstance(default, bool):
-            return probe(raw)
-    # optional numerics default to None; infer from the known numeric fields
-    if name in ("time", "x_sqnorm", "beta_smooth", "c_grad", "e_delta0",
-                "e_grad0", "ridge", "replay_sigma2"):
-        return float(raw)
-    if name in ("n", "rank_mt"):
-        return int(raw)
-    return raw
+    return kind(raw)
 
 
 def load_config_file(path: str) -> dict:
@@ -408,7 +417,7 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
                          rep.reference, rep.z_score, 1 if rep.violation else 0))
             status = "FAIL" if rep.violation else "ok"
             print(f"[mc-verify] {scheme} {name}: mean={rep.mean:.6g} "
-                  f"ref={rep.reference:.6g} z={rep.z_score:+.2f} {status}")
+                  f"ref={rep.reference:.6g} z={rep.z_score:+.2f} {status}", file=sys.stderr)
     _write_table(cfg, ["scheme", "check", "mean", "stderr", "samples",
                        "reference", "z", "violation"], rows, cfg.out)
     return 0
@@ -468,8 +477,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("widths and depths must be comma-separated integers")
     if not widths or not depths:
         raise ValueError("need at least one width and one depth")
-    if cfg.metric not in ("analytic", "empirical", "both"):
-        raise ValueError(f"unknown sweep metric {cfg.metric!r}")
     n = _dataset_size(cfg)
     rows = []
     any_diverged = False
@@ -514,94 +521,41 @@ def cmd_sweep(cfg: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, overrides: dict) -> None:
-    def dft(name, fallback):
-        return overrides.get(name, fallback)
-
-    p.add_argument("--config", default=None, help="key=value file with defaults")
-    p.add_argument("--scheme", default=dft("scheme", "lecun"),
-                   choices=SCHEMES + ("all",))
-    p.add_argument("--d", type=int, default=dft("d", 16))
-    p.add_argument("--width", type=int, default=dft("width", 64))
-    p.add_argument("--depth", type=int, default=dft("depth", 3))
-    p.add_argument("--outputs", type=int, default=dft("outputs", 1))
-    p.add_argument("--eta", type=float, default=dft("eta", 0.01))
-    p.add_argument("--steps", type=int, default=dft("steps", 100))
-    p.add_argument("--sigma2", type=float, default=dft("sigma2", 0.01))
-    p.add_argument("--runs", type=int, default=dft("runs", 6))
-    p.add_argument("--seed", type=int, default=dft("seed", 0))
-    p.add_argument("--neighbor", default=dft("neighbor", "remove"),
-                   choices=("replace", "remove", "add"))
-    p.add_argument("--kl-constant", dest="kl_constant",
-                   default=dft("kl_constant", "paper"), choices=("paper", "exact"))
-    p.add_argument("--data", default=dft("data", "synth:32"),
-                   help="synth:<n> or csv:<path>")
-    p.add_argument("--out", default=dft("out", None))
-    p.add_argument("--label-column", dest="label_column",
-                   default=dft("label_column", "label"))
-    p.add_argument("--pool-size", dest="pool_size", type=int,
-                   default=dft("pool_size", 8))
-    p.add_argument("--record-every", dest="record_every", type=int,
-                   default=dft("record_every", 1))
-    p.add_argument("--cap", type=int, default=dft("cap", 256))
+_COMMANDS = {
+    "bound": (cmd_bound, "analytic KL bounds"),
+    "estimate": (cmd_estimate, "empirical worst-case KL trace"),
+    "mc-verify": (cmd_mc_verify, "Monte Carlo moment checks"),
+    "lazy": (cmd_lazy, "interpolator diagnostics"),
+    "sweep": (cmd_sweep, "scheme/width/depth grid"),
+}
 
 
 def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
+    """Parser with one subcommand per command and one flag per RunConfig field.
+
+    ``overrides`` (from ``--config``) replace the field defaults.
+    """
     overrides = overrides or {}
     parser = argparse.ArgumentParser(prog="klpriv", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bound", help="analytic KL bounds")
-    _add_common(p, overrides)
-    p.add_argument("--time", type=float, default=overrides.get("time"))
-    p.add_argument("--n", type=int, default=overrides.get("n"))
-    p.add_argument("--x-sqnorm", dest="x_sqnorm", type=float,
-                   default=overrides.get("x_sqnorm"))
-    p.add_argument("--beta-smooth", dest="beta_smooth", type=float,
-                   default=overrides.get("beta_smooth"))
-    p.add_argument("--c-grad", dest="c_grad", type=float,
-                   default=overrides.get("c_grad"))
-    p.add_argument("--rank-mt", dest="rank_mt", type=int,
-                   default=overrides.get("rank_mt"))
-    p.add_argument("--e-delta0", dest="e_delta0", type=float,
-                   default=overrides.get("e_delta0"))
-    p.add_argument("--e-grad0", dest="e_grad0", type=float,
-                   default=overrides.get("e_grad0"))
-
-    p = sub.add_parser("estimate", help="empirical worst-case KL trace")
-    _add_common(p, overrides)
-    p.add_argument("--replay-sigma2", dest="replay_sigma2", type=float,
-                   default=overrides.get("replay_sigma2"))
-    p.add_argument("--linearize", action="store_true",
-                   default=bool(overrides.get("linearize", False)))
-
-    p = sub.add_parser("mc-verify", help="Monte Carlo moment checks")
-    _add_common(p, overrides)
-    p.add_argument("--samples", type=int, default=overrides.get("samples", 4000))
-    p.add_argument("--mc-n", dest="mc_n", type=int, default=overrides.get("mc_n", 32))
-
-    p = sub.add_parser("lazy", help="interpolator diagnostics")
-    _add_common(p, overrides)
-    p.add_argument("--ridge", type=float, default=overrides.get("ridge"))
-
-    p = sub.add_parser("sweep", help="scheme/width/depth grid")
-    _add_common(p, overrides)
-    p.add_argument("--widths", default=overrides.get("widths", "16,64,256"))
-    p.add_argument("--depths", default=overrides.get("depths", "3"))
-    p.add_argument("--metric", default=overrides.get("metric", "analytic"),
-                   choices=("analytic", "empirical", "both"))
-    p.add_argument("--n", type=int, default=overrides.get("n"))
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", default=None, help="key=value file with defaults")
+        for f in fields(RunConfig):
+            if not f.metadata:          # ``command`` is the subcommand itself
+                continue
+            kwargs = dict(f.metadata)
+            commands = kwargs.pop("commands")
+            if commands is not None and command not in commands:
+                continue
+            default = overrides.get(f.name, f.default)
+            if _FIELD_TYPES[f.name] is bool:
+                kwargs.update(action="store_true", default=bool(default))
+            else:
+                kwargs.update(type=_FIELD_TYPES[f.name], default=default)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, **kwargs)
     return parser
-
-
-_COMMANDS = {
-    "bound": cmd_bound,
-    "estimate": cmd_estimate,
-    "mc-verify": cmd_mc_verify,
-    "lazy": cmd_lazy,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -624,7 +578,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(**kwargs)
     try:
         cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

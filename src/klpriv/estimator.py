@@ -17,7 +17,13 @@ import numpy as np
 
 from .accountant import KLConstant, gradient_norm_constant_B
 from .data import Dataset, Neighbor, NeighborSet
-from .linearized import NtkFeatures, jacobian_rows, lin_forward
+from .linearized import (
+    NtkFeatures,
+    build_features,
+    lin_forward,
+    lin_grads_at,
+    lin_per_example_grads,
+)
 from .network import (
     InitScheme,
     LossKind,
@@ -28,6 +34,7 @@ from .network import (
     forward,
     forward_batch,
     init_betas,
+    jacobian_batch,
     output_jacobian,
     residual_batch,
     sample_init,
@@ -159,6 +166,24 @@ def _as_matrix(grads) -> np.ndarray:
     return G
 
 
+def _explicit_stats(G: np.ndarray, Gp: np.ndarray | None, need_cross: bool) -> tuple:
+    """Step statistics of explicit per-example gradients (rows of G and Gp).
+
+    Returns ``(norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross,
+    mean_grad)``: the first six are the arguments of :func:`_diffs_from_scalars`
+    (pool entries ``None`` without a pool, ``cross`` only when asked for).
+    """
+    S = G.sum(axis=0)
+    pool_norms_sq = pool_dots_S = cross = None
+    if Gp is not None:
+        pool_norms_sq = np.einsum("ip,ip->i", Gp, Gp)
+        pool_dots_S = Gp @ S
+        if need_cross:
+            cross = G @ Gp.T
+    return (np.einsum("ip,ip->i", G, G), G @ S, float(S @ S),
+            pool_norms_sq, pool_dots_S, cross, S / G.shape[0])
+
+
 def _diffs_from_scalars(n: int, notion: Neighbor, norms_sq, dots_S, S_sq,
                         pool_norms_sq=None, pool_dots_S=None, cross=None,
                         pairs=None) -> np.ndarray:
@@ -203,22 +228,13 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
     if isinstance(notion, str):
         notion = Neighbor(notion)
     G = _as_matrix(per_example_grads)
-    n = G.shape[0]
-    S = G.sum(axis=0)
-    norms_sq = np.einsum("ip,ip->i", G, G)
-    dots_S = G @ S
-    S_sq = float(S @ S)
-    if notion is Neighbor.REMOVE_ONE:
-        return _diffs_from_scalars(n, notion, norms_sq, dots_S, S_sq)
-    if pool_grads is None:
-        raise ValueError(f"{notion.value} needs pool gradients")
-    P = _as_matrix(pool_grads)
-    pool_norms_sq = np.einsum("ip,ip->i", P, P)
-    if notion is Neighbor.ADD_ONE:
-        return _diffs_from_scalars(n, notion, norms_sq, dots_S, S_sq,
-                                   pool_norms_sq=pool_norms_sq, pool_dots_S=P @ S)
-    return _diffs_from_scalars(n, notion, norms_sq, dots_S, S_sq,
-                               pool_norms_sq=pool_norms_sq, cross=G @ P.T, pairs=pairs)
+    Gp = None
+    if notion is not Neighbor.REMOVE_ONE:
+        if pool_grads is None:
+            raise ValueError(f"{notion.value} needs pool gradients")
+        Gp = _as_matrix(pool_grads)
+    *scalars, _ = _explicit_stats(G, Gp, notion is Neighbor.REPLACE_ONE)
+    return _diffs_from_scalars(G.shape[0], notion, *scalars, pairs=pairs)
 
 
 def _resolve_loss(arch: NetArch, loss: LossKind | None) -> LossKind:
@@ -229,54 +245,63 @@ def _resolve_loss(arch: NetArch, loss: LossKind | None) -> LossKind:
     return loss
 
 
+def _factored_norms_dots(deltas, acts, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example squared gradient norms and dots with the gradient sum S.
+
+    Layer l contributes |delta_l|^2 |h_{l-1}|^2 to a norm and
+    delta_l . (S_l h_{l-1}) to a dot, with ``blocks[l]`` the layer block S_l.
+    """
+    norms_sq = sum(np.einsum("na,na->n", D, D) * np.einsum("nb,nb->n", H, H)
+                   for D, H in zip(deltas, acts))
+    dots_S = sum(np.einsum("na,na->n", D, H @ B.T) for D, H, B in zip(deltas, acts, blocks))
+    return norms_sq, dots_S
+
+
 class _DnnStepStats:
     """Per-step gradient statistics for the full network.
 
     Per-example layer gradients are outer products delta_l h_{l-1}^T, so all
-    norms and inner products factor into activation and delta Grams; the
-    parameter-sized per-example matrix is never materialized.
+    norms and inner products factor into activation and delta Grams (the
+    per-layer Gram of two examples is (delta delta^T) * (h h^T), Goodfellow's
+    2015 per-example-gradient trick); the parameter-sized per-example matrix
+    is never materialized.  Data and pool go through separate batches: one
+    concatenated batch runs larger GEMMs whose summation order changes the
+    last bits of the pool statistics.
     """
 
-    def __init__(self, arch: NetArch, data: Dataset, neighbors: NeighborSet, loss: LossKind):
-        self.arch = arch
+    def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
         self.data = data
         self.neighbors = neighbors
         self.loss = loss
         self.need_pool = neighbors.notion is not Neighbor.REMOVE_ONE
         self.need_cross = neighbors.notion is Neighbor.REPLACE_ONE
 
-    def __call__(self, W: ParamVector):
-        arch = self.arch
-        F, acts = forward_batch(W, self.data.X)
+    def _backprop(self, W: ParamVector, ds: Dataset):
+        """(deltas, activations) on one dataset, or None on a non-finite forward pass."""
+        F, acts = forward_batch(W, ds.X)
         if not np.all(np.isfinite(F)):
             return None
-        deltas = backprop_deltas(W, acts, residual_batch(F, self.data.Y, self.loss))
-        blocks = [deltas[l].T @ acts[l] for l in range(arch.L)]
+        return backprop_deltas(W, acts, residual_batch(F, ds.Y, self.loss)), acts
+
+    def __call__(self, W: ParamVector):
+        data = self._backprop(W, self.data)
+        if data is None:
+            return None
+        deltas, acts = data
+        blocks = [D.T @ H for D, H in zip(deltas, acts)]
         S_sq = sum(float(np.sum(B * B)) for B in blocks)
-        norms_sq = np.zeros(self.data.n)
-        dots_S = np.zeros(self.data.n)
-        for l in range(arch.L):
-            norms_sq += np.einsum("na,na->n", deltas[l], deltas[l]) * \
-                np.einsum("nb,nb->n", acts[l], acts[l])
-            dots_S += np.einsum("na,na->n", deltas[l], acts[l] @ blocks[l].T)
+        norms_sq, dots_S = _factored_norms_dots(deltas, acts, blocks)
         mean_grad = np.concatenate([B.ravel() for B in blocks]) / self.data.n
         pool_norms_sq = pool_dots_S = cross = None
         if self.need_pool:
-            pool = self.neighbors.pool
-            Fp, acts_p = forward_batch(W, pool.X)
-            if not np.all(np.isfinite(Fp)):
+            pool = self._backprop(W, self.neighbors.pool)
+            if pool is None:
                 return None
-            deltas_p = backprop_deltas(W, acts_p, residual_batch(Fp, pool.Y, self.loss))
-            pool_norms_sq = np.zeros(pool.n)
-            pool_dots_S = np.zeros(pool.n)
-            for l in range(arch.L):
-                pool_norms_sq += np.einsum("na,na->n", deltas_p[l], deltas_p[l]) * \
-                    np.einsum("nb,nb->n", acts_p[l], acts_p[l])
-                pool_dots_S += np.einsum("na,na->n", deltas_p[l], acts_p[l] @ blocks[l].T)
+            deltas_p, acts_p = pool
+            pool_norms_sq, pool_dots_S = _factored_norms_dots(deltas_p, acts_p, blocks)
             if self.need_cross:
-                cross = np.zeros((self.data.n, pool.n))
-                for l in range(arch.L):
-                    cross += (deltas[l] @ deltas_p[l].T) * (acts[l] @ acts_p[l].T)
+                cross = sum((D @ Dp.T) * (H @ Hp.T)
+                            for D, Dp, H, Hp in zip(deltas, deltas_p, acts, acts_p))
         return norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross, mean_grad
 
 
@@ -294,37 +319,20 @@ class _LinStepStats:
         self.data = data
         self.neighbors = neighbors
         self.loss = loss
-        self.need_pool = neighbors.notion is not Neighbor.REMOVE_ONE
         self.need_cross = neighbors.notion is Neighbor.REPLACE_ONE
-        if self.need_pool:
-            pool = neighbors.pool
-            self.pool_f0, self.pool_jac = jacobian_rows(self.features.W0, pool.X)
-
-    def _grads(self, preds, Y, jac) -> np.ndarray:
-        R = residual_batch(preds, Y, self.loss)
-        n, o = preds.shape
-        return np.einsum("nop,no->np", jac.reshape(n, o, -1), R)
+        self.pool = None
+        if neighbors.notion is not Neighbor.REMOVE_ONE:
+            self.pool = build_features(self.features.W0, neighbors.pool.X)
 
     def __call__(self, W: ParamVector):
-        feats = self.features
-        preds = lin_forward(feats, W)
+        preds = lin_forward(self.features, W)
         if not np.all(np.isfinite(preds)):
             return None
-        G = self._grads(preds, self.data.Y, feats.jac)
-        S = G.sum(axis=0)
-        norms_sq = np.einsum("ip,ip->i", G, G)
-        dots_S = G @ S
-        S_sq = float(S @ S)
-        mean_grad = S / self.data.n
-        pool_norms_sq = pool_dots_S = cross = None
-        if self.need_pool:
-            shift = (self.pool_jac @ (W.flat - feats.W0.flat)).reshape(self.pool_f0.shape)
-            Gp = self._grads(self.pool_f0 + shift, self.neighbors.pool.Y, self.pool_jac)
-            pool_norms_sq = np.einsum("ip,ip->i", Gp, Gp)
-            pool_dots_S = Gp @ S
-            if self.need_cross:
-                cross = G @ Gp.T
-        return norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross, mean_grad
+        G = lin_grads_at(self.features, preds, self.data.Y, self.loss)
+        Gp = None
+        if self.pool is not None:
+            Gp = lin_per_example_grads(self.pool, W, self.neighbors.pool.Y, self.loss)
+        return _explicit_stats(G, Gp, self.need_cross)
 
 
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
@@ -360,7 +368,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         raise ValueError("remove-one estimation needs at least two records")
     if isinstance(model, DnnModel):
         betas = init_betas(model.scheme, arch)
-        make_stats = _DnnStepStats(arch, data, neighbors, loss)
+        make_stats = _DnnStepStats(data, neighbors, loss)
     else:
         betas = None
         make_stats = _LinStepStats(model, data, neighbors, loss)
@@ -523,10 +531,9 @@ def mc_linearized_grad_diff(arch: NetArch, scheme, record_a, record_b, n: int,
 
 
 def _single_logistic_grad(W: ParamVector, x: np.ndarray, y: float) -> np.ndarray:
-    f, _ = forward(W, x)
-    J = output_jacobian(W, x)
-    r = residual_batch(f[None, :], np.array([y]), LossKind.LOGISTIC_SINGLE)
-    return r[0, 0] * J[0]
+    F, J = jacobian_batch(W, x[None, :])
+    r = residual_batch(F, np.array([y]), LossKind.LOGISTIC_SINGLE)
+    return r[0, 0] * J[0, 0]
 
 
 def estimate_rank_MT(gradient_samples, tol: float = 1e-10) -> int:

@@ -16,9 +16,8 @@ from .network import (
     LossKind,
     NetArch,
     ParamVector,
-    forward,
+    jacobian_batch,
     loss_batch,
-    output_jacobian,
     residual_batch,
 )
 from .numerics import RankDeficiencyError, psd_spectrum, running_mean, solve_psd
@@ -50,10 +49,13 @@ def jacobian_rows(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.nd
     arch = params.arch
     f0 = np.empty((n, arch.o))
     jac = np.empty((n * arch.o, arch.num_params))
+    # One example per kernel call: a stacked call runs its products as GEMMs
+    # whose summation order differs, which changes the last bits of f0 and
+    # jac and with them every linearized estimate.
     for i in range(n):
-        f, _ = forward(params, X[i])
-        f0[i] = f
-        jac[i * arch.o:(i + 1) * arch.o] = output_jacobian(params, X[i])
+        F, J = jacobian_batch(params, X[i:i + 1])
+        f0[i] = F[0]
+        jac[i * arch.o:(i + 1) * arch.o] = J[0]
     return f0, jac
 
 
@@ -72,11 +74,14 @@ def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
 
 def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> np.ndarray:
     """Per-example loss gradients of the linearized model, shape (n, P)."""
-    preds = lin_forward(features, W)
+    return lin_grads_at(features, lin_forward(features, W), Y, loss)
+
+
+def lin_grads_at(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind) -> np.ndarray:
+    """Per-example loss gradients (n, P) given the model's predictions ``preds`` (n, o)."""
     R = residual_batch(preds, Y, loss)
     n, o = preds.shape
-    jac_view = features.jac.reshape(n, o, -1)
-    return np.einsum("nop,no->np", jac_view, R)
+    return np.einsum("nop,no->np", features.jac.reshape(n, o, -1), R)
 
 
 def lin_empirical_grad(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> ParamVector:

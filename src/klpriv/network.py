@@ -179,6 +179,37 @@ def sample_init(arch: NetArch, betas, rng: RngStream) -> ParamVector:
     return ParamVector.from_layers(arch, mats)
 
 
+# ---------------------------------------------------------------------------
+# Two layers.  The batched kernels below are the only implementation of each
+# operation: the estimator calls them on whole datasets every training step,
+# on inputs validated once up front.  The single-example functions are their
+# n=1 views for per-example use; they add the checks on input shape and label
+# coding that a single record from a caller needs, and return exactly the bits
+# of the kernel's row.
+# ---------------------------------------------------------------------------
+
+def _input_row(params: ParamVector, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.arch.d,):
+        raise ValueError(f"input must have shape ({params.arch.d},)")
+    return x[None, :]
+
+
+def _label_row(f_shape: tuple[int, ...], y, loss: LossKind) -> np.ndarray:
+    """Check one label against an output of shape ``f_shape``; return it as a batch row."""
+    if loss is LossKind.LOGISTIC_SINGLE:
+        if f_shape != (1,):
+            raise ValueError("logistic loss needs a single output")
+        yv = float(np.asarray(y).reshape(()))
+        if yv not in (-1.0, 1.0):
+            raise ValueError("logistic labels must be +-1")
+        return np.array([yv])
+    y = np.asarray(y, dtype=float)
+    if y.shape != f_shape:
+        raise ValueError("one-hot label must match the output shape")
+    return y[None, :]
+
+
 def forward(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Network output and all activations (h_0 = x, ..., h_{L-1}).
 
@@ -186,76 +217,27 @@ def forward(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, list[np.nda
         ``(f, acts)`` with ``f`` of shape (o,) and ``acts`` a list of the L
         activation vectors feeding each layer.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.arch.d,):
-        raise ValueError(f"input must have shape ({params.arch.d},)")
-    acts = [x]
-    h = x
-    for l in range(1, params.arch.L):
-        h = np.maximum(params.layer(l) @ h, 0.0)
-        acts.append(h)
-    f = params.layer(params.arch.L) @ h
-    return f, acts
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    F, acts = forward_batch(params, _input_row(params, x))
+    return F[0], [h[0] for h in acts]
 
 
 def loss_value(f: np.ndarray, y, loss: LossKind) -> float:
     """Per-example loss at network output f."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    if loss is LossKind.LOGISTIC_SINGLE:
-        if f.shape != (1,):
-            raise ValueError("logistic loss needs a single output")
-        yv = float(np.asarray(y).reshape(()))
-        if yv not in (-1.0, 1.0):
-            raise ValueError("logistic labels must be +-1")
-        return float(np.logaddexp(0.0, -yv * f[0]))
-    y = np.asarray(y, dtype=float)
-    if y.shape != f.shape:
-        raise ValueError("one-hot label must match the output shape")
-    m = np.max(f)
-    return float(m + np.log(np.sum(np.exp(f - m))) - f @ y)
+    return float(loss_batch(f[None, :], _label_row(f.shape, y, loss), loss)[0])
 
 
 def loss_residual(f: np.ndarray, y, loss: LossKind) -> np.ndarray:
     """Derivative of the per-example loss with respect to the output f."""
     f = np.atleast_1d(np.asarray(f, dtype=float))
-    if loss is LossKind.LOGISTIC_SINGLE:
-        if f.shape != (1,):
-            raise ValueError("logistic loss needs a single output")
-        yv = float(np.asarray(y).reshape(()))
-        if yv not in (-1.0, 1.0):
-            raise ValueError("logistic labels must be +-1")
-        return -yv * _sigmoid(np.array([-yv * f[0]]))
-    y = np.asarray(y, dtype=float)
-    if y.shape != f.shape:
-        raise ValueError("one-hot label must match the output shape")
-    z = f - np.max(f)
-    p = np.exp(z)
-    return p / p.sum() - y
+    return residual_batch(f[None, :], _label_row(f.shape, y, loss), loss)[0]
 
 
 def per_example_grad(params: ParamVector, x: np.ndarray, y, loss: LossKind) -> ParamVector:
     """Gradient of the per-example loss by reverse accumulation."""
-    f, acts = forward(params, x)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("forward pass produced non-finite outputs")
-    delta = loss_residual(f, y, loss)
-    L = params.arch.L
-    blocks: list[np.ndarray] = [np.empty(0)] * L
-    blocks[L - 1] = np.outer(delta, acts[L - 1])
-    for l in range(L - 1, 0, -1):
-        # masks use acts > 0, which equals preactivation > 0 under relu'(0)=0
-        delta = (params.layer(l + 1).T @ delta) * (acts[l] > 0)
-        blocks[l - 1] = np.outer(delta, acts[l - 1])
-    return ParamVector.from_layers(params.arch, blocks)
+    Y = _label_row((params.arch.o,), y, loss)
+    G = per_example_grad_batch(params, _input_row(params, x), Y, loss)
+    return ParamVector(params.arch, G[0])
 
 
 def output_jacobian(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -264,20 +246,7 @@ def output_jacobian(params: ParamVector, x: np.ndarray) -> np.ndarray:
     Row j holds the gradient of output coordinate j, laid out in the same
     order as :class:`ParamVector`.
     """
-    f, acts = forward(params, x)
-    arch = params.arch
-    L, o = arch.L, arch.o
-    jac = np.empty((o, arch.num_params))
-    offs = arch.layer_offsets
-    # M holds df/dh_l; start at the linear top layer and walk down.
-    M = params.layer(L).copy()
-    jac[:, offs[L - 1]:offs[L]] = np.einsum("ja,b->jab", np.eye(o), acts[L - 1]).reshape(o, -1)
-    for l in range(L - 1, 0, -1):
-        D = M * (acts[l] > 0)
-        jac[:, offs[l - 1]:offs[l]] = np.einsum("ja,b->jab", D, acts[l - 1]).reshape(o, -1)
-        if l > 1:
-            M = D @ params.layer(l)
-    return jac
+    return jacobian_batch(params, _input_row(params, x))[1][0]
 
 
 def empirical_grad(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> ParamVector:
@@ -289,11 +258,6 @@ def empirical_grad(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> Par
     return ParamVector(params.arch, G.mean(axis=0))
 
 
-# ---------------------------------------------------------------------------
-# Batched internals.  These match the single-example ops exactly and exist so
-# the estimator can train at width a few hundred without a Python-level loop.
-# ---------------------------------------------------------------------------
-
 def forward_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Vectorized forward pass; returns (n, o) outputs and per-layer activations."""
     X = np.asarray(X, dtype=float)
@@ -304,6 +268,15 @@ def forward_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, list[
         acts.append(H)
     F = H @ params.layer(params.arch.L).T
     return F, acts
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def residual_batch(F: np.ndarray, Y, loss: LossKind) -> np.ndarray:
@@ -342,6 +315,7 @@ def backprop_deltas(params: ParamVector, acts: list[np.ndarray], R: np.ndarray) 
     deltas[L - 1] = R
     D = R
     for l in range(L - 1, 0, -1):
+        # masks use acts > 0, which equals preactivation > 0 under relu'(0)=0
         D = (D @ params.layer(l + 1)) * (acts[l] > 0)
         deltas[l - 1] = D
     return deltas
@@ -361,3 +335,29 @@ def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind
         np.einsum("na,nb->nab", deltas[l - 1], acts[l - 1],
                   out=block.reshape(n, *params.arch.layer_shapes[l - 1]))
     return G
+
+
+def jacobian_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs F (n, o) and output Jacobians J (n, o, P) for a batch of inputs.
+
+    ``J[i, j]`` is the gradient of output j on example i with respect to the
+    flat parameters, laid out in the same order as :class:`ParamVector`.
+    """
+    F, acts = forward_batch(params, X)
+    arch = params.arch
+    L, o, n = arch.L, arch.o, F.shape[0]
+    offs = arch.layer_offsets
+    J = np.empty((n, o, arch.num_params))
+
+    def block(l):
+        return J[:, :, offs[l - 1]:offs[l]].reshape(n, o, *arch.layer_shapes[l - 1])
+
+    # M holds df/dh_l; start at the linear top layer and walk down.
+    M = params.layer(L)
+    np.einsum("ja,nb->njab", np.eye(o), acts[L - 1], out=block(L))
+    for l in range(L - 1, 0, -1):
+        D = M * (acts[l] > 0)[:, None, :]
+        np.einsum("nja,nb->njab", D, acts[l - 1], out=block(l))
+        if l > 1:
+            M = D @ params.layer(l)
+    return F, J

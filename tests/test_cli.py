@@ -207,7 +207,7 @@ class TestMcVerify:
                    "--depth", "2", "--samples", "300", "--mc-n", "8",
                    "--out", str(out)])
         assert rc == 0
-        printed = capsys.readouterr().out
+        printed = capsys.readouterr().err
         assert "[mc-verify]" in printed and "FAIL" not in printed
         _, columns, rows = _read_table(out)
         assert columns == ["scheme", "check", "mean", "stderr", "samples",
@@ -216,6 +216,17 @@ class TestMcVerify:
         assert all(row[7] == "0" for row in rows)
         zs = [abs(float(row[6])) for row in rows if row[1] != "linearized_grad_diff"]
         assert max(zs) <= 4.0
+
+    def test_stdout_round_trips_through_config(self, tmp_path, capsys):
+        argv = ["mc-verify", "--scheme", "he", "--d", "4", "--width", "8",
+                "--depth", "2", "--samples", "50", "--mc-n", "8"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert first.startswith("# klpriv-version=")
+        cfg = tmp_path / "m.csv"
+        cfg.write_text(first)
+        assert main(["mc-verify", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == first
 
     def test_multi_output_drops_grad_diff_check(self, tmp_path):
         out = tmp_path / "m.csv"

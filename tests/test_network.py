@@ -12,6 +12,7 @@ from klpriv.network import (
     forward,
     forward_batch,
     init_betas,
+    jacobian_batch,
     loss_batch,
     loss_residual,
     loss_value,
@@ -301,13 +302,25 @@ class TestBatchedOps:
     @pytest.mark.parametrize("o", [1, 3])
     def test_batch_matches_single(self, o):
         a, W, X, Y, loss = self._setup(o)
-        F, _ = forward_batch(W, X)
+        F, J = jacobian_batch(W, X)
         G = per_example_grad_batch(W, X, Y, loss)
         LB = loss_batch(F, Y, loss)
         RB = residual_batch(F, Y, loss)
         for i in range(X.shape[0]):
-            f, _ = forward(W, X[i])
+            # each single-example op is its batched kernel at n=1, bit for bit
+            Xi, Yi = X[i:i + 1], Y[i:i + 1]
+            f, acts = forward(W, X[i])
+            Fi, acts_i = forward_batch(W, Xi)
+            assert np.array_equal(f, Fi[0])
+            assert all(np.array_equal(h, hb[0]) for h, hb in zip(acts, acts_i, strict=True))
+            assert np.array_equal(output_jacobian(W, X[i]), jacobian_batch(W, Xi)[1][0])
+            assert np.array_equal(per_example_grad(W, X[i], Y[i], loss).flat,
+                                  per_example_grad_batch(W, Xi, Yi, loss)[0])
+            assert loss_value(f, Y[i], loss) == loss_batch(Fi, Yi, loss)[0]
+            assert np.array_equal(loss_residual(f, Y[i], loss), residual_batch(Fi, Yi, loss)[0])
+            # a larger batch multiplies as a GEMM, so its rows agree up to rounding
             assert np.allclose(F[i], f)
+            assert np.allclose(J[i], output_jacobian(W, X[i]))
             assert np.allclose(G[i], per_example_grad(W, X[i], Y[i], loss).flat)
             assert LB[i] == pytest.approx(loss_value(f, Y[i], loss))
             assert np.allclose(RB[i], loss_residual(f, Y[i], loss))
