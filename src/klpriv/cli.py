@@ -120,6 +120,9 @@ class RunConfig:
             raise ValueError("eta and sigma2 must be positive")
         if self.steps < 0 or self.runs < 1 or self.samples < 2:
             raise ValueError("steps must be >= 0, runs >= 1, samples >= 2")
+        if self.runs >= _DATA_CHILD:
+            # run r draws from RngStream(seed).child(r); the data streams start here
+            raise ValueError(f"runs must be below {_DATA_CHILD}")
         if self.pool_size < 1 or self.cap < 1 or self.record_every < 1:
             raise ValueError("pool-size, cap and record-every must be positive")
         # argparse checks choices on the command line only, not on --config values
@@ -159,8 +162,8 @@ def _base_type(hint) -> type:
     return next((a for a in typing.get_args(hint) if a is not type(None)), hint)
 
 
-_FIELD_TYPES = {name: _base_type(hint)
-                for name, hint in typing.get_type_hints(RunConfig).items()}
+_FIELD_HINTS = typing.get_type_hints(RunConfig)
+_FIELD_TYPES = {name: _base_type(hint) for name, hint in _FIELD_HINTS.items()}
 
 
 def _coerce_field(name: str, raw: str):
@@ -168,6 +171,8 @@ def _coerce_field(name: str, raw: str):
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {name!r}")
     if raw == "":
+        if type(None) not in typing.get_args(_FIELD_HINTS[name]):
+            raise ValueError(f"empty value for {name!r}")
         return None
     kind = _FIELD_TYPES[name]
     if kind is bool:

@@ -7,7 +7,11 @@ place.  Matrices are plain float64 numpy arrays.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +66,45 @@ class RngStream:
         if index < 0:
             raise ValueError("substream index must be non-negative")
         return RngStream(self.seed, _mix64(self.stream, index))
+
+
+@functools.cache
+def _openblas():
+    """``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Run the block with numpy's bundled OpenBLAS limited to ``count`` threads.
+
+    The limit is process-wide, not per thread.  The previous thread count is
+    restored on exit, also when the block raises.  Does nothing when numpy
+    has no bundled OpenBLAS (for example a build linked against a system
+    BLAS).
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    get, set_ = lib
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def gaussian_matrix(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:

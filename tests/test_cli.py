@@ -370,6 +370,14 @@ class TestConfigFile:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.cfg"), "--n", "8"]) == 2
 
+    def test_empty_value_only_for_optional_fields(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("out=\nreplay_sigma2=\n")
+        assert load_config_file(str(cfg)) == {"out": None, "replay_sigma2": None}
+        cfg.write_text("steps=\n")
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        assert "'steps'" in capsys.readouterr().err
+
 
 class TestRunConfig:
     def test_header_is_sorted_and_complete(self):
@@ -393,6 +401,12 @@ class TestRunConfig:
             RunConfig(neighbor="swap").validate()
         with pytest.raises(ValueError):
             RunConfig(replay_sigma2=0.0).validate()
+
+    def test_runs_stay_below_the_data_streams(self):
+        RunConfig(runs=(1 << 20) - 1).validate()
+        with pytest.raises(ValueError, match="runs"):
+            RunConfig(runs=1 << 20).validate()
+        assert main(["estimate", "--steps", "0", "--runs", str(1 << 20)]) == 2
 
 
 class TestTopLevel:

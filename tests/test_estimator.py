@@ -1,10 +1,13 @@
 """Tests for noisy-GD training, KL accumulation and Monte Carlo checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from klpriv import estimator, numerics
 from klpriv.accountant import KLConstant, gradient_norm_constant_B
 from klpriv.data import Dataset, Neighbor, enumerate_neighbors, synth_sphere
 from klpriv.estimator import (
@@ -88,6 +91,19 @@ class TestNoisyGdStep:
         b = noisy_gd_step(W, g, 0.1, 0.5, RngStream(5))
         assert np.array_equal(a.flat, b.flat)
 
+    def test_update_formula_exact_and_inputs_unchanged(self):
+        W, g = _weights(0), _weights(1)
+        W_before, g_before = W.flat.copy(), g.flat.copy()
+        eta, sigma2 = 0.1, 0.5
+        z = RngStream(5).generator().standard_normal(W.flat.size)
+        want = W.flat - eta * g.flat + math.sqrt(2.0 * eta * sigma2) * z
+        drawn = noisy_gd_step(W, g, eta, sigma2, RngStream(5))
+        given = noisy_gd_step(W, g, eta, sigma2, RngStream(5), noise=z.copy())
+        assert np.array_equal(drawn.flat, want)
+        assert np.array_equal(given.flat, want)
+        assert np.array_equal(W.flat, W_before)
+        assert np.array_equal(g.flat, g_before)
+
     def test_validation(self):
         W = _weights(0)
         other = sample_init(NetArch.uniform(3, 6, 2, 1),
@@ -98,6 +114,8 @@ class TestNoisyGdStep:
             noisy_gd_step(W, W, -0.1, 0.5, RngStream(0))
         with pytest.raises(ValueError):
             noisy_gd_step(W, W, 0.1, -0.5, RngStream(0))
+        with pytest.raises(ValueError):
+            noisy_gd_step(W, W, 0.1, 0.5, RngStream(0), noise=np.zeros(W.flat.size + 1))
 
 
 class TestNeighborGradDiffs:
@@ -297,6 +315,134 @@ class TestRunKlEstimation:
             run_kl_estimation(model, bad_data, neighbors, cfg)
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
+
+
+def _linearized_model(data):
+    arch = NetArch.uniform(data.d, 8, 2, 1)
+    W0 = sample_init(arch, init_betas("ntk", arch), RngStream(55))
+    return LinearizedModel(features=build_features(W0, data.X))
+
+
+# the smallest and a gate no model reaches: overlapped and inline noise draws
+GATES = (0, 1 << 62)
+
+
+def _on_both_paths(monkeypatch, model, data, neighbors, cfg):
+    """Results of the overlapped and the inline path, in that order.
+
+    Both run with a short thread switch interval, so that the helper and the
+    main thread interleave as often as possible.
+    """
+    results = []
+    for gate in GATES:
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append(run_kl_estimation(model, data, neighbors, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+    return results
+
+
+def _assert_same_bits(a, b):
+    assert a.diverged_any == b.diverged_any
+    assert np.array_equal(a.worst_mean, b.worst_mean, equal_nan=True)
+    assert np.array_equal(a.worst_std, b.worst_std, equal_nan=True)
+    for ta, tb in zip(a.traces, b.traces, strict=True):
+        assert ta.diverged == tb.diverged
+        assert np.array_equal(ta.per_step_sq_diffs, tb.per_step_sq_diffs)
+        assert np.array_equal(ta.cumulative_per_neighbor, tb.cumulative_per_neighbor)
+        assert np.array_equal(ta.cumulative_worst, tb.cumulative_worst)
+
+
+class _FakeBlas:
+    """Stands in for numpy's OpenBLAS thread-count functions."""
+
+    def __init__(self, threads=2):
+        self.threads = threads
+        self.set_calls = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, count):
+        self.set_calls.append(count)
+        self.threads = count
+
+
+class TestOverlappedNoise:
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    @pytest.mark.parametrize("kind", ["dnn", "linearized"])
+    def test_paths_bit_identical(self, monkeypatch, kind, notion):
+        data, neighbors, model = _setup_estimation(notion=notion)
+        if kind == "linearized":
+            model = _linearized_model(data)
+        cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=2, seed=3, record_every=2)
+        overlapped, inline = _on_both_paths(monkeypatch, model, data, neighbors, cfg)
+        assert not inline.diverged_any
+        _assert_same_bits(overlapped, inline)
+
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    @pytest.mark.parametrize("kind, threshold", [("dnn", 10.0), ("linearized", 1.4)])
+    def test_paths_bit_identical_after_divergence(self, monkeypatch, kind, threshold, notion):
+        data, neighbors, model = _setup_estimation(notion=notion)
+        if kind == "linearized":
+            model = _linearized_model(data)
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1,
+                          divergence_threshold=threshold)
+        overlapped, inline = _on_both_paths(monkeypatch, model, data, neighbors, cfg)
+        completed = [t.per_step_sq_diffs.shape[0] for t in inline.traces]
+        assert any(0 < c < cfg.steps for c in completed)     # diverges mid-run
+        _assert_same_bits(overlapped, inline)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_gate_selects_blas_pinning(self, monkeypatch, gate):
+        fake = _FakeBlas()
+        monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
+        data, neighbors, model = _setup_estimation()
+        cfg = TrainConfig(eta=0.05, steps=2, sigma2=0.01, runs=1)
+        run_kl_estimation(model, data, neighbors, cfg)
+        assert fake.set_calls == ([1, 2] if gate == 0 else [])
+        run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=0, sigma2=0.01))
+        assert len(fake.set_calls) == (2 if gate == 0 else 0)
+
+    @pytest.mark.parametrize("gate", GATES)
+    def test_failing_statistics_join_helper_and_restore_blas(self, monkeypatch, gate):
+        fake = _FakeBlas()
+        monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
+        before = set(threading.enumerate())
+        helpers_seen = []
+
+        def failing_stats(self, W):
+            helpers_seen.append(len(set(threading.enumerate()) - before))
+            raise RuntimeError("statistics failed")
+
+        monkeypatch.setattr(estimator._DnnStepStats, "__call__", failing_stats)
+        data, neighbors, model = _setup_estimation()
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
+        with pytest.raises(RuntimeError, match="statistics failed"):
+            run_kl_estimation(model, data, neighbors, cfg)
+        assert helpers_seen == [1 if gate == 0 else 0]
+        assert set(threading.enumerate()) == before
+        assert fake.threads == 2
+        assert fake.set_calls == ([1, 2] if gate == 0 else [])
+
+
+@pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")
+class TestBlasThreads:
+    def test_pins_and_restores(self):
+        get, _ = numerics._openblas()
+        previous = get()
+        with numerics.blas_threads(1):
+            assert get() == 1
+        assert get() == previous
+        with pytest.raises(KeyError):
+            with numerics.blas_threads(1):
+                raise KeyError
+        assert get() == previous
 
 
 class TestRunStreams:
