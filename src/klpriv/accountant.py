@@ -47,6 +47,14 @@ def _check_betas(arch: NetArch, betas, positive: bool = True) -> tuple[float, ..
     return betas
 
 
+def _hidden_product(arch: NetArch, betas: tuple[float, ...]) -> float:
+    """prod(beta_i m_i / 2) over the hidden layers i = 1..L-1."""
+    prod = 1.0
+    for i in range(1, arch.L):
+        prod *= betas[i - 1] * arch.widths[i] / 2.0
+    return prod
+
+
 def gradient_norm_constant_B(arch: NetArch, betas) -> float:
     """Worst-case constant B = d * o * prod(beta_i m_i / 2) * sum(beta_L / beta_l).
 
@@ -54,12 +62,7 @@ def gradient_norm_constant_B(arch: NetArch, betas) -> float:
     layers l = 1..L.  B bounds the expected squared output-Jacobian norm at
     initialization for any input with squared norm at most d.
     """
-    betas = _check_betas(arch, betas)
-    prod = 1.0
-    for i in range(1, arch.L):
-        prod *= betas[i - 1] * arch.widths[i] / 2.0
-    ssum = sum(betas[-1] / b for b in betas)
-    return arch.d * arch.o * prod * ssum
+    return expected_grad_norm_init(arch, betas, arch.d)
 
 
 def expected_grad_norm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
@@ -67,11 +70,8 @@ def expected_grad_norm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
     betas = _check_betas(arch, betas)
     if x_sqnorm < 0:
         raise ValueError("squared input norm must be non-negative")
-    prod = 1.0
-    for i in range(1, arch.L):
-        prod *= betas[i - 1] * arch.widths[i] / 2.0
     ssum = sum(betas[-1] / b for b in betas)
-    return x_sqnorm * arch.o * prod * ssum
+    return x_sqnorm * arch.o * _hidden_product(arch, betas) * ssum
 
 
 def expected_output_sqnorm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
@@ -79,10 +79,7 @@ def expected_output_sqnorm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
     betas = _check_betas(arch, betas, positive=False)
     if x_sqnorm < 0:
         raise ValueError("squared input norm must be non-negative")
-    prod = 1.0
-    for i in range(1, arch.L):
-        prod *= betas[i - 1] * arch.widths[i] / 2.0
-    return arch.o * betas[-1] * prod * x_sqnorm
+    return arch.o * betas[-1] * _hidden_product(arch, betas) * x_sqnorm
 
 
 def table_closed_form_B(scheme, d: int, m: int, L: int, o: int) -> float:

@@ -34,6 +34,8 @@ from .estimator import (
     DnnModel,
     LinearizedModel,
     TrainConfig,
+    _mean_std_over_runs,
+    _recorded_steps,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
@@ -132,6 +134,8 @@ class RunConfig:
                 raise ValueError(f"unknown {f.name.replace('_', ' ')} {value!r}")
         if self.replay_sigma2 is not None and self.replay_sigma2 <= 0:
             raise ValueError("replay sigma2 must be positive")
+        if self.replay_sigma2 is not None and self.out is None:
+            raise ValueError("--replay-sigma2 needs --out to name the replay file")
 
     def header_items(self) -> list[tuple[str, str]]:
         items = []
@@ -175,11 +179,12 @@ def _coerce_field(name: str, raw: str):
             raise ValueError(f"empty value for {name!r}")
         return None
     kind = _FIELD_TYPES[name]
-    if kind is bool:
-        if raw not in ("0", "1", "true", "false"):
-            raise ValueError(f"bad boolean for {name!r}: {raw!r}")
-        return raw in ("1", "true")
-    return kind(raw)
+    try:
+        if kind is bool:
+            return {"0": False, "false": False, "1": True, "true": True}[raw]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad {kind.__name__} for {name!r}: {raw!r}") from None
 
 
 def load_config_file(path: str) -> dict:
@@ -359,13 +364,20 @@ def _estimate_result(cfg: RunConfig, scheme: str):
     return run_kl_estimation(model, data, neighbors, tc)
 
 
-def _trace_rows(result) -> list[tuple]:
+def _trace_rows(result, worst: np.ndarray | None = None) -> list[tuple]:
+    """(step, mean, std, diverged) rows of a KL trace table, from step 0 on.
+
+    Mean and std are over runs of the worst-neighbor KL: the result's own, or
+    that of ``worst`` (one row per run, as from :func:`replay_worst`).
+    ``diverged`` is 1 where some run diverged before the step.
+    """
+    means, stds = ((result.worst_mean, result.worst_std) if worst is None
+                   else _mean_std_over_runs(worst))
     rows = [(0, 0.0, 0.0, 0)]
-    for idx, step in enumerate(result.recorded_steps):
-        diverged = any(t.diverged and not np.isfinite(t.cumulative_worst[idx])
+    for step, mean, std in zip(result.recorded_steps.tolist(), means, stds):
+        diverged = any(t.diverged and step > t.per_step_sq_diffs.shape[0]
                        for t in result.traces)
-        rows.append((int(step), float(result.worst_mean[idx]),
-                     float(result.worst_std[idx]), 1 if diverged else 0))
+        rows.append((step, float(mean), float(std), 1 if diverged else 0))
     return rows
 
 
@@ -384,18 +396,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
         if cfg.replay_sigma2 is not None:
             worst = np.stack([replay_worst(t, sigma2=cfg.replay_sigma2)
                               for t in result.traces])
-            rows = [(0, 0.0, 0.0, 0)]
-            with np.errstate(invalid="ignore"):
-                means = worst.mean(axis=0)
-                stds = (worst.std(axis=0, ddof=1) if cfg.runs > 1
-                        else np.zeros(worst.shape[1]))
-            for idx, step in enumerate(result.recorded_steps):
-                rows.append((int(step), float(means[idx]), float(stds[idx]),
-                             0 if np.isfinite(means[idx]) else 1))
             _write_table(cfg, ["epochs", "kl_means", "kl_stds", "diverged"],
-                         rows, cfg.out + ".replay.csv")
-    elif cfg.replay_sigma2 is not None:
-        raise ValueError("--replay-sigma2 needs --out to name the replay file")
+                         _trace_rows(result, worst), cfg.out + ".replay.csv")
     return 3 if result.diverged_any else 0
 
 
@@ -492,10 +494,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     if cfg.metric in ("analytic", "both"):
                         arch = NetArch.uniform(cfg.d, m, L, cfg.outputs)
                         B = gradient_norm_constant_B(arch, init_betas(scheme, arch))
-                        epochs = list(range(0, cfg.steps + 1, cfg.record_every))
-                        if epochs[-1] != cfg.steps:
-                            epochs.append(cfg.steps)
-                        for step in epochs:
+                        for step in [0, *_recorded_steps(cfg.steps, cfg.record_every).tolist()]:
                             kl = kl_bound_linearized(B, cfg.eta * step, n, cfg.sigma2,
                                                      cfg.convention) if step else 0.0
                             rows.append((scheme, m, L, step, "kl_bound", kl))
@@ -503,13 +502,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
                         cell = RunConfig(**{**cfg.__dict__, "scheme": scheme,
                                             "width": m, "depth": L})
                         result = _estimate_result(cell, scheme)
-                        rows.append((scheme, m, L, 0, "kl_mean", 0.0))
-                        rows.append((scheme, m, L, 0, "kl_std", 0.0))
-                        for idx, step in enumerate(result.recorded_steps):
-                            rows.append((scheme, m, L, int(step), "kl_mean",
-                                         float(result.worst_mean[idx])))
-                            rows.append((scheme, m, L, int(step), "kl_std",
-                                         float(result.worst_std[idx])))
+                        for step, mean, std, _ in _trace_rows(result):
+                            rows.append((scheme, m, L, step, "kl_mean", mean))
+                            rows.append((scheme, m, L, step, "kl_std", std))
                         if result.diverged_any:
                             any_diverged = True
                             rows.append((scheme, m, L, int(cfg.steps), "diverged", 1.0))

@@ -363,6 +363,34 @@ def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
     return np.array(recorded, dtype=int)
 
 
+def _accumulate(sq_diffs: np.ndarray, scale: float,
+                recorded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative KL from squared differences, one row per completed step.
+
+    Returns the per-neighbor sum of ``scale`` times every row and the
+    worst-neighbor running sum at each recorded step; recorded steps past
+    the last completed step are infinite.
+    """
+    cum = np.zeros(sq_diffs.shape[1])
+    worst_at = dict.fromkeys(recorded.tolist(), math.inf)
+    for k, row in enumerate(sq_diffs, start=1):
+        cum += scale * row
+        if k in worst_at:
+            worst_at[k] = cum.max() if cum.size else 0.0
+    return cum, np.array([worst_at[k] for k in recorded.tolist()], dtype=float)
+
+
+def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample std (ddof=1) over the runs in the rows of ``worst``.
+
+    One run has std zero; infinite entries give nan stds without warnings.
+    """
+    with np.errstate(invalid="ignore"):
+        mean = worst.mean(axis=0)
+        std = worst.std(axis=0, ddof=1) if worst.shape[0] > 1 else np.zeros_like(mean)
+    return mean, std
+
+
 def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                       cfg: TrainConfig) -> KLEstimationResult:
     """Estimate the KL privacy loss of noisy GD against worst-case neighbors.
@@ -394,7 +422,6 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         betas = None
         make_stats = _LinStepStats(model, data, neighbors, loss)
     pairs = list(neighbors.indices) if neighbors.notion is Neighbor.REPLACE_ONE else None
-    num_neighbors = neighbors.count
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
@@ -413,10 +440,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                 W = sample_init(arch, betas, init_stream)
             else:
                 W = model.features.W0.copy()
-            sq_rows = []
-            cum = np.zeros(num_neighbors)
-            worst = []
-            diverged = False
+            sq_diffs = np.empty((cfg.steps, neighbors.count))
+            completed = 0
             for k in range(cfg.steps):
                 step_stream = noise_stream.child(k)
                 draw = None
@@ -428,39 +453,28 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                 if draw is not None:
                     draw.result()
                 if stats is None:
-                    diverged = True
                     break
                 norms_sq, dots_S, S_sq, pn, pd, cross, mean_grad = stats
                 if (not np.isfinite(S_sq)
                         or np.linalg.norm(mean_grad) > cfg.divergence_threshold):
-                    diverged = True
                     break
-                diffs = _diffs_from_scalars(data.n, neighbors.notion, norms_sq, dots_S, S_sq,
-                                            pool_norms_sq=pn, pool_dots_S=pd, cross=cross,
-                                            pairs=pairs)
-                sq_rows.append(diffs)
-                cum += scale * diffs
-                if (k + 1) % cfg.record_every == 0 or k + 1 == cfg.steps:
-                    worst.append(cum.max() if num_neighbors else 0.0)
+                sq_diffs[k] = _diffs_from_scalars(data.n, neighbors.notion, norms_sq, dots_S,
+                                                  S_sq, pool_norms_sq=pn, pool_dots_S=pd,
+                                                  cross=cross, pairs=pairs)
+                completed = k + 1
                 W = noisy_gd_step(W, ParamVector(arch, mean_grad), cfg.eta, cfg.sigma2,
                                   step_stream, noise=noise)
-            worst = np.array(worst)
+            sq_diffs = sq_diffs[:completed]
+            cum, worst = _accumulate(sq_diffs, scale, recorded)
+            diverged = completed < cfg.steps
             if diverged:
-                pad = len(recorded) - worst.size
-                worst = np.concatenate([worst, np.full(pad, math.inf)])
-                cum = np.full(num_neighbors, math.inf)
+                cum = np.full(neighbors.count, math.inf)
             traces.append(KLTrace(
                 eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
-                recorded_steps=recorded.copy(),
-                per_step_sq_diffs=(np.stack(sq_rows) if sq_rows
-                                   else np.zeros((0, num_neighbors))),
+                recorded_steps=recorded.copy(), per_step_sq_diffs=sq_diffs,
                 cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
 
-    worst_matrix = np.stack([t.cumulative_worst for t in traces])
-    with np.errstate(invalid="ignore"):
-        worst_mean = worst_matrix.mean(axis=0)
-        worst_std = (worst_matrix.std(axis=0, ddof=1) if cfg.runs > 1
-                     else np.zeros_like(worst_mean))
+    worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,
                               worst_mean=worst_mean, worst_std=worst_std,
                               diverged_any=any(t.diverged for t in traces))
@@ -478,14 +492,7 @@ def replay_worst(trace: KLTrace, sigma2: float | None = None,
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
     scale = trace.eta / (convention.denominator_factor * sigma2)
-    completed = trace.per_step_sq_diffs.shape[0]
-    if trace.per_step_sq_diffs.shape[1] == 0:
-        return np.zeros(trace.recorded_steps.size)
-    cum = np.cumsum(scale * trace.per_step_sq_diffs, axis=0)
-    out = np.empty(trace.recorded_steps.size)
-    for idx, step in enumerate(trace.recorded_steps):
-        out[idx] = cum[step - 1].max() if step <= completed else math.inf
-    return out
+    return _accumulate(trace.per_step_sq_diffs, scale, trace.recorded_steps)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,25 @@ class TestEstimate:
             assert row[0] == rrow[0]
             assert float(rrow[1]) == pytest.approx(float(row[1]) / 2.0, rel=1e-15)
 
-    def test_replay_requires_out(self, capsys):
+    def test_replay_requires_out(self, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before rejecting the options")
+
+        monkeypatch.setattr("klpriv.cli.run_kl_estimation", no_training)
         assert main(["estimate", *_FAST_ESTIMATE, "--replay-sigma2", "0.04"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+
+    def test_replay_overflow_is_not_divergence(self, tmp_path):
+        # eta / (2 * 1e-320) overflows: every replayed KL is inf, yet no run diverged
+        out = tmp_path / "e.csv"
+        assert main(["estimate", *_FAST_ESTIMATE, "--replay-sigma2", "1e-320",
+                     "--out", str(out)]) == 0
+        _, _, rows = _read_table(out)
+        _, _, replay_rows = _read_table(str(out) + ".replay.csv")
+        assert [r[3] for r in rows] == [r[3] for r in replay_rows] == ["0"] * 5
+        assert [r[1] for r in replay_rows[1:]] == ["inf"] * 4
 
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -378,6 +395,18 @@ class TestConfigFile:
         assert main(["estimate", "--config", str(cfg)]) == 2
         assert "'steps'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, kind", [("steps=abc", "int"), ("eta=fast", "float"),
+                                            ("linearize=yes", "bool")])
+    def test_bad_value_names_key_and_value(self, tmp_path, capsys, line, kind):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        key, _, raw = line.partition("=")
+        with pytest.raises(ValueError, match=f"bad {kind} for '{key}': '{raw}'"):
+            load_config_file(str(cfg))
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and f"'{raw}'" in err
+
 
 class TestRunConfig:
     def test_header_is_sorted_and_complete(self):
@@ -401,6 +430,9 @@ class TestRunConfig:
             RunConfig(neighbor="swap").validate()
         with pytest.raises(ValueError):
             RunConfig(replay_sigma2=0.0).validate()
+        with pytest.raises(ValueError, match="--out"):
+            RunConfig(replay_sigma2=0.04).validate()
+        RunConfig(replay_sigma2=0.04, out="e.csv").validate()
 
     def test_runs_stay_below_the_data_streams(self):
         RunConfig(runs=(1 << 20) - 1).validate()

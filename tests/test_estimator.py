@@ -268,6 +268,15 @@ class TestRunKlEstimation:
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert res.recorded_steps.tolist() == [3, 6, 7]
 
+    def test_record_schedule_is_the_sweep_range_form(self):
+        # the schedule sweep's analytic rows used before sharing this one
+        for steps in range(12):
+            for every in range(1, 14):
+                epochs = list(range(0, steps + 1, every))
+                if epochs[-1] != steps:
+                    epochs.append(steps)
+                assert [0, *estimator._recorded_steps(steps, every).tolist()] == epochs
+
     def test_replay_identity_and_rescaling(self):
         data, neighbors, model = _setup_estimation()
         cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=1, seed=5)
@@ -292,6 +301,40 @@ class TestRunKlEstimation:
             assert np.all(np.isinf(t.cumulative_worst))
             assert np.all(np.isinf(t.cumulative_per_neighbor))
         assert np.all(np.isinf(replay_worst(res.traces[0])))
+
+    # eta=0.5, sigma2=20 with these thresholds diverges mid-run; 1e12 never does
+    @pytest.mark.parametrize("kind, threshold, diverges", [
+        ("dnn", 10.0, True), ("linearized", 1.4, True),
+        ("dnn", 1e12, False), ("linearized", 1e12, False)])
+    def test_replay_is_the_trace_bit_for_bit(self, kind, threshold, diverges):
+        data, neighbors, model = _setup_estimation()
+        if kind == "linearized":
+            model = _linearized_model(data)
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
+                          divergence_threshold=threshold)
+        res = run_kl_estimation(model, data, neighbors, cfg)
+        completed = [t.per_step_sq_diffs.shape[0] for t in res.traces]
+        if diverges:
+            assert any(0 < c < cfg.steps for c in completed)
+        else:
+            assert not res.diverged_any
+        for t in res.traces:
+            assert np.array_equal(replay_worst(t), t.cumulative_worst)
+
+    @pytest.mark.parametrize("steps, neighbors, completed", [(250, 16, 250), (7, 6, 4),
+                                                             (5, 3, 0)])
+    def test_replay_matches_cumsum_bit_for_bit(self, steps, neighbors, completed):
+        rng = np.random.default_rng(steps)
+        sq = rng.exponential(size=(completed, neighbors))
+        recorded = np.array([k for k in range(1, steps + 1) if k % 3 == 0 or k == steps])
+        trace = estimator.KLTrace(eta=0.3, sigma2=0.7, convention=KLConstant.PAPER,
+                                  recorded_steps=recorded, per_step_sq_diffs=sq,
+                                  cumulative_per_neighbor=None, cumulative_worst=None,
+                                  diverged=completed < steps)
+        # a cumulative sum over steps is the reference the running sum must match
+        cum = np.cumsum(0.3 / (2.0 * 0.7) * sq, axis=0)
+        want = [cum[k - 1].max() if k <= completed else math.inf for k in recorded]
+        assert np.array_equal(replay_worst(trace), want)
 
     def test_add_and_replace_notions_run(self):
         for notion in (Neighbor.ADD_ONE, Neighbor.REPLACE_ONE):

@@ -62,24 +62,43 @@ CASES = {
     "sweep": (["sweep", "--metric", "both", "--scheme", "he", "--widths", "6,8",
                "--depths", "2", "--d", "4", "--data", "synth:6", "--steps", "3",
                "--runs", "2", "--eta", "0.05", "--sigma2", "0.02"], ()),
+    # both runs diverge after step 2: step 2 finite, steps 4-8 inf with diverged=1
+    "estimate-diverged": (["estimate", "--data", "synth:6", "--d", "4", "--width", "6",
+                           "--depth", "4", "--steps", "8", "--runs", "2", "--eta", "1e4",
+                           "--sigma2", "1", "--record-every", "2", "--replay-sigma2", "4"],
+                          (*_NEIGHBORS, ".replay.csv")),
+    # run 0 completes 5 steps, run 1 only 2
+    "estimate-diverged-mixed": (["estimate", "--data", "synth:6", "--d", "4", "--width", "6",
+                                 "--depth", "4", "--steps", "8", "--runs", "2", "--eta", "1e3",
+                                 "--sigma2", "1", "--record-every", "2",
+                                 "--replay-sigma2", "4"], (*_NEIGHBORS, ".replay.csv")),
+    # the width-32 cell diverges after step 2, the width-4 cell does not
+    "sweep-diverged": (["sweep", "--metric", "both", "--scheme", "he", "--widths", "4,32",
+                        "--depths", "3", "--d", "4", "--data", "synth:6", "--steps", "5",
+                        "--runs", "2", "--eta", "100", "--sigma2", "1",
+                        "--record-every", "2"], ()),
 }
+
+# exit code of each case that does not exit 0 (3: a run diverged)
+EXIT_CODES = {"estimate-diverged": 3, "estimate-diverged-mixed": 3, "sweep-diverged": 3}
 
 COMMANDS = ("bound", "estimate", "mc-verify", "lazy", "sweep")
 
 
-def run_case(name: str, workdir: Path) -> list[str]:
-    """Run one case inside ``workdir``; return the names of the files it wrote."""
+def run_case(name: str, workdir: Path, exit_code: int = 0) -> list[str]:
+    """Run one case inside ``workdir``, check its exit code and return the
+    names of the files it wrote."""
     argv, suffixes = CASES[name]
     shutil.copy(GOLDEN / "multiclass.csv", workdir)
     out = f"{name}.csv"
-    assert main([*argv, "--out", out]) == 0
+    assert main([*argv, "--out", out]) == exit_code
     return [out, *(out + s for s in suffixes)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    for artifact in run_case(name, tmp_path):
+    for artifact in run_case(name, tmp_path, EXIT_CODES.get(name, 0)):
         assert (tmp_path / artifact).read_bytes() == (GOLDEN / artifact).read_bytes(), artifact
 
 
