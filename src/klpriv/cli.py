@@ -451,7 +451,7 @@ def cmd_lazy(cfg: RunConfig) -> int:
         ("achieved_loss", sol.achieved_loss),
         ("loss_target", target),
         ("below_target", 1 if sol.achieved_loss < target else 0),
-        ("alpha_gap", sol.alpha_gap),
+        ("alpha_gap", sol.achieved_loss),
         ("ridge_used", sol.ridge_used),
     ]
     if cfg.steps > 0:
@@ -467,7 +467,7 @@ def cmd_lazy(cfg: RunConfig) -> int:
             avg += W.flat
         W_avg = ParamVector(arch, avg / cfg.steps)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)
-        bound = sol.alpha_gap + sol.R / (2.0 * T) + cfg.sigma2 * gram.rank / 2.0
+        bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * gram.rank / 2.0
         rows.append(("averaged_iterate_loss", avg_loss))
         rows.append(("excess_vs_interpolator", avg_loss - sol.achieved_loss))
         rows.append(("risk_bound", bound))

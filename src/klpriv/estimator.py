@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import KLConstant, gradient_norm_constant_B
+from .accountant import (
+    KLConstant,
+    expected_grad_norm_init,
+    expected_output_sqnorm_init,
+    gradient_norm_constant_B,
+)
 from .data import Dataset, Neighbor, NeighborSet
 from .linearized import (
     NtkFeatures,
@@ -31,11 +36,10 @@ from .network import (
     NetArch,
     ParamVector,
     as_scheme,
-    backprop_deltas,
     forward,
-    forward_batch,
     init_betas,
     jacobian_batch,
+    loss_backprop,
     output_jacobian,
     residual_batch,
     sample_init,
@@ -63,7 +67,6 @@ class TrainConfig:
     runs: int = 6
     seed: int = 0
     kl_constant: KLConstant = KLConstant.PAPER
-    loss: LossKind | None = None       # None: inferred from the output width
     record_every: int = 1
     divergence_threshold: float = 1e12
 
@@ -258,14 +261,6 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
     return _diffs_from_scalars(G.shape[0], notion, *scalars, pairs=pairs)
 
 
-def _resolve_loss(arch: NetArch, loss: LossKind | None) -> LossKind:
-    if loss is None:
-        return LossKind.LOGISTIC_SINGLE if arch.o == 1 else LossKind.CROSS_ENTROPY_MULTI
-    if loss is LossKind.LOGISTIC_SINGLE and arch.o != 1:
-        raise ValueError("logistic loss needs a single output")
-    return loss
-
-
 def _factored_norms_dots(deltas, acts, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Per-example squared gradient norms and dots with the gradient sum S.
 
@@ -297,15 +292,8 @@ class _DnnStepStats:
         self.need_pool = neighbors.notion is not Neighbor.REMOVE_ONE
         self.need_cross = neighbors.notion is Neighbor.REPLACE_ONE
 
-    def _backprop(self, W: ParamVector, ds: Dataset):
-        """(deltas, activations) on one dataset, or None on a non-finite forward pass."""
-        F, acts = forward_batch(W, ds.X)
-        if not np.all(np.isfinite(F)):
-            return None
-        return backprop_deltas(W, acts, residual_batch(F, ds.Y, self.loss)), acts
-
     def __call__(self, W: ParamVector):
-        data = self._backprop(W, self.data)
+        data = loss_backprop(W, self.data.X, self.data.Y, self.loss)
         if data is None:
             return None
         deltas, acts = data
@@ -315,7 +303,7 @@ class _DnnStepStats:
         mean_grad = np.concatenate([B.ravel() for B in blocks]) / self.data.n
         pool_norms_sq = pool_dots_S = cross = None
         if self.need_pool:
-            pool = self._backprop(W, self.neighbors.pool)
+            pool = loss_backprop(W, self.neighbors.pool.X, self.neighbors.pool.Y, self.loss)
             if pool is None:
                 return None
             deltas_p, acts_p = pool
@@ -385,9 +373,14 @@ def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One run has std zero; infinite entries give nan stds without warnings.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         mean = worst.mean(axis=0)
         std = worst.std(axis=0, ddof=1) if worst.shape[0] > 1 else np.zeros_like(mean)
+        # finite entries above ~1e154 overflow the square inside std: rescale
+        redo = ~np.isfinite(std) & np.isfinite(worst).all(axis=0)
+        if redo.any():
+            big = np.abs(worst[:, redo]).max(axis=0)
+            std[redo] = (worst[:, redo] / big).std(axis=0, ddof=1) * big
     return mean, std
 
 
@@ -412,7 +405,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         raise ValueError("dataset dimension does not match the architecture")
     if data.num_outputs != arch.o:
         raise ValueError("label width does not match the architecture")
-    loss = _resolve_loss(arch, cfg.loss)
+    loss = LossKind.LOGISTIC_SINGLE if arch.o == 1 else LossKind.CROSS_ENTROPY_MULTI
     if neighbors.notion is Neighbor.REMOVE_ONE and data.n < 2:
         raise ValueError("remove-one estimation needs at least two records")
     if isinstance(model, DnnModel):
@@ -420,6 +413,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         make_stats = _DnnStepStats(data, neighbors, loss)
     else:
         betas = None
+        if not np.array_equal(model.features.X, data.X):
+            raise ValueError("linearized features were built on other inputs than the dataset")
         make_stats = _LinStepStats(model, data, neighbors, loss)
     pairs = list(neighbors.indices) if neighbors.notion is Neighbor.REPLACE_ONE else None
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
@@ -517,18 +512,25 @@ def _mc_report(vals: np.ndarray, reference: float, kind: str, slack: float = 1.2
                     z_score=z, reference_kind=kind, violation=violation)
 
 
+def _mc_init_samples(arch: NetArch, scheme, samples: int, rng: RngStream, value) -> tuple:
+    """Layer variances and ``value(W)`` at initializations drawn from ``rng.child(s)``."""
+    betas = init_betas(scheme, arch)
+    vals = np.empty(samples)
+    for s in range(samples):
+        vals[s] = value(sample_init(arch, betas, rng.child(s)))
+    return betas, vals
+
+
 def mc_grad_norm_at_init(arch: NetArch, scheme, x: np.ndarray, samples: int,
                          rng: RngStream) -> McReport:
     """Sample E ||df/dW||_F^2 over fresh initializations against the closed form."""
-    from .accountant import expected_grad_norm_init
-
-    betas = init_betas(scheme, arch)
     x = np.asarray(x, dtype=float)
-    vals = np.empty(samples)
-    for s in range(samples):
-        W = sample_init(arch, betas, rng.child(s))
+
+    def grad_sqnorm(W):
         J = output_jacobian(W, x)
-        vals[s] = float(np.sum(J * J))
+        return float(np.sum(J * J))
+
+    betas, vals = _mc_init_samples(arch, scheme, samples, rng, grad_sqnorm)
     ref = expected_grad_norm_init(arch, betas, float(x @ x))
     return _mc_report(vals, ref, "exact")
 
@@ -536,15 +538,13 @@ def mc_grad_norm_at_init(arch: NetArch, scheme, x: np.ndarray, samples: int,
 def mc_output_sqnorm(arch: NetArch, scheme, x: np.ndarray, samples: int,
                      rng: RngStream) -> McReport:
     """Sample E ||f(x)||^2 over fresh initializations against the closed form."""
-    from .accountant import expected_output_sqnorm_init
-
-    betas = init_betas(scheme, arch)
     x = np.asarray(x, dtype=float)
-    vals = np.empty(samples)
-    for s in range(samples):
-        W = sample_init(arch, betas, rng.child(s))
+
+    def output_sqnorm(W):
         f, _ = forward(W, x)
-        vals[s] = float(f @ f)
+        return float(f @ f)
+
+    betas, vals = _mc_init_samples(arch, scheme, samples, rng, output_sqnorm)
     ref = expected_output_sqnorm_init(arch, betas, float(x @ x))
     return _mc_report(vals, ref, "exact")
 
@@ -561,16 +561,14 @@ def mc_linearized_grad_diff(arch: NetArch, scheme, record_a, record_b, n: int,
         raise ValueError("the gradient-difference bound is for single-output models")
     if n < 1:
         raise ValueError("dataset size must be positive")
-    betas = init_betas(scheme, arch)
     xa, ya = np.asarray(record_a[0], dtype=float), float(record_a[1])
     xb, yb = np.asarray(record_b[0], dtype=float), float(record_b[1])
-    vals = np.empty(samples)
-    for s in range(samples):
-        W = sample_init(arch, betas, rng.child(s))
-        ga = _single_logistic_grad(W, xa, ya)
-        gb = _single_logistic_grad(W, xb, yb)
-        d = ga - gb
-        vals[s] = float(d @ d) / n ** 2
+
+    def grad_diff_sq(W):
+        d = _single_logistic_grad(W, xa, ya) - _single_logistic_grad(W, xb, yb)
+        return float(d @ d) / n ** 2
+
+    betas, vals = _mc_init_samples(arch, scheme, samples, rng, grad_diff_sq)
     ref = 4.0 * gradient_norm_constant_B(arch, betas) / n ** 2
     return _mc_report(vals, ref, "upper_bound", slack=slack)
 

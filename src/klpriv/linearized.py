@@ -118,14 +118,13 @@ def gram_analysis(features: NtkFeatures, tol: float = 1e-10) -> GramAnalysis:
 class LazySolution:
     """Minimum-norm interpolator pushing every margin to 2 ln(n).
 
-    ``alpha_gap`` certifies near-optimality: the empirical loss minimum is
-    non-negative, so the achieved loss itself bounds the optimality gap.
+    ``achieved_loss`` certifies near-optimality: the empirical loss minimum
+    is non-negative, so the achieved loss itself bounds the optimality gap.
     """
 
     Wstar: ParamVector
     R: float                # squared parameter distance ||Wstar - W0||^2
     achieved_loss: float
-    alpha_gap: float
     ridge_used: float
 
 
@@ -160,8 +159,7 @@ def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None
     Wstar = ParamVector(features.arch, features.W0.flat + features.jac.T @ alpha)
     R = float(alpha @ (K @ alpha))
     achieved = lin_empirical_loss(features, Wstar, y, LossKind.LOGISTIC_SINGLE)
-    return LazySolution(Wstar=Wstar, R=R, achieved_loss=achieved,
-                        alpha_gap=achieved, ridge_used=float(ridge))
+    return LazySolution(Wstar=Wstar, R=R, achieved_loss=achieved, ridge_used=float(ridge))
 
 
 def running_average(params_seq) -> ParamVector:

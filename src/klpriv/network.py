@@ -185,7 +185,10 @@ def sample_init(arch: NetArch, betas, rng: RngStream) -> ParamVector:
 # on inputs validated once up front.  The single-example functions are their
 # n=1 views for per-example use; they add the checks on input shape and label
 # coding that a single record from a caller needs, and return exactly the bits
-# of the kernel's row.
+# of the kernel's row.  backprop_deltas is the one backward recursion: loss
+# gradients backprop the loss residuals, output Jacobians the unit residuals
+# e_1..e_o.  Rows of a batch with n > 1 go through larger GEMMs and may differ
+# from the n=1 view in the last bits.
 # ---------------------------------------------------------------------------
 
 def _input_row(params: ParamVector, x: np.ndarray) -> np.ndarray:
@@ -321,43 +324,42 @@ def backprop_deltas(params: ParamVector, acts: list[np.ndarray], R: np.ndarray) 
     return deltas
 
 
-def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> np.ndarray:
-    """All per-example loss gradients stacked into an (n, P) array."""
+def loss_backprop(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> tuple | None:
+    """(deltas, activations) of the loss on a batch, or None on a non-finite forward pass."""
     F, acts = forward_batch(params, X)
     if not np.all(np.isfinite(F)):
-        raise ValueError("forward pass produced non-finite outputs")
-    deltas = backprop_deltas(params, acts, residual_batch(F, Y, loss))
-    n = X.shape[0]
-    offs = params.arch.layer_offsets
-    G = np.empty((n, params.arch.num_params))
-    for l in range(1, params.arch.L + 1):
-        block = G[:, offs[l - 1]:offs[l]]
-        np.einsum("na,nb->nab", deltas[l - 1], acts[l - 1],
-                  out=block.reshape(n, *params.arch.layer_shapes[l - 1]))
+        return None
+    return backprop_deltas(params, acts, residual_batch(F, Y, loss)), acts
+
+
+def _outer_products(params: ParamVector, deltas, acts) -> np.ndarray:
+    """(N, P) array whose row i holds the layer blocks delta_l[i] h_{l-1}[i]^T."""
+    arch, N = params.arch, acts[0].shape[0]
+    G = np.empty((N, arch.num_params))
+    for l, shape in enumerate(arch.layer_shapes, start=1):
+        block = G[:, arch.layer_offsets[l - 1]:arch.layer_offsets[l]]
+        np.einsum("na,nb->nab", deltas[l - 1], acts[l - 1], out=block.reshape(N, *shape))
     return G
+
+
+def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> np.ndarray:
+    """All per-example loss gradients stacked into an (n, P) array."""
+    backprop = loss_backprop(params, X, Y, loss)
+    if backprop is None:
+        raise ValueError("forward pass produced non-finite outputs")
+    return _outer_products(params, *backprop)
 
 
 def jacobian_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outputs F (n, o) and output Jacobians J (n, o, P) for a batch of inputs.
 
     ``J[i, j]`` is the gradient of output j on example i with respect to the
-    flat parameters, laid out in the same order as :class:`ParamVector`.
+    flat parameters, laid out in the same order as :class:`ParamVector`: the
+    backprop of the unit residual e_j from example i's activations.
     """
     F, acts = forward_batch(params, X)
-    arch = params.arch
-    L, o, n = arch.L, arch.o, F.shape[0]
-    offs = arch.layer_offsets
-    J = np.empty((n, o, arch.num_params))
-
-    def block(l):
-        return J[:, :, offs[l - 1]:offs[l]].reshape(n, o, *arch.layer_shapes[l - 1])
-
-    # M holds df/dh_l; start at the linear top layer and walk down.
-    M = params.layer(L)
-    np.einsum("ja,nb->njab", np.eye(o), acts[L - 1], out=block(L))
-    for l in range(L - 1, 0, -1):
-        D = M * (acts[l] > 0)[:, None, :]
-        np.einsum("nja,nb->njab", D, acts[l - 1], out=block(l))
-        if l > 1:
-            M = D @ params.layer(l)
-    return F, J
+    n, o = F.shape
+    if o > 1:
+        acts = [np.repeat(H, o, axis=0) for H in acts]
+    deltas = backprop_deltas(params, acts, np.tile(np.eye(o), (n, 1)))
+    return F, _outer_products(params, deltas, acts).reshape(n, o, params.arch.num_params)

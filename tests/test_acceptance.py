@@ -234,7 +234,7 @@ def test_c08_averaged_iterate_risk_bound():
         avg_loss = lin_empirical_loss(features, W_avg, data.Y,
                                       LossKind.LOGISTIC_SINGLE)
         excesses.append(avg_loss - sol.achieved_loss)
-        bounds.append(sol.alpha_gap + sol.R / (2.0 * T)
+        bounds.append(sol.achieved_loss + sol.R / (2.0 * T)
                       + sigma2 * gram.rank / 2.0)
     mean_excess = float(np.mean(excesses))
     mean_bound = float(np.mean(bounds))

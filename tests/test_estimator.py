@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,38 @@ class TestRunKlEstimation:
             run_kl_estimation(model, bad_data, neighbors, cfg)
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
+
+    def test_linearized_features_must_come_from_the_data(self):
+        # a dataset of the same size with other inputs would train against
+        # the wrong Jacobian rows and return a wrong KL
+        data = synth_sphere(8, 4, RngStream(2))
+        neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
+        with pytest.raises(ValueError, match="other inputs"):
+            run_kl_estimation(_linearized_model(synth_sphere(8, 4, RngStream(1))),
+                              data, neighbors, cfg)
+        res = run_kl_estimation(_linearized_model(data), data, neighbors, cfg)
+        assert np.all(np.isfinite(res.worst_mean))
+
+
+class TestMeanStdOverRuns:
+    def test_huge_finite_values_have_a_finite_std(self):
+        # the square inside np.std overflows above ~1e154
+        worst = np.array([[1e303, 3e303], [2e303, 1e303]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, std = estimator._mean_std_over_runs(worst)
+        assert mean == pytest.approx([1.5e303, 2e303], rel=1e-15)
+        assert std == pytest.approx([math.sqrt(0.5) * 1e303, math.sqrt(2.0) * 1e303], rel=1e-12)
+
+    def test_other_columns_unchanged(self):
+        worst = np.array([[1e303, 1.0, math.inf], [2e303, 4.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, std = estimator._mean_std_over_runs(worst)
+        assert std[0] == pytest.approx(math.sqrt(0.5) * 1e303, rel=1e-12)
+        assert std[1] == np.std([1.0, 4.0], ddof=1)
+        assert np.isnan(std[2])
 
 
 def _linearized_model(data):

@@ -180,7 +180,6 @@ class TestLazySolution:
         assert sol.R == pytest.approx(2.0 * a * a, rel=1e-12)
         assert sol.achieved_loss == pytest.approx(np.log(1.0 + 0.25), rel=1e-12)
         assert sol.achieved_loss < 0.25
-        assert sol.alpha_gap == sol.achieved_loss
 
     def test_targets_hit_and_loss_value(self):
         arch = NetArch.uniform(8, 32, 2, 1)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from klpriv.network import (
+    SCHEME_NAMES,
     InitScheme,
     LossKind,
     NetArch,
@@ -13,6 +16,7 @@ from klpriv.network import (
     forward_batch,
     init_betas,
     jacobian_batch,
+    loss_backprop,
     loss_batch,
     loss_residual,
     loss_value,
@@ -330,6 +334,34 @@ class TestBatchedOps:
         G = per_example_grad_batch(W, X, Y, loss)
         g = empirical_grad(W, X, Y, loss)
         assert np.allclose(g.flat, G.mean(axis=0))
+
+    def test_non_finite_forward(self):
+        a, W, X, Y, loss = self._setup(1)
+        W.layer(a.L)[:] = np.inf
+        with np.errstate(invalid="ignore"):
+            assert loss_backprop(W, X, Y, loss) is None
+            with pytest.raises(ValueError, match="non-finite"):
+                per_example_grad_batch(W, X, Y, loss)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(o=st.sampled_from([1, 2, 3]), d=st.integers(1, 4),
+           hidden=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           scheme=st.sampled_from(SCHEME_NAMES), seed=st.integers(0, 10_000))
+    def test_jacobian_rows_match_finite_differences(self, o, d, hidden, scheme, seed):
+        a = NetArch(d, tuple(hidden), o)
+        W = sample_init(a, init_betas(scheme, a), RngStream(seed))
+        x = RngStream(seed).child(0).generator().standard_normal(d)
+        # central differences are exact (f is linear in each weight) only
+        # while no hidden preactivation crosses its kink
+        h = x
+        for l in range(1, a.L):
+            z = W.layer(l) @ h
+            assume(np.all(np.abs(z) > 1e-3))
+            h = np.maximum(z, 0.0)
+        _, J = jacobian_batch(W, x[None, :])
+        for j in range(o):
+            fd = finite_diff_gradient(lambda w: forward(ParamVector(a, w), x)[0][j], W.flat)
+            assert np.max(np.abs(J[0, j] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
     def test_empirical_grad_empty_rejected(self):
         a, W, _, _, loss = self._setup(1)
