@@ -52,7 +52,7 @@ from .linearized import (
     lin_empirical_loss,
 )
 from .network import SCHEME_NAMES, LossKind, NetArch, ParamVector, init_betas, sample_init
-from .numerics import RngStream
+from .numerics import RngStream, keyed_generator
 
 SCHEMES = SCHEME_NAMES
 
@@ -461,9 +461,11 @@ def cmd_lazy(cfg: RunConfig) -> int:
         _, noise_stream = run_streams(cfg.seed, 0)
         W = W0.copy()
         avg = np.zeros_like(W.flat)
+        step_keys = noise_stream.keys(np.arange(cfg.steps))
         for k in range(cfg.steps):
             g = lin_empirical_grad(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
-            W = noisy_gd_step(W, g, cfg.eta, cfg.sigma2, noise_stream.child(k))
+            noise = keyed_generator(step_keys[k]).standard_normal(W.flat.size)
+            W = noisy_gd_step(W, g, cfg.eta, cfg.sigma2, noise_stream.child(k), noise=noise)
             avg += W.flat
         W_avg = ParamVector(arch, avg / cfg.steps)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)

@@ -43,15 +43,16 @@ from .network import (
     output_jacobian,
     residual_batch,
     sample_init,
+    sample_inits,
 )
-from .numerics import RngStream, blas_threads, psd_spectrum
+from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator, psd_spectrum
 
 # From this parameter count on, run_kl_estimation draws each step's noise on
-# one helper thread while it computes the step's gradient statistics, and
-# limits BLAS to one thread meanwhile so the two do not contend for cores.
-# Measured on a 2-core host with numpy's OpenBLAS: at P = 270,592 (d=32,
-# width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x the CPU
-# time.  With the gate forced to 0, a P = 3,104 model ran about 17% slower
+# one helper thread while it computes the step's gradient statistics; BLAS
+# runs on one thread, as for all training, so the two do not contend for
+# cores.  Measured on a 2-core host with numpy's OpenBLAS: at P = 270,592
+# (d=32, width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x
+# the CPU time.  With the gate forced to 0, a P = 3,104 model ran about 17% slower
 # (median of 8 alternating pairs; the per-step hand-off costs more than the
 # small draw saves) and a P = 36,992 linearized model gained no wall time.
 OVERLAP_MIN_PARAMS = 1 << 17
@@ -175,7 +176,7 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
     np.subtract(W.flat, new, out=new)
     if sigma2 > 0 and eta > 0:
         if noise is None:
-            noise = rng.generator().standard_normal(W.flat.size)
+            noise = keyed_generator(rng.keys()).standard_normal(W.flat.size)
         noise *= math.sqrt(2.0 * eta * sigma2)
         new += noise
     return ParamVector(W.arch, new)
@@ -376,11 +377,16 @@ def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", over="ignore"):
         mean = worst.mean(axis=0)
         std = worst.std(axis=0, ddof=1) if worst.shape[0] > 1 else np.zeros_like(mean)
-        # finite entries above ~1e154 overflow the square inside std: rescale
-        redo = ~np.isfinite(std) & np.isfinite(worst).all(axis=0)
-        if redo.any():
-            big = np.abs(worst[:, redo]).max(axis=0)
-            std[redo] = (worst[:, redo] / big).std(axis=0, ddof=1) * big
+        # finite entries overflow the sum inside mean (a column sum above
+        # ~1.8e308) or the square inside std (entries above ~1e154): recompute
+        # those columns scaled by their largest magnitude
+        finite = np.isfinite(worst).all(axis=0)
+        for stat, column_stat in ((mean, lambda x: x.mean(axis=0)),
+                                  (std, lambda x: x.std(axis=0, ddof=1))):
+            redo = ~np.isfinite(stat) & finite
+            if redo.any():
+                big = np.abs(worst[:, redo]).max(axis=0)
+                stat[redo] = column_stat(worst[:, redo] / big) * big
     return mean, std
 
 
@@ -422,28 +428,33 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
 
     traces: list[KLTrace] = []
     with ExitStack() as stack:
-        helper = noise = None
+        helper = None
+        noise = np.empty(arch.num_params)
+        if cfg.steps > 0:
+            # one BLAS thread for all training: on a 2-core host two threads
+            # took more CPU for no less wall time on the statistics' GEMMs
+            stack.enter_context(blas_threads(1))
         if cfg.steps > 0 and arch.num_params >= OVERLAP_MIN_PARAMS:
             # imported here: only runs above the gate pay for the import
             from concurrent.futures import ThreadPoolExecutor
-            stack.enter_context(blas_threads(1))
             helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            noise = np.empty(arch.num_params)
+            helper_rng = KeyedGenerator()
         for run in range(cfg.runs):
             init_stream, noise_stream = run_streams(cfg.seed, run)
             if isinstance(model, DnnModel):
                 W = sample_init(arch, betas, init_stream)
             else:
                 W = model.features.W0.copy()
+            step_keys = noise_stream.keys(np.arange(cfg.steps))
             sq_diffs = np.empty((cfg.steps, neighbors.count))
             completed = 0
             for k in range(cfg.steps):
-                step_stream = noise_stream.child(k)
                 draw = None
                 if helper is not None:
-                    # the helper runs numpy only: every klpriv function, and
-                    # any profiling hook on it, stays on this thread
-                    draw = helper.submit(step_stream.generator().standard_normal, out=noise)
+                    # the helper runs numpy only: this thread restarts the
+                    # helper's generator, so every klpriv function, and any
+                    # profiling hook on it, stays on this thread
+                    draw = helper.submit(helper_rng.at(step_keys[k]).standard_normal, out=noise)
                 stats = make_stats(W)
                 if draw is not None:
                     draw.result()
@@ -457,8 +468,10 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                                                   S_sq, pool_norms_sq=pn, pool_dots_S=pd,
                                                   cross=cross, pairs=pairs)
                 completed = k + 1
+                if draw is None:
+                    keyed_generator(step_keys[k]).standard_normal(out=noise)
                 W = noisy_gd_step(W, ParamVector(arch, mean_grad), cfg.eta, cfg.sigma2,
-                                  step_stream, noise=noise)
+                                  noise_stream.child(k), noise=noise)
             sq_diffs = sq_diffs[:completed]
             cum, worst = _accumulate(sq_diffs, scale, recorded)
             diverged = completed < cfg.steps
@@ -516,8 +529,8 @@ def _mc_init_samples(arch: NetArch, scheme, samples: int, rng: RngStream, value)
     """Layer variances and ``value(W)`` at initializations drawn from ``rng.child(s)``."""
     betas = init_betas(scheme, arch)
     vals = np.empty(samples)
-    for s in range(samples):
-        vals[s] = value(sample_init(arch, betas, rng.child(s)))
+    for s, W in enumerate(sample_inits(arch, betas, rng, samples)):
+        vals[s] = value(W)
     return betas, vals
 
 

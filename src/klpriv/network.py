@@ -10,6 +10,7 @@ order and each layer matrix flattened row-major.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,13 +170,35 @@ class LossKind(enum.Enum):
 
 
 def sample_init(arch: NetArch, betas, rng: RngStream) -> ParamVector:
-    """Draw W_l with iid N(0, beta_l) entries, one substream per layer."""
+    """Draw W_l with iid N(0, beta_l) entries from substream ``rng.child(l)``."""
+    return _init_from_keys(arch, _layer_variances(arch, betas), rng.keys(_layer_ids(arch)))
+
+
+def sample_inits(arch: NetArch, betas, rng: RngStream, count: int) -> Iterator[ParamVector]:
+    """``sample_init(arch, betas, rng.child(s))`` for s = 0 .. count-1, lazily.
+
+    The keys of all count x L layer substreams are derived up front in one
+    call; each initialization is drawn when the iterator reaches it.
+    """
+    betas = _layer_variances(arch, betas)
+    keys = rng.keys(np.arange(count)[:, None], _layer_ids(arch))
+    return (_init_from_keys(arch, betas, layer_keys) for layer_keys in keys)
+
+
+def _layer_variances(arch: NetArch, betas) -> tuple:
     betas = tuple(betas)
     if len(betas) != arch.L:
         raise ValueError(f"need {arch.L} layer variances, got {len(betas)}")
-    mats = []
-    for l, (rows, cols) in enumerate(arch.layer_shapes, start=1):
-        mats.append(gaussian_matrix(rows, cols, betas[l - 1], rng.child(l)))
+    return betas
+
+
+def _layer_ids(arch: NetArch) -> np.ndarray:
+    return np.arange(1, arch.L + 1)
+
+
+def _init_from_keys(arch: NetArch, betas: tuple, keys: np.ndarray) -> ParamVector:
+    mats = [gaussian_matrix(rows, cols, beta, key)
+            for (rows, cols), beta, key in zip(arch.layer_shapes, betas, keys)]
     return ParamVector.from_layers(arch, mats)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,14 +38,101 @@ def _mix64(a: int, b: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _mix64_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` elementwise on uint64 arrays, which wrap modulo 2^64."""
+    z = a + np.uint64(0x9E3779B97F4A7C15) * (b + np.uint64(1))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+# The hash of numpy's SeedSequence (numpy/random/bit_generator.pyx), as run by
+# SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2, np.uint64).
+# Its multiplier advances by a fixed factor at every hashmix call whatever the
+# data, so the whole sequence is known up front: 24 calls while mixing the
+# entropy words into the pool, 4 while reading the pool out.  The 32-bit words
+# are masked integers, so one body runs on Python ints (one pair, no numpy
+# call overhead) and on uint64 arrays (many pairs).  uint64 arrays use the
+# integer loops of numpy that _mix64_array already pages in; uint32 arrays
+# paged in about 0.2 MB more of numpy's code in an mc-verify run, which
+# showed in its peak RSS.
+def _hash_multipliers(first: int, factor: int, calls: int) -> tuple[int, ...]:
+    mults = [first]
+    for _ in range(calls):
+        mults.append(mults[-1] * factor & 0xFFFFFFFF)
+    return tuple(mults)
+
+
+_MIX_MULTS = _hash_multipliers(0x43B0D7E5, 0x931E8875, 24)
+_OUT_MULTS = _hash_multipliers(0x8B51F9DD, 0x58F38DED, 4)
+_M32 = 0xFFFFFFFF
+
+
+def _hashmix(value, xor: int, mult: int):
+    value = (value ^ xor) * mult & _M32
+    return value ^ (value >> 16)
+
+
+def _seed_sequence_words(seeds, streams) -> list:
+    """The four 32-bit state words SeedSequence generates for ``(seed, stream)``.
+
+    ``seeds`` and ``streams`` are Python ints or equally shaped uint64 arrays.
+    """
+    mults = iter(zip(_MIX_MULTS, _MIX_MULTS[1:]))
+
+    def hashmix(value):
+        return _hashmix(value, *next(mults))
+
+    def mix(x, y):
+        z = (x * 0xCA01F9DD - y * 0x4973F715) & _M32
+        return z ^ (z >> 16)
+
+    # entropy: the seed's two 32-bit words padded with zeros to the pool size
+    # of 4, then the stream's low word and, where it is nonzero, its high word
+    zero = seeds & 0
+    pool = [hashmix(w) for w in (seeds & _M32, seeds >> 32, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    low, high = streams & _M32, streams >> 32
+    pool = [mix(p, hashmix(low)) for p in pool]
+    # all ones where high > 0, else zero: high + 2^32 - 1 reaches 2^32 exactly then
+    has_high = ((high + _M32) >> 32) * _M32
+    pool = [p ^ ((p ^ mix(p, hashmix(high))) & has_high) for p in pool]
+    return [_hashmix(p, x, m) for p, x, m in zip(pool, _OUT_MULTS, _OUT_MULTS[1:])]
+
+
+def _philox_keys(seeds, streams) -> np.ndarray:
+    """Philox keys of the streams ``(seed, stream)``, for one pair or many.
+
+    Element for element the key ``RngStream(seed, stream).generator()`` starts
+    from, ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2,
+    np.uint64)``.  Two Python ints give shape ``(2,)``; arrays broadcast, and
+    give shape ``broadcast shape + (2,)``; dtype uint64.
+    """
+    if isinstance(seeds, int) and isinstance(streams, int):
+        w = _seed_sequence_words(seeds, streams)
+        return np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64)
+    seeds, streams = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
+                                         np.asarray(streams, dtype=np.uint64))
+    w = _seed_sequence_words(seeds.ravel(), streams.ravel())
+    keys = np.empty((seeds.size, 2), dtype=np.uint64)
+    keys[:, 0] = w[0] | w[1] << 32
+    keys[:, 1] = w[2] | w[3] << 32
+    return keys.reshape(seeds.shape + (2,))
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Value-semantics handle for a counter-based random stream.
 
-    A stream is identified by ``(seed, stream)``.  Every call that consumes
-    randomness derives a fresh generator from the handle, so the same handle
-    always yields the same draws regardless of call order or parallel
-    scheduling.  Use :meth:`child` to carve out independent substreams.
+    A stream is identified by ``(seed, stream)`` and starts from the Philox
+    key that :meth:`keys` derives from that pair, at counter 0.  Draws depend
+    only on the handle, never on call order or parallel scheduling: a fresh
+    :meth:`generator` and a :class:`KeyedGenerator` restarted at the key give
+    the same numbers.  Use :meth:`child` to carve out independent substreams,
+    and :meth:`keys` for the keys of many substreams at once.
     """
 
     seed: int
@@ -58,14 +146,75 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh Philox generator positioned at the start of this stream."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(key=self.keys()))
 
     def child(self, index: int) -> "RngStream":
         """Derive the ``index``-th substream of this stream."""
         if index < 0:
             raise ValueError("substream index must be non-negative")
         return RngStream(self.seed, _mix64(self.stream, index))
+
+    def keys(self, *path) -> np.ndarray:
+        """Philox keys of descendants of this stream, derived in one call.
+
+        ``path`` holds non-negative integer index arrays that broadcast
+        against each other.  The entry at position ``i`` is the key of
+        ``self.child(path[0][i]).child(path[1][i])...``; the result has the
+        broadcast shape plus a trailing axis of 2 (uint64).  Without ``path``
+        it is this stream's own key, shape ``(2,)``.
+        """
+        if not path:
+            return _philox_keys(self.seed, self.stream)
+        index = np.broadcast_arrays(*(np.asarray(i) for i in path))
+        shape = index[0].shape
+        streams = np.full(shape, self.stream, dtype=np.uint64).ravel()
+        for i in index:
+            if i.dtype.kind not in "iu" or (i.size and i.min() < 0):
+                raise ValueError("substream indices must be non-negative integers")
+            streams = _mix64_array(streams, i.ravel().astype(np.uint64))
+        return _philox_keys(self.seed, streams).reshape(shape + (2,))
+
+
+class KeyedGenerator:
+    """One Philox generator, restarted at the start of a stream before each draw.
+
+    :meth:`at` resets the bit generator to the state a fresh
+    :meth:`RngStream.generator` starts in (the stream's key, counter 0, empty
+    buffer) and returns the generator, so its draws are the stream's draws
+    without building a ``Philox``.  The generator returned is valid until the
+    next :meth:`at`; only one thread at a time may use an instance.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._generator = np.random.Generator(self._bits)
+        self._key = np.zeros(2, dtype=np.uint64)
+        self._start = {"bit_generator": "Philox",
+                       "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def at(self, key: np.ndarray) -> np.random.Generator:
+        """The generator at the start of the stream with Philox ``key``."""
+        self._key[:] = key
+        self._bits.state = self._start
+        return self._generator
+
+
+_per_thread = threading.local()
+
+
+def keyed_generator(key: np.ndarray) -> np.random.Generator:
+    """This thread's :class:`KeyedGenerator`, restarted at Philox ``key``.
+
+    Each thread gets its own on first use.  Draw from the result at once: the
+    next call on the same thread restarts it.
+    """
+    try:
+        keyed = _per_thread.keyed
+    except AttributeError:
+        keyed = _per_thread.keyed = KeyedGenerator()
+    return keyed.at(key)
 
 
 @functools.cache
@@ -107,13 +256,18 @@ def blas_threads(count: int):
         set_(previous)
 
 
-def gaussian_matrix(rows: int, cols: int, variance: float, rng: RngStream) -> np.ndarray:
-    """Sample a ``rows x cols`` matrix with iid N(0, variance) entries."""
+def gaussian_matrix(rows: int, cols: int, variance: float,
+                    rng: RngStream | np.ndarray) -> np.ndarray:
+    """Sample a ``rows x cols`` matrix with iid N(0, variance) entries.
+
+    ``rng`` is the stream to draw from, or its Philox key (:meth:`RngStream.keys`).
+    """
     if rows <= 0 or cols <= 0:
         raise ValueError("empty matrix: rows and cols must be positive")
     if variance < 0:
         raise ValueError("variance must be non-negative")
-    return rng.generator().normal(0.0, np.sqrt(variance), size=(rows, cols))
+    key = rng.keys() if isinstance(rng, RngStream) else rng
+    return keyed_generator(key).normal(0.0, np.sqrt(variance), size=(rows, cols))
 
 
 def psd_spectrum(K: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int, float]:

@@ -25,6 +25,7 @@ from klpriv.network import (
     per_example_grad_batch,
     residual_batch,
     sample_init,
+    sample_inits,
 )
 from klpriv.numerics import RngStream, finite_diff_gradient
 
@@ -150,6 +151,26 @@ class TestSampleInit:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             sample_init(ARCH, (1.0, 1.0), RngStream(0))
+        with pytest.raises(ValueError):
+            sample_inits(ARCH, (1.0, 1.0), RngStream(0), 3)
+
+    def test_layer_l_draws_substream_l(self):
+        a = NetArch.uniform(3, 5, 3, 2)
+        betas = init_betas("he", a)
+        rng = RngStream(2**35 + 1, 4)
+        W = sample_init(a, betas, rng)
+        for l, ((rows, cols), beta) in enumerate(zip(a.layer_shapes, betas), start=1):
+            reference = rng.child(l).generator().normal(0.0, np.sqrt(beta), size=(rows, cols))
+            assert np.array_equal(W.layer(l), reference)
+
+    def test_bulk_samples_equal_single_samples(self):
+        rng = RngStream(6, 2)
+        betas = init_betas("lecun", ARCH)
+        bulk = list(sample_inits(ARCH, betas, rng, 5))
+        assert len(bulk) == 5
+        for s, W in enumerate(bulk):
+            assert np.array_equal(W.flat, sample_init(ARCH, betas, rng.child(s)).flat)
+        assert list(sample_inits(ARCH, betas, rng, 0)) == []
 
 
 class TestForward:

@@ -1,13 +1,20 @@
 """Tests for random streams, spectral helpers and finite differences."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from klpriv import cli, numerics
+from klpriv.estimator import run_streams
 from klpriv.numerics import (
+    KeyedGenerator,
     RankDeficiencyError,
     RngStream,
     finite_diff_gradient,
     gaussian_matrix,
+    keyed_generator,
     psd_spectrum,
     running_mean,
     solve_psd,
@@ -56,6 +63,167 @@ class TestRngStream:
             RngStream(1).child(-1)
 
 
+def _seed_sequence_key(seed: int, stream: int) -> np.ndarray:
+    """The reference: the key numpy's own SeedSequence gives Philox."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2, np.uint64)
+
+
+def _cli_streams(seed: int) -> list[int]:
+    """Stream ids the command line derives from one seed."""
+    base = RngStream(seed)
+    handles = [base.child(c) for c in (cli._DATA_CHILD, cli._POOL_CHILD, cli._INIT_CHILD)]
+    for run in range(3):
+        init, noise = run_streams(seed, run)
+        handles += [init, noise, *(init.child(l) for l in range(1, 6)),
+                    *(noise.child(k) for k in range(40))]
+    for si in range(4):
+        for k in range(3):
+            check = base.child(3 * si + k)
+            handles += [check, *(check.child(s).child(l) for s in range(10) for l in range(1, 6))]
+    return [h.stream for h in handles]
+
+
+class TestPhiloxKeys:
+    def test_bulk_keys_match_seed_sequence(self):
+        gen = np.random.default_rng(2024)
+        n = 24_000
+        wide = gen.integers(0, 2**64, n, dtype=np.uint64)
+        narrow = gen.integers(0, 2**32, n, dtype=np.uint64)
+        seeds = [wide, narrow, wide[::-1], narrow[::-1]]
+        streams = [gen.integers(0, 2**64, n, dtype=np.uint64),
+                   gen.integers(0, 2**32, n, dtype=np.uint64),
+                   gen.integers(0, 2**32, n, dtype=np.uint64) * (gen.random(n) < 0.5),
+                   gen.integers(0, 2**64, n, dtype=np.uint64)]
+        # edges of the one- and two-word encodings of seed and stream
+        edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        for seed in edges + [7, 2**40 + 3]:
+            cli_streams = _cli_streams(seed)
+            seeds.append(np.full(len(edges) + len(cli_streams), seed, dtype=np.uint64))
+            streams.append(np.array(edges + cli_streams, dtype=np.uint64))
+        seeds, streams = np.concatenate(seeds), np.concatenate(streams)
+        assert seeds.size >= 100_000
+        assert (seeds >= 2**32).any() and (streams == 0).any()
+        assert ((streams > 0) & (streams < 2**32)).any() and (streams >= 2**32).any()
+        got = numerics._philox_keys(seeds, streams)
+        expected = np.array([_seed_sequence_key(int(a), int(b)) for a, b in zip(seeds, streams)])
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+        # one pair of Python ints runs the same hash without numpy arrays
+        for j in [*range(0, 4 * n, 97), *range(4 * n, seeds.size)]:
+            assert np.array_equal(numerics._philox_keys(int(seeds[j]), int(streams[j])), expected[j])
+
+    def test_broadcast_shapes(self):
+        keys = numerics._philox_keys(np.arange(3, dtype=np.uint64)[:, None], [5, 2**40])
+        assert keys.shape == (3, 2, 2)
+        assert np.array_equal(keys[2, 1], _seed_sequence_key(2, 2**40))
+        assert numerics._philox_keys(9, np.zeros(0, dtype=np.uint64)).shape == (0, 2)
+        assert np.array_equal(numerics._philox_keys(9, 4), _seed_sequence_key(9, 4))
+
+    def test_vectorized_mix_matches_scalar(self):
+        gen = np.random.default_rng(7)
+        a = np.concatenate([gen.integers(0, 2**64, 5000, dtype=np.uint64),
+                            np.array([0, 1, 2**32, 2**64 - 1] * 2, dtype=np.uint64)])
+        b = np.concatenate([gen.integers(0, 2**64, 5000, dtype=np.uint64),
+                            np.array([0, 2**64 - 1, 2**64 - 2, 3, 0, 1, 2**32, 2**64 - 1],
+                                     dtype=np.uint64)])
+        got = numerics._mix64_array(a, b)
+        assert got.dtype == np.uint64
+        assert [int(z) for z in got] == [numerics._mix64(int(x), int(y)) for x, y in zip(a, b)]
+
+    def test_keys_of_descendants(self):
+        base = RngStream(2**33 + 1, 17)
+        keys = base.keys(np.arange(4)[:, None], np.arange(1, 4))
+        assert keys.shape == (4, 3, 2)
+        for s in range(4):
+            for j, l in enumerate(range(1, 4)):
+                child = base.child(s).child(l)
+                assert np.array_equal(keys[s, j], child.keys())
+                assert np.array_equal(keys[s, j], _seed_sequence_key(child.seed, child.stream))
+        assert np.array_equal(base.keys(), _seed_sequence_key(base.seed, base.stream))
+        assert base.keys(np.arange(0)).shape == (0, 2)
+        with pytest.raises(ValueError):
+            base.keys(np.array([0, -1]))
+        with pytest.raises(ValueError):
+            base.keys(np.array([0.5]))
+
+
+def _state_equal(a: dict, b: dict) -> bool:
+    if a.keys() != b.keys():
+        return False
+    return all(_state_equal(a[k], b[k]) if isinstance(a[k], dict) else np.array_equal(a[k], b[k])
+               for k in a)
+
+
+class TestKeyedGenerator:
+    def test_philox_state_layout(self):
+        # KeyedGenerator writes this layout into Philox.state; a numpy release
+        # that changes it must fail here, not shift draws silently
+        key = RngStream(5, 9).keys()
+        state = np.random.Philox(key=key).state
+        assert state["bit_generator"] == "Philox"
+        assert set(state) == {"bit_generator", "state", "buffer", "buffer_pos",
+                              "has_uint32", "uinteger"}
+        assert set(state["state"]) == {"counter", "key"}
+        for name, value, size in (("counter", state["state"]["counter"], 4),
+                                  ("key", state["state"]["key"], 2),
+                                  ("buffer", state["buffer"], 4)):
+            assert value.dtype == np.uint64 and value.shape == (size,), name
+        assert not state["state"]["counter"].any() and not state["buffer"].any()
+        assert np.array_equal(state["state"]["key"], key)
+        assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
+
+    def test_restart_gives_the_fresh_state(self):
+        keyed = KeyedGenerator()
+        used = keyed.at(RngStream(1).keys())
+        used.standard_normal(7)
+        used.integers(0, 2**32, size=3, dtype=np.uint32)
+        moved = used.bit_generator.state
+        assert moved["has_uint32"] == 1 and moved["buffer_pos"] < 4
+        for stream in (RngStream(5, 9), RngStream(1)):
+            restarted = keyed.at(stream.keys()).bit_generator.state
+            assert _state_equal(restarted, stream.generator().bit_generator.state)
+
+    def test_draws_equal_fresh_generator(self):
+        keyed = KeyedGenerator()
+        for stream in (RngStream(0), RngStream(2**64 - 1, 2**64 - 1), RngStream(3).child(8)):
+            fresh = stream.generator()
+            assert np.array_equal(keyed.at(stream.keys()).standard_normal(33),
+                                  fresh.standard_normal(33))
+            assert np.array_equal(keyed.at(stream.keys()).normal(0.0, 0.3, size=(4, 5)),
+                                  stream.generator().normal(0.0, 0.3, size=(4, 5)))
+            assert np.array_equal(keyed_generator(stream.keys()).integers(0, 9, 11),
+                                  stream.generator().integers(0, 9, 11))
+
+    def test_threads_draw_their_own_streams(self):
+        streams = [RngStream(11).child(i) for i in range(24)]
+        keys = [s.keys() for s in streams]
+        expected = [s.generator().standard_normal(3000) for s in streams]
+        start = threading.Barrier(2, timeout=30)
+        results = {}
+
+        def draw_all(order):
+            start.wait()
+            results[order] = [(i, keyed_generator(keys[i]).standard_normal(3000))
+                              for _ in range(5) for i in order]
+
+        orders = (tuple(range(24)), tuple(reversed(range(24))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw_all, args=(o,)) for o in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for order in orders:
+            assert len(results[order]) == 5 * 24
+            for i, draws in results[order]:
+                assert np.array_equal(draws, expected[i])
+
+
 class TestGaussianMatrix:
     def test_shape_and_determinism(self):
         M = gaussian_matrix(3, 5, 2.0, RngStream(0))
@@ -70,6 +238,12 @@ class TestGaussianMatrix:
     def test_zero_variance_is_zero_matrix(self):
         M = gaussian_matrix(4, 4, 0.0, RngStream(1))
         assert not M.any()
+
+    def test_key_draws_the_stream(self):
+        stream = RngStream(4).child(2)
+        M = gaussian_matrix(3, 5, 2.0, stream.keys())
+        assert np.array_equal(M, gaussian_matrix(3, 5, 2.0, stream))
+        assert np.array_equal(M, stream.generator().normal(0.0, np.sqrt(2.0), size=(3, 5)))
 
     def test_errors(self):
         with pytest.raises(ValueError):
