@@ -44,6 +44,7 @@ class NtkFeatures:
 
 def jacobian_rows(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outputs (n, o) and stacked Jacobian rows (n*o, P) at the given weights."""
+    params.expect_single()
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     arch = params.arch
@@ -68,6 +69,7 @@ def build_features(params: ParamVector, X: np.ndarray) -> NtkFeatures:
 
 def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
     """Predictions (n, o) of the linearized model at weights W."""
+    W.expect_single("W")
     shift = features.jac @ (W.flat - features.W0.flat)
     return features.f0 + shift.reshape(features.f0.shape)
 

@@ -126,17 +126,21 @@ def init_betas(scheme: "InitScheme | str", arch: NetArch) -> tuple[float, ...]:
 
 @dataclass
 class ParamVector:
-    """Flat parameter vector with layer views for a fixed architecture."""
+    """Flat parameters with layer views for a fixed architecture.
+
+    ``flat`` holds one vector, shape (P,), or a stack of S vectors, shape
+    (S, P); the batched kernels below take either.
+    """
 
     arch: NetArch
     flat: np.ndarray
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=float)
-        if self.flat.shape != (self.arch.num_params,):
-            raise ValueError(
-                f"expected {self.arch.num_params} parameters, got {self.flat.shape}"
-            )
+        P = self.arch.num_params
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != P:
+            raise ValueError(f"expected {P} parameters or an (S, {P}) stack, "
+                             f"got {self.flat.shape}")
 
     @classmethod
     def zeros(cls, arch: NetArch) -> "ParamVector":
@@ -147,13 +151,23 @@ class ParamVector:
         flat = np.concatenate([np.asarray(M, dtype=float).ravel() for M in mats])
         return cls(arch, flat)
 
+    def expect_single(self, name: str = "parameters") -> "ParamVector":
+        """Return self if it is one vector; raise ValueError naming ``name`` for a stack."""
+        if self.flat.ndim != 1:
+            raise ValueError(f"{name} must be one parameter vector, "
+                             f"not a stack of {self.flat.shape[0]}")
+        return self
+
     def layer(self, l: int) -> np.ndarray:
-        """Weight matrix of layer l (1-based) as a view into the flat vector."""
+        """Weight matrix of layer l (1-based) as a view into the flat vector.
+
+        Shape (rows, cols) for one vector, (S, rows, cols) for a stack.
+        """
         if not 1 <= l <= self.arch.L:
             raise ValueError(f"layer index must be in 1..{self.arch.L}")
-        offs = self.arch.layer_offsets
-        rows, cols = self.arch.layer_shapes[l - 1]
-        return self.flat[offs[l - 1]:offs[l]].reshape(rows, cols)
+        offs, flat = self.arch.layer_offsets, self.flat
+        shape = flat.shape[:-1] + self.arch.layer_shapes[l - 1]
+        return flat[..., offs[l - 1]:offs[l]].reshape(shape)
 
     def layers(self) -> list[np.ndarray]:
         return [self.layer(l) for l in range(1, self.arch.L + 1)]
@@ -171,18 +185,33 @@ class LossKind(enum.Enum):
 
 def sample_init(arch: NetArch, betas, rng: RngStream) -> ParamVector:
     """Draw W_l with iid N(0, beta_l) entries from substream ``rng.child(l)``."""
-    return _init_from_keys(arch, _layer_variances(arch, betas), rng.keys(_layer_ids(arch)))
+    W = ParamVector(arch, np.empty((1, arch.num_params)))
+    _draw_layers(W, _layer_variances(arch, betas), rng.keys(_layer_ids(arch))[None])
+    return ParamVector(arch, W.flat[0])
 
 
-def sample_inits(arch: NetArch, betas, rng: RngStream, count: int) -> Iterator[ParamVector]:
+def sample_inits(arch: NetArch, betas, rng: RngStream, count: int,
+                 chunk: int) -> Iterator[ParamVector]:
     """``sample_init(arch, betas, rng.child(s))`` for s = 0 .. count-1, lazily.
 
-    The keys of all count x L layer substreams are derived up front in one
-    call; each initialization is drawn when the iterator reaches it.
+    Yields stacks of ``chunk`` consecutive initializations (the last may hold
+    fewer), each drawn when the iterator reaches it into one (chunk, P)
+    buffer that the next stack overwrites.  The keys of all count x L layer
+    substreams are derived up front in one call.
     """
     betas = _layer_variances(arch, betas)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     keys = rng.keys(np.arange(count)[:, None], _layer_ids(arch))
-    return (_init_from_keys(arch, betas, layer_keys) for layer_keys in keys)
+
+    def stacks():
+        buf = np.empty((min(chunk, count), arch.num_params))
+        for start in range(0, count, chunk):
+            W = ParamVector(arch, buf[:count - start])
+            _draw_layers(W, betas, keys[start:start + chunk])
+            yield W
+
+    return stacks()
 
 
 def _layer_variances(arch: NetArch, betas) -> tuple:
@@ -196,25 +225,36 @@ def _layer_ids(arch: NetArch) -> np.ndarray:
     return np.arange(1, arch.L + 1)
 
 
-def _init_from_keys(arch: NetArch, betas: tuple, keys: np.ndarray) -> ParamVector:
-    mats = [gaussian_matrix(rows, cols, beta, key)
-            for (rows, cols), beta, key in zip(arch.layer_shapes, betas, keys)]
-    return ParamVector.from_layers(arch, mats)
+def _draw_layers(W: ParamVector, betas: tuple, keys: np.ndarray) -> None:
+    """Fill the S vectors of stack W; ``keys[s, l - 1]`` is the key of layer l of vector s."""
+    for l, ((rows, cols), beta) in enumerate(zip(W.arch.layer_shapes, betas), start=1):
+        layer = W.layer(l)
+        for s, key in enumerate(keys[:, l - 1]):
+            layer[s] = gaussian_matrix(rows, cols, beta, key)
 
 
 # ---------------------------------------------------------------------------
-# Two layers.  The batched kernels below are the only implementation of each
-# operation: the estimator calls them on whole datasets every training step,
-# on inputs validated once up front.  The single-example functions are their
-# n=1 views for per-example use; they add the checks on input shape and label
-# coding that a single record from a caller needs, and return exactly the bits
-# of the kernel's row.  backprop_deltas is the one backward recursion: loss
-# gradients backprop the loss residuals, output Jacobians the unit residuals
-# e_1..e_o.  Rows of a batch with n > 1 go through larger GEMMs and may differ
-# from the n=1 view in the last bits.
+# Two layers, one optional stack axis.  The batched kernels below are the only
+# implementation of each operation: the estimator calls them on whole datasets
+# every training step, on inputs validated once up front.  Each takes one
+# parameter vector or a stack of S of them (ParamVector.flat of shape (S, P)),
+# with the same body: a stack puts a leading axis of S on every result, so
+# outputs are (S, n, o), deltas and the activations past the input are
+# (S, n, m_l) and gradient rows (S, n, P), while the (n, d) inputs broadcast
+# against the stack and stay unstacked as acts[0].  Slice s of a stack's
+# result equals the result for vector s alone bit for bit, because each slice
+# runs the same products as one vector does.  The single-example functions
+# are the kernels' n=1 views on one vector for per-example use; they reject
+# stacks, add the checks on input shape and label coding that a single record
+# from a caller needs, and return exactly the bits of the kernel's row.
+# backprop_deltas is the one backward recursion: loss gradients backprop the
+# loss residuals, output Jacobians the unit residuals e_1..e_o.  Rows of a
+# batch with n > 1 go through larger GEMMs and may differ from the n=1 view in
+# the last bits.
 # ---------------------------------------------------------------------------
 
 def _input_row(params: ParamVector, x: np.ndarray) -> np.ndarray:
+    params.expect_single()
     x = np.asarray(x, dtype=float)
     if x.shape != (params.arch.d,):
         raise ValueError(f"input must have shape ({params.arch.d},)")
@@ -281,18 +321,18 @@ def empirical_grad(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> Par
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need a non-empty (n, d) design matrix")
     G = per_example_grad_batch(params, X, Y, loss)
-    return ParamVector(params.arch, G.mean(axis=0))
+    return ParamVector(params.arch, G.mean(axis=-2))
 
 
 def forward_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Vectorized forward pass; returns (n, o) outputs and per-layer activations."""
+    """Vectorized forward pass; returns (..., n, o) outputs and per-layer activations."""
     X = np.asarray(X, dtype=float)
     acts = [X]
     H = X
     for l in range(1, params.arch.L):
-        H = np.maximum(H @ params.layer(l).T, 0.0)
+        H = np.maximum(H @ params.layer(l).swapaxes(-1, -2), 0.0)
         acts.append(H)
-    F = H @ params.layer(params.arch.L).T
+    F = H @ params.layer(params.arch.L).swapaxes(-1, -2)
     return F, acts
 
 
@@ -306,16 +346,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def residual_batch(F: np.ndarray, Y, loss: LossKind) -> np.ndarray:
-    """Loss derivatives for a batch of outputs, shape (n, o)."""
+    """Loss derivatives for a batch of outputs, shape (..., n, o) like ``F``."""
     F = np.asarray(F, dtype=float)
     if loss is LossKind.LOGISTIC_SINGLE:
         y = np.asarray(Y, dtype=float).reshape(-1)
-        z = y * F[:, 0]
-        return (-y * _sigmoid(-z))[:, None]
+        z = y * F[..., 0]
+        return (-y * _sigmoid(-z))[..., None]
     Y = np.asarray(Y, dtype=float)
-    Z = F - F.max(axis=1, keepdims=True)
+    Z = F - F.max(axis=-1, keepdims=True)
     P = np.exp(Z)
-    P /= P.sum(axis=1, keepdims=True)
+    P /= P.sum(axis=-1, keepdims=True)
     return P - Y
 
 
@@ -331,7 +371,7 @@ def loss_batch(F: np.ndarray, Y, loss: LossKind) -> np.ndarray:
 
 
 def backprop_deltas(params: ParamVector, acts: list[np.ndarray], R: np.ndarray) -> list[np.ndarray]:
-    """Per-layer delta vectors (n, m_l) from output residuals R of shape (n, o).
+    """Per-layer delta vectors (..., n, m_l) from output residuals R of shape (..., n, o).
 
     The per-example gradient of layer l is the outer product of delta_l and
     h_{l-1}; callers exploit that rank-1 structure instead of materializing it.
@@ -356,17 +396,18 @@ def loss_backprop(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> tupl
 
 
 def _outer_products(params: ParamVector, deltas, acts) -> np.ndarray:
-    """(N, P) array whose row i holds the layer blocks delta_l[i] h_{l-1}[i]^T."""
-    arch, N = params.arch, acts[0].shape[0]
-    G = np.empty((N, arch.num_params))
+    """(..., N, P) array whose row i holds the layer blocks delta_l[i] h_{l-1}[i]^T."""
+    arch, lead = params.arch, (*params.flat.shape[:-1], acts[0].shape[-2])
+    G = np.empty((*lead, arch.num_params))
     for l, shape in enumerate(arch.layer_shapes, start=1):
-        block = G[:, arch.layer_offsets[l - 1]:arch.layer_offsets[l]]
-        np.einsum("na,nb->nab", deltas[l - 1], acts[l - 1], out=block.reshape(N, *shape))
+        block = G[..., arch.layer_offsets[l - 1]:arch.layer_offsets[l]]
+        np.einsum("...na,...nb->...nab", deltas[l - 1], acts[l - 1],
+                  out=block.reshape(*lead, *shape))
     return G
 
 
 def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> np.ndarray:
-    """All per-example loss gradients stacked into an (n, P) array."""
+    """All per-example loss gradients stacked into an (..., n, P) array."""
     backprop = loss_backprop(params, X, Y, loss)
     if backprop is None:
         raise ValueError("forward pass produced non-finite outputs")
@@ -374,15 +415,16 @@ def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind
 
 
 def jacobian_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs F (n, o) and output Jacobians J (n, o, P) for a batch of inputs.
+    """Outputs F (..., n, o) and output Jacobians J (..., n, o, P) for a batch of inputs.
 
-    ``J[i, j]`` is the gradient of output j on example i with respect to the
+    ``J[..., i, j]`` is the gradient of output j on example i with respect to the
     flat parameters, laid out in the same order as :class:`ParamVector`: the
     backprop of the unit residual e_j from example i's activations.
     """
     F, acts = forward_batch(params, X)
-    n, o = F.shape
+    n, o = F.shape[-2:]
     if o > 1:
-        acts = [np.repeat(H, o, axis=0) for H in acts]
+        acts = [np.repeat(H, o, axis=-2) for H in acts]
     deltas = backprop_deltas(params, acts, np.tile(np.eye(o), (n, 1)))
-    return F, _outer_products(params, deltas, acts).reshape(n, o, params.arch.num_params)
+    J = _outer_products(params, deltas, acts)
+    return F, J.reshape(*F.shape[:-2], n, o, params.arch.num_params)

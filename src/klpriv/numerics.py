@@ -51,11 +51,9 @@ def _mix64_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Its multiplier advances by a fixed factor at every hashmix call whatever the
 # data, so the whole sequence is known up front: 24 calls while mixing the
 # entropy words into the pool, 4 while reading the pool out.  The 32-bit words
-# are masked integers, so one body runs on Python ints (one pair, no numpy
-# call overhead) and on uint64 arrays (many pairs).  uint64 arrays use the
-# integer loops of numpy that _mix64_array already pages in; uint32 arrays
-# paged in about 0.2 MB more of numpy's code in an mc-verify run, which
-# showed in its peak RSS.
+# are masked values in uint64 arrays, which use the integer loops of numpy
+# that _mix64_array already pages in; uint32 arrays paged in about 0.2 MB more
+# of numpy's code in an mc-verify run, which showed in its peak RSS.
 def _hash_multipliers(first: int, factor: int, calls: int) -> tuple[int, ...]:
     mults = [first]
     for _ in range(calls):
@@ -76,7 +74,7 @@ def _hashmix(value, xor: int, mult: int):
 def _seed_sequence_words(seeds, streams) -> list:
     """The four 32-bit state words SeedSequence generates for ``(seed, stream)``.
 
-    ``seeds`` and ``streams`` are Python ints or equally shaped uint64 arrays.
+    ``seeds`` and ``streams`` are equally shaped uint64 arrays.
     """
     mults = iter(zip(_MIX_MULTS, _MIX_MULTS[1:]))
 
@@ -108,12 +106,13 @@ def _philox_keys(seeds, streams) -> np.ndarray:
 
     Element for element the key ``RngStream(seed, stream).generator()`` starts
     from, ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2,
-    np.uint64)``.  Two Python ints give shape ``(2,)``; arrays broadcast, and
-    give shape ``broadcast shape + (2,)``; dtype uint64.
+    np.uint64)``.  Two Python ints give shape ``(2,)``, from numpy's own
+    SeedSequence, which is faster for one pair than the array port below;
+    arrays broadcast, and give shape ``broadcast shape + (2,)``; dtype uint64.
     """
     if isinstance(seeds, int) and isinstance(streams, int):
-        w = _seed_sequence_words(seeds, streams)
-        return np.array([w[0] | w[1] << 32, w[2] | w[3] << 32], dtype=np.uint64)
+        return np.random.SeedSequence(entropy=seeds, spawn_key=(streams,)).generate_state(
+            2, np.uint64)
     seeds, streams = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
                                          np.asarray(streams, dtype=np.uint64))
     w = _seed_sequence_words(seeds.ravel(), streams.ravel())

@@ -1,5 +1,6 @@
 """Tests for noisy-GD training, KL accumulation and Monte Carlo checks."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -27,11 +28,14 @@ from klpriv.estimator import (
 )
 from klpriv.linearized import build_features, lin_per_example_grads
 from klpriv.network import (
+    SCHEME_NAMES,
     InitScheme,
     LossKind,
     NetArch,
     ParamVector,
+    forward,
     init_betas,
+    output_jacobian,
     per_example_grad_batch,
     sample_init,
 )
@@ -118,8 +122,28 @@ class TestNoisyGdStep:
         with pytest.raises(ValueError):
             noisy_gd_step(W, W, 0.1, 0.5, RngStream(0), noise=np.zeros(W.flat.size + 1))
 
+    def test_stack_rejected(self):
+        W = _weights(0)
+        stack = ParamVector(ARCH, np.stack([W.flat, W.flat]))
+        with pytest.raises(ValueError, match="W must be one parameter vector"):
+            noisy_gd_step(stack, stack, 0.1, 0.5, RngStream(0))
+        with pytest.raises(ValueError, match="grad must be one parameter vector"):
+            noisy_gd_step(W, stack, 0.1, 0.5, RngStream(0))
+
 
 class TestNeighborGradDiffs:
+    def test_pairs_as_list_or_index_array(self):
+        gen = np.random.default_rng(3)
+        G, Gp = gen.standard_normal((4, 6)), gen.standard_normal((3, 6))
+        pairs = [(0, 2), (3, 0), (1, 1), (3, 2)]
+        as_list = neighbor_grad_diffs(G, Gp, Neighbor.REPLACE_ONE, pairs=pairs)
+        as_array = neighbor_grad_diffs(G, Gp, Neighbor.REPLACE_ONE, pairs=np.array(pairs))
+        assert as_list.tobytes() == as_array.tobytes()
+
+    def test_three_dimensional_gradients_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            neighbor_grad_diffs(np.zeros((2, 3, 4)))
+
     def test_remove_one_hand_example(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
         diffs = neighbor_grad_diffs(G, notion=Neighbor.REMOVE_ONE)
@@ -372,6 +396,18 @@ class TestRunKlEstimation:
         res = run_kl_estimation(_linearized_model(data), data, neighbors, cfg)
         assert np.all(np.isfinite(res.worst_mean))
 
+    def test_linearized_expansion_point_stack_rejected(self):
+        data = synth_sphere(8, 4, RngStream(2))
+        neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
+        features = _linearized_model(data).features
+        W0 = features.W0.flat
+        stacked = dataclasses.replace(features, W0=ParamVector(features.arch, np.stack([W0, W0])))
+        with pytest.raises(ValueError, match="expansion point must be one parameter vector"):
+            run_kl_estimation(LinearizedModel(features=stacked), data, neighbors, cfg)
+        with pytest.raises(ValueError, match="stack"):
+            build_features(stacked.W0, data.X)
+
 
 class TestMeanStdOverRuns:
     def test_huge_finite_values_have_a_finite_std(self):
@@ -622,6 +658,157 @@ class TestMonteCarlo:
             mc_linearized_grad_diff(ARCH, "he", (x, 1.0), (x, 1.0), 0, 8, RngStream(0))
         with pytest.raises(ValueError):
             mc_grad_norm_at_init(ARCH, "he", x, 1, RngStream(0))
+
+
+def _capture_values(monkeypatch):
+    """List that receives a copy of the values each Monte Carlo check reports on."""
+    seen, report = [], estimator._mc_report
+
+    def capture(vals, *args, **kwargs):
+        seen.append(np.array(vals))
+        return report(vals, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_mc_report", capture)
+    return seen
+
+
+def _per_sample_values(arch, scheme, samples, rng, value):
+    """``value(W)`` at each initialization ``sample_init(..., rng.child(s))``, one at a time."""
+    betas = init_betas(scheme, arch)
+    return np.array([value(sample_init(arch, betas, rng.child(s))) for s in range(samples)])
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew initializations before validating the inputs")
+
+
+ZERO_FIRST = "zero-first"
+
+
+class TestStackedMonteCarlo:
+    """Each check evaluates stacks of _mc_chunk(arch) initializations; the values
+    and reports equal a per-sample evaluation, bit for bit."""
+
+    @pytest.mark.parametrize("o", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES + (ZERO_FIRST,))
+    def test_reports_equal_per_sample_reference(self, monkeypatch, o, scheme):
+        arch = NetArch.uniform(3, 5, 3, o)
+        if scheme == ZERO_FIRST:
+            scheme = InitScheme.custom((0.0,) + init_betas("he", arch)[1:])
+        else:
+            scheme = InitScheme(scheme)
+        chunk = 4
+        monkeypatch.setattr(estimator, "MC_STACK_BYTES", 8 * o * arch.num_params * chunk + 7)
+        assert estimator._mc_chunk(arch) == chunk
+        report = estimator._mc_report
+        seen = _capture_values(monkeypatch)
+        gen = np.random.default_rng(o)
+        x, xb = gen.standard_normal(3), gen.standard_normal(3)
+        n = 5
+
+        def grad_sqnorm(W):
+            J = output_jacobian(W, x)
+            return float(np.sum(J * J))
+
+        def output_sqnorm(W):
+            f, _ = forward(W, x)
+            return float(f @ f)
+
+        def grad_diff_sq(W):
+            d = (estimator._single_logistic_grad(W, x, 1.0)
+                 - estimator._single_logistic_grad(W, xb, -1.0))
+            return float(d @ d) / n ** 2
+
+        for samples in (2, chunk - 1, chunk, chunk + 1, 3 * chunk + 2):
+            rng = RngStream(samples, o)
+            checks = [(mc_output_sqnorm(arch, scheme, x, samples, rng.child(0)),
+                       output_sqnorm, rng.child(0))]
+            # the gradient closed forms need positive variances; the kernels'
+            # bits at a zero-variance layer are checked in tests/test_network.py
+            if scheme.kind != "custom":
+                checks.append((mc_grad_norm_at_init(arch, scheme, x, samples, rng.child(1)),
+                               grad_sqnorm, rng.child(1)))
+                if o == 1:
+                    checks.append((mc_linearized_grad_diff(arch, scheme, (x, 1.0), (xb, -1.0),
+                                                           n, samples, rng.child(2)),
+                                   grad_diff_sq, rng.child(2)))
+            for (rep, value, stream), vals in zip(checks, seen[-len(checks):], strict=True):
+                want = _per_sample_values(arch, scheme, samples, stream, value)
+                assert vals.tobytes() == want.tobytes()
+                assert rep == report(want, rep.reference, rep.reference_kind)
+
+    def test_default_chunk_boundary(self, monkeypatch):
+        arch = NetArch.uniform(4, 16, 3, 1)
+        chunk = estimator._mc_chunk(arch)
+        assert chunk == estimator.MC_STACK_BYTES // (8 * arch.num_params) > 1
+        seen = _capture_values(monkeypatch)
+        x = np.array([0.5, -0.5, 0.5, 0.5])
+        mc_output_sqnorm(arch, "he", x, chunk + 1, RngStream(3))
+
+        def output_sqnorm(W):
+            f, _ = forward(W, x)
+            return float(f @ f)
+
+        want = _per_sample_values(arch, "he", chunk + 1, RngStream(3), output_sqnorm)
+        assert seen[0].tobytes() == want.tobytes()
+
+    def test_chunk_follows_the_byte_budget(self):
+        small, wide = NetArch.uniform(8, 32, 4, 1), NetArch.uniform(8, 32, 4, 3)
+        assert estimator._mc_chunk(small) == estimator.MC_STACK_BYTES // (8 * 2336)
+        assert estimator._mc_chunk(wide) == estimator.MC_STACK_BYTES // (8 * 3 * 2400)
+        assert estimator._mc_chunk(NetArch.uniform(8, 512, 4, 1)) == 1
+
+
+class TestMonteCarloValidation:
+    """Bad inputs raise ValueError naming the argument, before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_draws(self, monkeypatch):
+        monkeypatch.setattr(estimator, "sample_inits", _no_draws)
+
+    @pytest.mark.parametrize("label", [0.5, 3.0, 0.0, -2.0])
+    def test_grad_diff_labels_must_be_plus_minus_one(self, label):
+        x = np.ones(4)
+        with pytest.raises(ValueError, match=r"record_a label must be \+-1"):
+            mc_linearized_grad_diff(ARCH, "he", (x, label), (x, 1.0), 4, 8, RngStream(0))
+        with pytest.raises(ValueError, match=r"record_b label must be \+-1"):
+            mc_linearized_grad_diff(ARCH, "he", (x, 1.0), (x, label), 4, 8, RngStream(0))
+
+    def test_grad_diff_record_shapes(self):
+        x = np.ones(4)
+        with pytest.raises(ValueError, match=r"record_b input must have shape \(4,\)"):
+            mc_linearized_grad_diff(ARCH, "he", (x, 1.0), (np.ones(5), -1.0), 4, 8,
+                                    RngStream(0))
+        with pytest.raises(ValueError, match=r"record_a input must have shape"):
+            mc_linearized_grad_diff(ARCH, "he", (np.ones((1, 4)), 1.0), (x, -1.0), 4, 8,
+                                    RngStream(0))
+        for bad in ((x,), (x, 1.0, 2.0), (x, np.ones(2)), 7):
+            with pytest.raises(ValueError, match="record_a must be a pair"):
+                mc_linearized_grad_diff(ARCH, "he", bad, (x, -1.0), 4, 8, RngStream(0))
+
+    @pytest.mark.parametrize("check", [mc_grad_norm_at_init, mc_output_sqnorm])
+    def test_input_shape(self, check):
+        for bad in (np.ones(3), np.ones(5), np.ones((1, 4)), 1.0):
+            with pytest.raises(ValueError, match=r"x must have shape \(4,\)"):
+                check(ARCH, "he", bad, 8, RngStream(0))
+
+    def test_gradient_closed_forms_need_positive_variances(self):
+        x = np.ones(4)
+        scheme = InitScheme.custom([0.0, 1.0])
+        with pytest.raises(ValueError, match="positive"):
+            mc_grad_norm_at_init(ARCH, scheme, x, 8, RngStream(0))
+        with pytest.raises(ValueError, match="positive"):
+            mc_linearized_grad_diff(ARCH, scheme, (x, 1.0), (x, -1.0), 4, 8, RngStream(0))
+
+    @pytest.mark.parametrize("samples", [1, 0, -3])
+    def test_at_least_two_samples(self, samples):
+        x = np.ones(4)
+        for run in (lambda: mc_grad_norm_at_init(ARCH, "he", x, samples, RngStream(0)),
+                    lambda: mc_output_sqnorm(ARCH, "he", x, samples, RngStream(0)),
+                    lambda: mc_linearized_grad_diff(ARCH, "he", (x, 1.0), (x, -1.0), 4,
+                                                    samples, RngStream(0))):
+            with pytest.raises(ValueError, match="samples must be at least 2"):
+                run()
 
 
 class TestEstimateRank:

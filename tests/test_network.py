@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from klpriv.network import (
     SCHEME_NAMES,
+    _outer_products,
     InitScheme,
     LossKind,
     NetArch,
@@ -24,6 +25,7 @@ from klpriv.network import (
     per_example_grad,
     per_example_grad_batch,
     residual_batch,
+    backprop_deltas,
     sample_init,
     sample_inits,
 )
@@ -123,6 +125,24 @@ class TestParamVector:
         with pytest.raises(ValueError):
             ParamVector.zeros(a).layer(3)
 
+    def test_stack_layer_views(self):
+        a = NetArch(d=2, hidden=(2,), o=1)
+        W = ParamVector(a, np.arange(12.0).reshape(2, 6))
+        assert W.layer(1).shape == (2, 2, 2) and W.layer(2).shape == (2, 1, 2)
+        assert np.array_equal(W.layer(2)[1], [[10.0, 11.0]])
+        W.layer(1)[1, 0, 1] = -1.0
+        assert W.flat[1, 1] == -1.0
+        for bad in (np.zeros((2, 5)), np.zeros((2, 2, 6)), np.zeros(())):
+            with pytest.raises(ValueError, match="stack"):
+                ParamVector(a, bad)
+
+    def test_expect_single(self):
+        a = NetArch(d=2, hidden=(2,), o=1)
+        W = ParamVector.zeros(a)
+        assert W.expect_single() is W
+        with pytest.raises(ValueError, match="W must be one parameter vector"):
+            ParamVector(a, np.zeros((3, 6))).expect_single("W")
+
 
 class TestSampleInit:
     def test_deterministic(self):
@@ -152,7 +172,9 @@ class TestSampleInit:
         with pytest.raises(ValueError):
             sample_init(ARCH, (1.0, 1.0), RngStream(0))
         with pytest.raises(ValueError):
-            sample_inits(ARCH, (1.0, 1.0), RngStream(0), 3)
+            sample_inits(ARCH, (1.0, 1.0), RngStream(0), 3, chunk=2)
+        with pytest.raises(ValueError, match="chunk"):
+            sample_inits(ARCH, (1.0, 1.0, 1.0), RngStream(0), 3, chunk=0)
 
     def test_layer_l_draws_substream_l(self):
         a = NetArch.uniform(3, 5, 3, 2)
@@ -166,11 +188,13 @@ class TestSampleInit:
     def test_bulk_samples_equal_single_samples(self):
         rng = RngStream(6, 2)
         betas = init_betas("lecun", ARCH)
-        bulk = list(sample_inits(ARCH, betas, rng, 5))
-        assert len(bulk) == 5
-        for s, W in enumerate(bulk):
-            assert np.array_equal(W.flat, sample_init(ARCH, betas, rng.child(s)).flat)
-        assert list(sample_inits(ARCH, betas, rng, 0)) == []
+        single = [sample_init(ARCH, betas, rng.child(s)).flat for s in range(5)]
+        for chunk in (1, 2, 5, 7):
+            # each stack is a view of one reused buffer: copy it before the next
+            stacks = [W.flat.copy() for W in sample_inits(ARCH, betas, rng, 5, chunk=chunk)]
+            assert [len(S) for S in stacks] == [min(chunk, 5 - s) for s in range(0, 5, chunk)]
+            assert np.array_equal(np.concatenate(stacks), single)
+            assert list(sample_inits(ARCH, betas, rng, 0, chunk=chunk)) == []
 
 
 class TestForward:
@@ -384,7 +408,72 @@ class TestBatchedOps:
             fd = finite_diff_gradient(lambda w: forward(ParamVector(a, w), x)[0][j], W.flat)
             assert np.max(np.abs(J[0, j] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
 
+    def test_single_example_views_reject_stacks(self):
+        a, W, X, Y, loss = self._setup(1)
+        Ws = ParamVector(a, np.stack([W.flat, W.flat]))
+        for view in (lambda: forward(Ws, X[0]), lambda: output_jacobian(Ws, X[0]),
+                     lambda: per_example_grad(Ws, X[0], Y[0], loss)):
+            with pytest.raises(ValueError, match="stack"):
+                view()
+
     def test_empirical_grad_empty_rejected(self):
         a, W, _, _, loss = self._setup(1)
         with pytest.raises(ValueError):
             empirical_grad(W, np.zeros((0, 5)), np.zeros(0), loss)
+
+
+def _same_bytes(a, b):
+    """Equal shape, dtype and raw bytes, so that the signs of zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedKernels:
+    """A stack of S vectors through the batched kernels equals S single-vector calls."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(S=st.sampled_from([1, 2, 5]), n=st.sampled_from([1, 3]), o=st.sampled_from([1, 2, 3]),
+           d=st.integers(1, 4), hidden=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           scheme=st.sampled_from(SCHEME_NAMES + ("zero-first",)), seed=st.integers(0, 10_000))
+    def test_stack_equals_loop_of_single_vectors(self, S, n, o, d, hidden, scheme, seed):
+        a = NetArch(d, tuple(hidden), o)
+        if scheme == "zero-first":
+            # a zero first layer: all activations and masks vanish, signs of zero count
+            betas = (0.0,) + init_betas("he", a)[1:]
+        else:
+            betas = init_betas(scheme, a)
+        rng = RngStream(seed)
+        singles = [sample_init(a, betas, rng.child(s)) for s in range(S)]
+        Ws = ParamVector(a, np.stack([W.flat for W in singles]))
+        X = rng.child(S).generator().standard_normal((n, d))
+        if o == 1:
+            Y, loss = np.where(rng.child(S + 1).generator().random(n) < 0.5, -1.0, 1.0), \
+                LossKind.LOGISTIC_SINGLE
+        else:
+            Y = np.eye(o)[rng.child(S + 1).generator().integers(0, o, size=n)]
+            loss = LossKind.CROSS_ENTROPY_MULTI
+
+        F, acts = forward_batch(Ws, X)
+        Fj, J = jacobian_batch(Ws, X)
+        deltas, acts_l = loss_backprop(Ws, X, Y, loss)
+        R = residual_batch(F, Y, loss)
+        G = per_example_grad_batch(Ws, X, Y, loss)
+        g = empirical_grad(Ws, X, Y, loss)
+        assert F.shape == (S, n, o) and J.shape == (S, n, o, a.num_params)
+        assert G.shape == (S, n, a.num_params) and g.flat.shape == (S, a.num_params)
+        assert acts[0] is X or _same_bytes(acts[0], X)
+        for s, W in enumerate(singles):
+            F1, acts1 = forward_batch(W, X)
+            assert _same_bytes(F[s], F1) and _same_bytes(Fj[s], F1)
+            assert all(_same_bytes(h[s], h1) for h, h1 in zip(acts[1:], acts1[1:], strict=True))
+            assert _same_bytes(J[s], jacobian_batch(W, X)[1])
+            deltas1, _ = loss_backprop(W, X, Y, loss)
+            assert all(_same_bytes(D[s], D1) for D, D1 in zip(deltas, deltas1, strict=True))
+            assert _same_bytes(R[s], residual_batch(F1, Y, loss))
+            assert _same_bytes(G[s], per_example_grad_batch(W, X, Y, loss))
+            assert _same_bytes(g.flat[s], empirical_grad(W, X, Y, loss).flat)
+            # the pieces on their own, from the stack's activations
+            assert all(_same_bytes(D[s], D1) for D, D1 in zip(
+                backprop_deltas(Ws, acts_l, R), backprop_deltas(W, acts1, R[s]), strict=True))
+            assert _same_bytes(_outer_products(Ws, deltas, acts_l)[s],
+                               _outer_products(W, deltas1, acts1))

@@ -108,7 +108,7 @@ class TestPhiloxKeys:
         expected = np.array([_seed_sequence_key(int(a), int(b)) for a, b in zip(seeds, streams)])
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
-        # one pair of Python ints runs the same hash without numpy arrays
+        # one pair of Python ints goes through numpy's SeedSequence itself
         for j in [*range(0, 4 * n, 97), *range(4 * n, seeds.size)]:
             assert np.array_equal(numerics._philox_keys(int(seeds[j]), int(streams[j])), expected[j])
 
