@@ -35,7 +35,6 @@ from .estimator import (
     LinearizedModel,
     McReport,
     TrainConfig,
-    estimate_rank_MT,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
@@ -52,11 +51,9 @@ from .linearized import (
     build_features,
     gram_analysis,
     lazy_solution,
-    lin_empirical_grad,
     lin_empirical_loss,
     lin_forward,
     lin_per_example_grads,
-    running_average,
 )
 from .network import (
     InitScheme,

@@ -35,11 +35,11 @@ from .estimator import (
     LinearizedModel,
     TrainConfig,
     _mean_std_over_runs,
+    _noisy_gd,
     _recorded_steps,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
-    noisy_gd_step,
     replay_worst,
     run_kl_estimation,
     run_streams,
@@ -48,11 +48,11 @@ from .linearized import (
     build_features,
     gram_analysis,
     lazy_solution,
-    lin_empirical_grad,
     lin_empirical_loss,
+    lin_per_example_grads,
 )
 from .network import SCHEME_NAMES, LossKind, NetArch, ParamVector, init_betas, sample_init
-from .numerics import RngStream, keyed_generator
+from .numerics import RngStream
 
 SCHEMES = SCHEME_NAMES
 
@@ -116,6 +116,14 @@ class RunConfig:
     linearize: bool = _flag(False, ("estimate",))
 
     def validate(self) -> None:
+        # argparse checks choices on the command line only, not on --config
+        # values; and ``nan <= 0`` is false, so no bound below rejects a nan
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {f.name.replace('_', ' ')} {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{f.name.replace('_', '-')} must be finite, got {value!r}")
         if min(self.d, self.width, self.outputs) < 1 or self.depth < 2:
             raise ValueError("need d, width, outputs >= 1 and depth >= 2")
         if self.eta <= 0 or self.sigma2 <= 0:
@@ -127,11 +135,6 @@ class RunConfig:
             raise ValueError(f"runs must be below {_DATA_CHILD}")
         if self.pool_size < 1 or self.cap < 1 or self.record_every < 1:
             raise ValueError("pool-size, cap and record-every must be positive")
-        # argparse checks choices on the command line only, not on --config values
-        for f in fields(self):
-            value, choices = getattr(self, f.name), f.metadata.get("choices")
-            if choices is not None and value not in choices:
-                raise ValueError(f"unknown {f.name.replace('_', ' ')} {value!r}")
         if self.replay_sigma2 is not None and self.replay_sigma2 <= 0:
             raise ValueError("replay sigma2 must be positive")
         if self.replay_sigma2 is not None and self.out is None:
@@ -459,15 +462,13 @@ def cmd_lazy(cfg: RunConfig) -> int:
         # measured against the near-optimal interpolator
         T = cfg.eta * cfg.steps
         _, noise_stream = run_streams(cfg.seed, 0)
-        W = W0.copy()
-        avg = np.zeros_like(W.flat)
-        step_keys = noise_stream.keys(np.arange(cfg.steps))
-        for k in range(cfg.steps):
-            g = lin_empirical_grad(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
-            noise = keyed_generator(step_keys[k]).standard_normal(W.flat.size)
-            W = noisy_gd_step(W, g, cfg.eta, cfg.sigma2, noise_stream.child(k), noise=noise)
-            avg += W.flat
-        W_avg = ParamVector(arch, avg / cfg.steps)
+
+        def step(W: ParamVector):
+            G = lin_per_example_grads(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
+            return G.mean(axis=0), None
+
+        iterates = _noisy_gd(features.W0, step, cfg.eta, cfg.sigma2, cfg.steps, noise_stream)
+        W_avg = ParamVector(arch, sum(W.flat for W, _ in iterates) / cfg.steps)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)
         bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * gram.rank / 2.0
         rows.append(("averaged_iterate_loss", avg_loss))

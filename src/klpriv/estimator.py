@@ -11,8 +11,9 @@ constant convention can be replayed without retraining.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +45,15 @@ from .network import (
     sample_init,
     sample_inits,
 )
-from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator, psd_spectrum
+from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 
-# From this parameter count on, run_kl_estimation draws each step's noise on
-# one helper thread while it computes the step's gradient statistics; BLAS
-# runs on one thread, as for all training, so the two do not contend for
-# cores.  Measured on a 2-core host with numpy's OpenBLAS: at P = 270,592
-# (d=32, width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x
-# the CPU time.  With the gate forced to 0, a P = 3,104 model ran about 17% slower
+# From this parameter count on, the noisy-GD trainer (_noisy_gd, behind
+# run_kl_estimation and the lazy command) draws each step's noise on one
+# helper thread while the step's gradient statistics are computed; BLAS runs
+# on one thread, as for all training, so the two do not contend for cores.
+# Measured on a 2-core host with numpy's OpenBLAS: at P = 270,592 (d=32,
+# width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x the CPU
+# time.  With the gate forced to 0, a P = 3,104 model ran about 17% slower
 # (median of 8 alternating pairs; the per-step hand-off costs more than the
 # small draw saves) and a P = 36,992 linearized model gained no wall time.
 OVERLAP_MIN_PARAMS = 1 << 17
@@ -82,12 +84,12 @@ class TrainConfig:
     divergence_threshold: float = 1e12
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("step size must be positive and finite")
         if self.steps < 0:
             raise ValueError("step count must be non-negative")
-        if self.sigma2 <= 0:
-            raise ValueError("noise variance must be positive for KL estimation")
+        if not 0 < self.sigma2 < math.inf:
+            raise ValueError("noise variance must be positive and finite for KL estimation")
         if self.runs < 1:
             raise ValueError("need at least one run")
         if self.record_every < 1:
@@ -167,12 +169,11 @@ def run_streams(seed: int, run: int) -> tuple[RngStream, RngStream]:
 
 
 def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
-                  rng: RngStream, *, noise: np.ndarray | None = None) -> ParamVector:
-    """One update W - eta * grad + sqrt(2 eta sigma2) * Z with Z standard normal.
+                  noise: np.ndarray) -> ParamVector:
+    """One update W - eta * grad + sqrt(2 eta sigma2) * Z.
 
-    Z is drawn from ``rng`` unless ``noise`` passes that draw in already
-    (P standard normals); ``noise`` is then scaled in place.  ``W`` and
-    ``grad`` are left unchanged.
+    ``noise`` holds the draw Z (P standard normals) and is scaled in place;
+    ``W`` and ``grad`` are left unchanged.
     """
     if W.arch != grad.arch:
         raise ValueError("weights and gradient must share an architecture")
@@ -182,16 +183,59 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
         raise ValueError("step size must be non-negative")
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
-    if noise is not None and noise.shape != W.flat.shape:
+    if noise.shape != W.flat.shape:
         raise ValueError("noise must have one entry per parameter")
     new = eta * grad.flat
     np.subtract(W.flat, new, out=new)
     if sigma2 > 0 and eta > 0:
-        if noise is None:
-            noise = keyed_generator(rng.keys()).standard_normal(W.flat.size)
         noise *= math.sqrt(2.0 * eta * sigma2)
         new += noise
     return ParamVector(W.arch, new)
+
+
+def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float, steps: int,
+              noise_stream: RngStream) -> Iterator[tuple[ParamVector, object]]:
+    """Noisy GD from ``W``: yield each updated iterate with its step's payload.
+
+    ``step(W)`` returns ``(mean_grad, payload)`` at the current iterate, with
+    ``mean_grad`` a (P,) array, or ``None`` to stop before updating.  Step k
+    (from 0) draws its noise from ``noise_stream.child(k)`` into one buffer
+    reused for every step.  Training runs with BLAS on one thread, and from
+    OVERLAP_MIN_PARAMS parameters on each draw runs on a helper thread while
+    ``step`` runs; with ``steps`` 0 neither happens.  ``W`` is not modified,
+    and the trainer holds no iterate but the current one.
+    """
+    if steps == 0:
+        return
+    step_keys = noise_stream.keys(np.arange(steps))
+    noise = np.empty(W.flat.size)
+    with ExitStack() as stack:
+        # one BLAS thread for all training: on a 2-core host two threads
+        # took more CPU for no less wall time on the statistics' GEMMs
+        stack.enter_context(blas_threads(1))
+        helper = None
+        if W.flat.size >= OVERLAP_MIN_PARAMS:
+            # imported here: only runs above the gate pay for the import
+            from concurrent.futures import ThreadPoolExecutor
+            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            helper_rng = KeyedGenerator()
+        for key in step_keys:
+            draw = None
+            if helper is not None:
+                # the helper runs numpy only: this thread restarts the
+                # helper's generator, so every klpriv function, and any
+                # profiling hook on it, stays on this thread
+                draw = helper.submit(helper_rng.at(key).standard_normal, out=noise)
+            stepped = step(W)
+            if draw is not None:
+                draw.result()
+            if stepped is None:
+                return
+            mean_grad, payload = stepped
+            if draw is None:
+                keyed_generator(key).standard_normal(out=noise)
+            W = noisy_gd_step(W, ParamVector(W.arch, mean_grad), eta, sigma2, noise)
+            yield W, payload
 
 
 def _as_matrix(grads) -> np.ndarray:
@@ -445,61 +489,38 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
+    def step(W: ParamVector):
+        stats = make_stats(W)
+        if stats is None:
+            return None
+        norms_sq, dots_S, S_sq, pn, pd, cross, mean_grad = stats
+        if not np.isfinite(S_sq) or np.linalg.norm(mean_grad) > cfg.divergence_threshold:
+            return None
+        return mean_grad, _diffs_from_scalars(data.n, neighbors.notion, norms_sq, dots_S, S_sq,
+                                              pool_norms_sq=pn, pool_dots_S=pd, cross=cross,
+                                              pairs=pairs)
+
     traces: list[KLTrace] = []
-    with ExitStack() as stack:
-        helper = None
-        noise = np.empty(arch.num_params)
-        if cfg.steps > 0:
-            # one BLAS thread for all training: on a 2-core host two threads
-            # took more CPU for no less wall time on the statistics' GEMMs
-            stack.enter_context(blas_threads(1))
-        if cfg.steps > 0 and arch.num_params >= OVERLAP_MIN_PARAMS:
-            # imported here: only runs above the gate pay for the import
-            from concurrent.futures import ThreadPoolExecutor
-            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            helper_rng = KeyedGenerator()
-        for run in range(cfg.runs):
-            init_stream, noise_stream = run_streams(cfg.seed, run)
-            if isinstance(model, DnnModel):
-                W = sample_init(arch, betas, init_stream)
-            else:
-                W = model.features.W0.copy()
-            step_keys = noise_stream.keys(np.arange(cfg.steps))
-            sq_diffs = np.empty((cfg.steps, neighbors.count))
-            completed = 0
-            for k in range(cfg.steps):
-                draw = None
-                if helper is not None:
-                    # the helper runs numpy only: this thread restarts the
-                    # helper's generator, so every klpriv function, and any
-                    # profiling hook on it, stays on this thread
-                    draw = helper.submit(helper_rng.at(step_keys[k]).standard_normal, out=noise)
-                stats = make_stats(W)
-                if draw is not None:
-                    draw.result()
-                if stats is None:
-                    break
-                norms_sq, dots_S, S_sq, pn, pd, cross, mean_grad = stats
-                if (not np.isfinite(S_sq)
-                        or np.linalg.norm(mean_grad) > cfg.divergence_threshold):
-                    break
-                sq_diffs[k] = _diffs_from_scalars(data.n, neighbors.notion, norms_sq, dots_S,
-                                                  S_sq, pool_norms_sq=pn, pool_dots_S=pd,
-                                                  cross=cross, pairs=pairs)
-                completed = k + 1
-                if draw is None:
-                    keyed_generator(step_keys[k]).standard_normal(out=noise)
-                W = noisy_gd_step(W, ParamVector(arch, mean_grad), cfg.eta, cfg.sigma2,
-                                  noise_stream.child(k), noise=noise)
-            sq_diffs = sq_diffs[:completed]
-            cum, worst = _accumulate(sq_diffs, scale, recorded)
-            diverged = completed < cfg.steps
-            if diverged:
-                cum = np.full(neighbors.count, math.inf)
-            traces.append(KLTrace(
-                eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
-                recorded_steps=recorded.copy(), per_step_sq_diffs=sq_diffs,
-                cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
+    for run in range(cfg.runs):
+        init_stream, noise_stream = run_streams(cfg.seed, run)
+        sq_diffs = np.empty((cfg.steps, neighbors.count))
+        # no name here holds an iterate: the first goes straight in and only
+        # the rows come out, so no extra P-vector outlives a step or a run
+        rows = (row for _, row in _noisy_gd(
+            model.features.W0 if betas is None else sample_init(arch, betas, init_stream),
+            step, cfg.eta, cfg.sigma2, cfg.steps, noise_stream))
+        completed = 0
+        for completed, row in enumerate(rows, start=1):
+            sq_diffs[completed - 1] = row
+        sq_diffs = sq_diffs[:completed]
+        cum, worst = _accumulate(sq_diffs, scale, recorded)
+        diverged = completed < cfg.steps
+        if diverged:
+            cum = np.full(neighbors.count, math.inf)
+        traces.append(KLTrace(
+            eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
+            recorded_steps=recorded.copy(), per_step_sq_diffs=sq_diffs,
+            cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,
@@ -645,11 +666,3 @@ def _single_logistic_grad(W: ParamVector, x: np.ndarray, y: float) -> np.ndarray
     grad = J[..., 0, 0, :]
     grad *= r[..., 0, :]
     return grad
-
-
-def estimate_rank_MT(gradient_samples, tol: float = 1e-10) -> int:
-    """Numerical rank of the span of sampled gradients via their Gram matrix."""
-    G = _as_matrix(gradient_samples)
-    gram = G @ G.T
-    _, rank, _ = psd_spectrum(gram, tol=tol)
-    return rank

@@ -20,7 +20,7 @@ from .network import (
     loss_batch,
     residual_batch,
 )
-from .numerics import RankDeficiencyError, psd_spectrum, running_mean, solve_psd
+from .numerics import RankDeficiencyError, psd_spectrum, solve_psd
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ def lin_grads_at(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind) ->
     R = residual_batch(preds, Y, loss)
     n, o = preds.shape
     return np.einsum("nop,no->np", features.jac.reshape(n, o, -1), R)
-
-
-def lin_empirical_grad(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> ParamVector:
-    """Mean per-example gradient of the linearized model."""
-    G = lin_per_example_grads(features, W, Y, loss)
-    return ParamVector(features.arch, G.mean(axis=0))
 
 
 def lin_empirical_loss(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> float:
@@ -162,14 +156,3 @@ def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None
     R = float(alpha @ (K @ alpha))
     achieved = lin_empirical_loss(features, Wstar, y, LossKind.LOGISTIC_SINGLE)
     return LazySolution(Wstar=Wstar, R=R, achieved_loss=achieved, ridge_used=float(ridge))
-
-
-def running_average(params_seq) -> ParamVector:
-    """Arithmetic mean of a sequence of parameter vectors on one architecture."""
-    params_seq = list(params_seq)
-    if not params_seq:
-        raise ValueError("need at least one parameter vector")
-    arch = params_seq[0].arch
-    if any(p.arch != arch for p in params_seq):
-        raise ValueError("all parameter vectors must share an architecture")
-    return ParamVector(arch, running_mean([p.flat for p in params_seq]))

@@ -146,11 +146,6 @@ class ParamVector:
     def zeros(cls, arch: NetArch) -> "ParamVector":
         return cls(arch, np.zeros(arch.num_params))
 
-    @classmethod
-    def from_layers(cls, arch: NetArch, mats) -> "ParamVector":
-        flat = np.concatenate([np.asarray(M, dtype=float).ravel() for M in mats])
-        return cls(arch, flat)
-
     def expect_single(self, name: str = "parameters") -> "ParamVector":
         """Return self if it is one vector; raise ValueError naming ``name`` for a stack."""
         if self.flat.ndim != 1:

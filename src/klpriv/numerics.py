@@ -13,7 +13,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -334,10 +334,3 @@ def finite_diff_gradient(f: Callable[[np.ndarray], float], point: np.ndarray, h:
             raise ValueError("function returned a non-finite value near the base point")
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
-
-
-def running_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of a non-empty sequence of equally shaped vectors."""
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    return np.mean(np.stack(vectors), axis=0)

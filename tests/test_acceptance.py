@@ -31,15 +31,14 @@ from klpriv import (
     init_betas,
     kl_bound_linearized,
     lazy_solution,
-    lin_empirical_grad,
     lin_empirical_loss,
     lin_forward,
+    lin_per_example_grads,
     loss_value,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
     neighbor_grad_diffs,
-    noisy_gd_step,
     per_example_grad,
     per_example_grad_batch,
     run_kl_estimation,
@@ -49,6 +48,7 @@ from klpriv import (
     table_closed_form_B,
     tradeoff_schedule,
 )
+from klpriv.estimator import _noisy_gd
 
 SCHEMES = ("lecun", "he", "ntk", "xavier")
 
@@ -224,13 +224,13 @@ def test_c08_averaged_iterate_risk_bound():
         features = build_features(W0, data.X)
         gram = gram_analysis(features)
         sol = lazy_solution(features, data.Y, ridge=0.0)
-        W = W0.copy()
-        avg = np.zeros_like(W.flat)
-        for k in range(K):
-            g = lin_empirical_grad(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
-            W = noisy_gd_step(W, g, eta, sigma2, noise_stream.child(k))
-            avg += W.flat
-        W_avg = ParamVector(arch, avg / K)
+
+        def step(W):
+            G = lin_per_example_grads(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
+            return G.mean(axis=0), None
+
+        iterates = _noisy_gd(W0, step, eta, sigma2, K, noise_stream)
+        W_avg = ParamVector(arch, sum(W.flat for W, _ in iterates) / K)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y,
                                       LossKind.LOGISTIC_SINGLE)
         excesses.append(avg_loss - sol.achieved_loss)

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from klpriv import cli
 from klpriv.cli import RunConfig, load_config_file, main
 
 
@@ -408,6 +410,13 @@ class TestConfigFile:
         assert f"'{key}'" in err and f"'{raw}'" in err
 
 
+# every float flag, with a command that takes it
+FLOAT_FLAGS = [("estimate", "eta"), ("bound", "sigma2"), ("bound", "time"),
+               ("bound", "x-sqnorm"), ("bound", "beta-smooth"), ("bound", "c-grad"),
+               ("bound", "e-delta0"), ("bound", "e-grad0"), ("lazy", "ridge"),
+               ("estimate", "replay-sigma2")]
+
+
 class TestRunConfig:
     def test_header_is_sorted_and_complete(self):
         cfg = RunConfig(command="bound")
@@ -433,6 +442,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="--out"):
             RunConfig(replay_sigma2=0.04).validate()
         RunConfig(replay_sigma2=0.04, out="e.csv").validate()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_non_finite_float_flag_exits_2(self, capsys, command, flag, value):
+        argv = [command, f"--{flag}={value}", "--data", "synth:4", "--steps", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"--{flag} must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_float_flags_all_covered(self):
+        floats = {f.name.replace("_", "-") for f in fields(RunConfig)
+                  if cli._FIELD_TYPES.get(f.name) is float}
+        assert floats == {flag for _, flag in FLOAT_FLAGS}
 
     def test_runs_stay_below_the_data_streams(self):
         RunConfig(runs=(1 << 20) - 1).validate()

@@ -16,7 +16,6 @@ from klpriv.estimator import (
     DnnModel,
     LinearizedModel,
     TrainConfig,
-    estimate_rank_MT,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
@@ -39,7 +38,7 @@ from klpriv.network import (
     per_example_grad_batch,
     sample_init,
 )
-from klpriv.numerics import RngStream
+from klpriv.numerics import RngStream, keyed_generator
 
 
 ARCH = NetArch.uniform(4, 6, 2, 1)
@@ -63,16 +62,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, steps=1, sigma2=1.0, record_every=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["eta", "sigma2"])
+    def test_non_finite_rejected(self, name, value):
+        kwargs = {"eta": 0.1, "steps": 1, "sigma2": 1.0, name: value}
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(**kwargs)
+
 
 class TestNoisyGdStep:
     def test_zero_noise_is_plain_gd(self):
         W, g = _weights(0), _weights(1)
-        out = noisy_gd_step(W, g, eta=0.25, sigma2=0.0, rng=RngStream(2))
+        out = noisy_gd_step(W, g, eta=0.25, sigma2=0.0, noise=np.ones(W.flat.size))
         assert np.array_equal(out.flat, W.flat - 0.25 * g.flat)
 
     def test_zero_step_size_keeps_weights(self):
         W, g = _weights(0), _weights(1)
-        out = noisy_gd_step(W, g, eta=0.0, sigma2=0.7, rng=RngStream(2))
+        out = noisy_gd_step(W, g, eta=0.0, sigma2=0.7, noise=np.ones(W.flat.size))
         assert np.array_equal(out.flat, W.flat)
 
     def test_noise_variance_matches_2_eta_sigma2(self):
@@ -81,20 +87,25 @@ class TestNoisyGdStep:
         g = ParamVector.zeros(arch)
         eta, sigma2 = 0.3, 0.8
         reps = 100_000
-        base = RngStream(31)
+        keys = RngStream(31).keys(np.arange(reps))
         draws = np.empty((reps, arch.num_params))
         for r in range(reps):
-            draws[r] = noisy_gd_step(W, g, eta, sigma2, base.child(r)).flat
+            noise = keyed_generator(keys[r]).standard_normal(arch.num_params)
+            draws[r] = noisy_gd_step(W, g, eta, sigma2, noise).flat
         want = 2.0 * eta * sigma2
         sample_var = draws.var(axis=0, ddof=1)
         se = want * math.sqrt(2.0 / (reps - 1))
         assert np.max(np.abs(sample_var - want)) <= 4.0 * se
 
     def test_deterministic_given_stream(self):
-        W, g = _weights(0), _weights(1)
-        a = noisy_gd_step(W, g, 0.1, 0.5, RngStream(5))
-        b = noisy_gd_step(W, g, 0.1, 0.5, RngStream(5))
-        assert np.array_equal(a.flat, b.flat)
+        # the noise of a training run is a function of its stream alone
+        def iterates(stream):
+            return [W.flat for W, _ in estimator._noisy_gd(
+                _weights(0), lambda W: (0.5 * W.flat, None), 0.1, 0.5, 3, stream)]
+
+        a, b, other = iterates(RngStream(5)), iterates(RngStream(5)), iterates(RngStream(6))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        assert not any(np.array_equal(x, y) for x, y in zip(a, other, strict=True))
 
     def test_update_formula_exact_and_inputs_unchanged(self):
         W, g = _weights(0), _weights(1)
@@ -102,33 +113,104 @@ class TestNoisyGdStep:
         eta, sigma2 = 0.1, 0.5
         z = RngStream(5).generator().standard_normal(W.flat.size)
         want = W.flat - eta * g.flat + math.sqrt(2.0 * eta * sigma2) * z
-        drawn = noisy_gd_step(W, g, eta, sigma2, RngStream(5))
-        given = noisy_gd_step(W, g, eta, sigma2, RngStream(5), noise=z.copy())
-        assert np.array_equal(drawn.flat, want)
-        assert np.array_equal(given.flat, want)
+        noise = z.copy()
+        out = noisy_gd_step(W, g, eta, sigma2, noise)
+        assert np.array_equal(out.flat, want)
+        assert np.array_equal(noise, math.sqrt(2.0 * eta * sigma2) * z)   # scaled in place
         assert np.array_equal(W.flat, W_before)
         assert np.array_equal(g.flat, g_before)
 
     def test_validation(self):
         W = _weights(0)
+        noise = np.zeros(W.flat.size)
         other = sample_init(NetArch.uniform(3, 6, 2, 1),
                             init_betas("he", NetArch.uniform(3, 6, 2, 1)), RngStream(1))
         with pytest.raises(ValueError):
-            noisy_gd_step(W, other, 0.1, 0.5, RngStream(0))
+            noisy_gd_step(W, other, 0.1, 0.5, noise)
         with pytest.raises(ValueError):
-            noisy_gd_step(W, W, -0.1, 0.5, RngStream(0))
+            noisy_gd_step(W, W, -0.1, 0.5, noise)
         with pytest.raises(ValueError):
-            noisy_gd_step(W, W, 0.1, -0.5, RngStream(0))
+            noisy_gd_step(W, W, 0.1, -0.5, noise)
         with pytest.raises(ValueError):
-            noisy_gd_step(W, W, 0.1, 0.5, RngStream(0), noise=np.zeros(W.flat.size + 1))
+            noisy_gd_step(W, W, 0.1, 0.5, np.zeros(W.flat.size + 1))
 
     def test_stack_rejected(self):
         W = _weights(0)
+        noise = np.zeros(W.flat.size)
         stack = ParamVector(ARCH, np.stack([W.flat, W.flat]))
         with pytest.raises(ValueError, match="W must be one parameter vector"):
-            noisy_gd_step(stack, stack, 0.1, 0.5, RngStream(0))
+            noisy_gd_step(stack, stack, 0.1, 0.5, noise)
         with pytest.raises(ValueError, match="grad must be one parameter vector"):
-            noisy_gd_step(W, stack, 0.1, 0.5, RngStream(0))
+            noisy_gd_step(W, stack, 0.1, 0.5, noise)
+
+
+def _linear_grad(W):
+    """A gradient that depends on the iterate, so a wrong chain shows."""
+    return 0.3 * W.flat - 0.1
+
+
+class TestNoisyGdTrainer:
+    def test_yields_completed_iterates_until_step_stops(self):
+        seen = []
+
+        def step(W):
+            seen.append(W.flat.copy())
+            if len(seen) == 3:
+                return None
+            return _linear_grad(W), len(seen)
+
+        W0 = _weights(0)
+        before = W0.flat.copy()
+        out = list(estimator._noisy_gd(W0, step, 0.05, 0.01, 5, RngStream(2)))
+        assert [payload for _, payload in out] == [1, 2]
+        # step k saw the iterate step k-1 yielded; the stopping step updates nothing
+        assert np.array_equal(seen[0], before)
+        assert [W.flat.tobytes() for W, _ in out] == [x.tobytes() for x in seen[1:]]
+        assert np.array_equal(W0.flat, before)
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_iterates_equal_hand_written_chain(self, monkeypatch, above):
+        # gate P: the draws overlap the steps on a helper; gate P + 1: inline
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", ARCH.num_params + above)
+        fake = _FakeBlas()
+        monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
+        before = set(threading.enumerate())
+        helpers = []
+
+        def step(W):
+            helpers.append(len(set(threading.enumerate()) - before))
+            return _linear_grad(W), None
+
+        eta, sigma2, steps, stream = 0.05, 0.2, 6, RngStream(4).child(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [W.flat.tobytes() for W, _ in
+                   estimator._noisy_gd(_weights(0), step, eta, sigma2, steps, stream)]
+        finally:
+            sys.setswitchinterval(interval)
+        W, want = _weights(0), []
+        for k in range(steps):
+            noise = keyed_generator(stream.child(k).keys()).standard_normal(W.flat.size)
+            W = noisy_gd_step(W, ParamVector(ARCH, _linear_grad(W)), eta, sigma2, noise)
+            want.append(W.flat.tobytes())
+        assert got == want
+        assert helpers == [1 - above] * steps
+        assert fake.set_calls == [1, 2]     # pinned to one BLAS thread while training
+        assert set(threading.enumerate()) == before
+
+    def test_zero_steps_start_nothing(self, monkeypatch):
+        fake = _FakeBlas()
+        monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 0)
+        before = set(threading.enumerate())
+
+        def step(W):
+            raise AssertionError("no step at steps=0")
+
+        assert list(estimator._noisy_gd(_weights(0), step, 0.05, 0.01, 0, RngStream(2))) == []
+        assert fake.set_calls == []
+        assert set(threading.enumerate()) == before
 
 
 class TestNeighborGradDiffs:
@@ -810,19 +892,3 @@ class TestMonteCarloValidation:
             with pytest.raises(ValueError, match="samples must be at least 2"):
                 run()
 
-
-class TestEstimateRank:
-    def test_identical_gradients_rank_one(self):
-        g = np.ones((5, 7))
-        assert estimate_rank_MT(g) == 1
-
-    def test_orthogonal_rows_full_rank(self):
-        assert estimate_rank_MT(np.eye(4, 9)) == 4
-
-    def test_linearized_grads_rank_at_most_n(self):
-        arch = NetArch.uniform(4, 16, 2, 1)
-        W0 = sample_init(arch, init_betas("ntk", arch), RngStream(60))
-        data = synth_sphere(5, 4, RngStream(61))
-        feats = build_features(W0, data.X)
-        G = lin_per_example_grads(feats, W0, data.Y, LossKind.LOGISTIC_SINGLE)
-        assert estimate_rank_MT(G) <= 5

@@ -59,6 +59,9 @@ CASES = {
                          "--depth", "2", "--outputs", "2", "--samples", "50"], ()),
     "lazy": (["lazy", "--data", "synth:8", "--d", "16", "--width", "32", "--depth", "2",
               "--steps", "20", "--eta", "0.05", "--sigma2", "1e-4"], ()),
+    # one record: lazy trains without any neighbor set
+    "lazy-n1": (["lazy", "--data", "synth:1", "--d", "16", "--width", "32", "--depth", "2",
+                 "--steps", "3"], ()),
     "sweep": (["sweep", "--metric", "both", "--scheme", "he", "--widths", "6,8",
                "--depths", "2", "--d", "4", "--data", "synth:6", "--steps", "3",
                "--runs", "2", "--eta", "0.05", "--sigma2", "0.02"], ()),

@@ -8,11 +8,9 @@ from klpriv.linearized import (
     build_features,
     gram_analysis,
     lazy_solution,
-    lin_empirical_grad,
     lin_empirical_loss,
     lin_forward,
     lin_per_example_grads,
-    running_average,
 )
 from klpriv.network import (
     LossKind,
@@ -122,14 +120,6 @@ class TestLinGradients:
             g = per_example_grad(W0, X[i], Y[i], LossKind.LOGISTIC_SINGLE)
             assert np.allclose(G[i], g.flat, atol=1e-14)
 
-    def test_empirical_grad_is_mean(self):
-        feats = _orthonormal_features(3)
-        W = ParamVector(feats.arch, np.arange(feats.arch.num_params, dtype=float))
-        Y = np.array([1.0, -1.0, 1.0])
-        G = lin_per_example_grads(feats, W, Y, LossKind.LOGISTIC_SINGLE)
-        g = lin_empirical_grad(feats, W, Y, LossKind.LOGISTIC_SINGLE)
-        assert np.allclose(g.flat, G.mean(axis=0))
-
     def test_perfect_fit_has_negligible_gradient(self):
         # margin 20 on every example: |residual| = sigmoid(-20) = 1/(1+e^20)
         n = 4
@@ -231,23 +221,6 @@ class TestLazySolution:
         feats = build_features(W0, np.ones((2, 3)))
         with pytest.raises(ValueError):
             lazy_solution(feats, np.array([1.0, -1.0]))
-
-
-class TestRunningAverage:
-    def test_mean_of_two(self):
-        arch = NetArch(d=1, hidden=(1,), o=1)
-        a = ParamVector(arch, np.array([0.0, 4.0]))
-        b = ParamVector(arch, np.array([2.0, 0.0]))
-        avg = running_average([a, b])
-        assert np.allclose(avg.flat, [1.0, 2.0])
-
-    def test_empty_and_mismatched(self):
-        arch = NetArch(d=1, hidden=(1,), o=1)
-        other = NetArch(d=2, hidden=(1,), o=1)
-        with pytest.raises(ValueError):
-            running_average([])
-        with pytest.raises(ValueError):
-            running_average([ParamVector.zeros(arch), ParamVector.zeros(other)])
 
 
 class TestLinLoss:

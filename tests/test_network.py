@@ -104,12 +104,9 @@ class TestParamVector:
 
     def test_row_major_layout(self):
         a = NetArch(d=2, hidden=(2,), o=1)
-        W1 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        W2 = np.array([[5.0, 6.0]])
-        W = ParamVector.from_layers(a, [W1, W2])
-        assert np.array_equal(W.flat, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.array_equal(W.layer(1), W1)
-        assert np.array_equal(W.layer(2), W2)
+        W = ParamVector(a, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
+        assert np.array_equal(W.layer(1), [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(W.layer(2), [[5.0, 6.0]])
 
     def test_copy_is_independent(self):
         a = NetArch(d=2, hidden=(2,), o=1)
@@ -200,7 +197,7 @@ class TestSampleInit:
 class TestForward:
     def test_hand_computed_example(self):
         a = NetArch(d=2, hidden=(2,), o=1)
-        W = ParamVector.from_layers(a, [np.eye(2), np.array([[1.0, 1.0]])])
+        W = ParamVector(a, np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
         f, acts = forward(W, np.array([1.0, -2.0]))
         assert np.array_equal(acts[0], [1.0, -2.0])
         assert np.array_equal(acts[1], [1.0, 0.0])
@@ -310,7 +307,7 @@ class TestGradients:
     def test_relu_derivative_zero_at_kink(self):
         # first layer is all zeros, so every preactivation sits exactly at 0
         a = NetArch(d=2, hidden=(3,), o=1)
-        W = ParamVector.from_layers(a, [np.zeros((3, 2)), np.ones((1, 3))])
+        W = ParamVector(a, np.concatenate([np.zeros(6), np.ones(3)]))
         g = per_example_grad(W, np.array([1.0, 2.0]), 1.0, LossKind.LOGISTIC_SINGLE)
         assert not g.layer(1).any()
 

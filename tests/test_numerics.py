@@ -16,7 +16,6 @@ from klpriv.numerics import (
     gaussian_matrix,
     keyed_generator,
     psd_spectrum,
-    running_mean,
     solve_psd,
 )
 
@@ -358,22 +357,3 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda w: float("nan"), np.zeros(1))
 
-
-class TestRunningMean:
-    def test_single_vector(self):
-        v = np.array([1.0, 2.0])
-        assert np.array_equal(running_mean([v]), v)
-
-    def test_two_point_average(self):
-        out = running_mean([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
-        assert np.allclose(out, [1.0, 1.0])
-
-    def test_clt_band(self):
-        gen = RngStream(123).generator()
-        vecs = [gen.standard_normal(1) for _ in range(1000)]
-        m = running_mean(vecs)[0]
-        assert abs(m) <= 4.0 / np.sqrt(1000.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            running_mean([])
