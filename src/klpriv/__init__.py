@@ -21,7 +21,6 @@ from .data import (
     Dataset,
     Neighbor,
     NeighborSet,
-    NormMode,
     enumerate_neighbors,
     load_csv,
     normalize_to_sqrt_d,
@@ -60,12 +59,9 @@ from .network import (
     LossKind,
     NetArch,
     ParamVector,
-    empirical_grad,
-    forward,
+    forward_batch,
     init_betas,
-    loss_value,
-    output_jacobian,
-    per_example_grad,
+    jacobian_batch,
     per_example_grad_batch,
     sample_init,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,34 +45,19 @@ class Dataset:
         return 1 if self.Y.ndim == 1 else self.Y.shape[1]
 
 
-class NormMode(enum.Enum):
-    """Input normalization: cap norms at sqrt(d) or rescale every row exactly."""
-
-    CAP = "cap"
-    EXACT = "exact"
-
-
-def normalize_to_sqrt_d(X: np.ndarray, mode: NormMode = NormMode.EXACT) -> np.ndarray:
-    """Bring every row of X onto (or inside) the radius-sqrt(d) sphere."""
+def normalize_to_sqrt_d(X: np.ndarray) -> np.ndarray:
+    """Rescale every row of X onto the radius-sqrt(d) sphere."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d array")
     norms = np.linalg.norm(X, axis=1)
-    target = np.sqrt(X.shape[1])
-    if mode is NormMode.EXACT:
-        if np.any(norms == 0):
-            raise ValueError("cannot rescale zero rows to the sphere")
-        return X * (target / norms)[:, None]
-    scale = np.minimum(1.0, target / np.maximum(norms, 1e-300))
-    return X * scale[:, None]
+    if np.any(norms == 0):
+        raise ValueError("cannot rescale zero rows to the sphere")
+    return X * (np.sqrt(X.shape[1]) / norms)[:, None]
 
 
-def synth_sphere(n: int, d: int, rng: RngStream, teacher: np.ndarray | None = None) -> Dataset:
-    """Gaussian directions scaled to norm sqrt(d) with +-1 labels.
-
-    Labels are iid random signs unless a teacher vector is given, in which
-    case y = sign(<teacher, x>).
-    """
+def synth_sphere(n: int, d: int, rng: RngStream) -> Dataset:
+    """Gaussian directions scaled to norm sqrt(d) with iid random +-1 labels."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     gen = rng.generator()
@@ -80,21 +66,16 @@ def synth_sphere(n: int, d: int, rng: RngStream, teacher: np.ndarray | None = No
     while np.any(np.linalg.norm(X, axis=1) == 0):
         bad = np.linalg.norm(X, axis=1) == 0
         X[bad] = gen.standard_normal((int(bad.sum()), d))
-    X = normalize_to_sqrt_d(X, NormMode.EXACT)
-    if teacher is None:
-        Y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
-    else:
-        teacher = np.asarray(teacher, dtype=float)
-        if teacher.shape != (d,):
-            raise ValueError("teacher vector must have shape (d,)")
-        Y = np.where(X @ teacher >= 0, 1.0, -1.0)
+    X = normalize_to_sqrt_d(X)
+    Y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
     return Dataset(X=X, Y=Y)
 
 
-def load_csv(path, label_column: str, mode: NormMode = NormMode.EXACT) -> Dataset:
-    """Load a dataset from a headered CSV file.
+def load_csv(path, label_column: str) -> Dataset:
+    """Load a dataset from a headered CSV file of finite numbers.
 
-    Feature columns are everything except ``label_column``.  Two distinct
+    Feature columns are everything except ``label_column``; every feature
+    row is rescaled onto the radius-sqrt(d) sphere.  Two distinct
     label values map to -1/+1 (by sorted order, with an existing -1/+1 coding
     kept as is); three or more map to one-hot rows by sorted order.
     """
@@ -119,9 +100,11 @@ def load_csv(path, label_column: str, mode: NormMode = NormMode.EXACT) -> Datase
             vals = [float(c) for c in row]
         except ValueError:
             raise ValueError(f"non-numeric cell in row {k + 2}")
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"non-finite cell in row {k + 2}")
         raw_labels.append(vals[ycol])
         feats.append([v for j, v in enumerate(vals) if j != ycol])
-    X = normalize_to_sqrt_d(np.array(feats, dtype=float), mode)
+    X = normalize_to_sqrt_d(np.array(feats, dtype=float))
     labels = np.array(raw_labels)
     classes = np.unique(labels)
     if classes.size < 2:
@@ -185,8 +168,6 @@ def enumerate_neighbors(data: Dataset, notion: Neighbor, pool: Dataset | None = 
     replace-one the full n x pool grid, subsampled to ``cap`` pairs with a
     seeded stream when the grid is larger.
     """
-    if isinstance(notion, str):
-        notion = Neighbor(notion)
     if notion is Neighbor.REMOVE_ONE:
         if data.n < 2:
             raise ValueError("remove-one needs at least two records")

@@ -101,12 +101,12 @@ class GramAnalysis:
     lambda_min: float       # smallest eigenvalue counted in the rank
 
 
-def gram_analysis(features: NtkFeatures, tol: float = 1e-10) -> GramAnalysis:
+def gram_analysis(features: NtkFeatures) -> GramAnalysis:
     """Gram matrix and spectrum of the features; single-output models only."""
     if features.arch.o != 1:
         raise ValueError("gram analysis is defined for single-output models")
     K = features.jac @ features.jac.T
-    eigvals, rank, lam_min = psd_spectrum(K, tol=tol)
+    eigvals, rank, lam_min = psd_spectrum(K)
     return GramAnalysis(K=K, eigenvalues=eigvals, rank=rank, lambda_min=lam_min)
 
 

@@ -231,93 +231,19 @@ def _draw_layers(W: ParamVector, betas: tuple, keys: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Two layers, one optional stack axis.  The batched kernels below are the only
 # implementation of each operation: the estimator calls them on whole datasets
-# every training step, on inputs validated once up front.  Each takes one
-# parameter vector or a stack of S of them (ParamVector.flat of shape (S, P)),
-# with the same body: a stack puts a leading axis of S on every result, so
-# outputs are (S, n, o), deltas and the activations past the input are
-# (S, n, m_l) and gradient rows (S, n, P), while the (n, d) inputs broadcast
-# against the stack and stay unstacked as acts[0].  Slice s of a stack's
-# result equals the result for vector s alone bit for bit, because each slice
-# runs the same products as one vector does.  The single-example functions
-# are the kernels' n=1 views on one vector for per-example use; they reject
-# stacks, add the checks on input shape and label coding that a single record
-# from a caller needs, and return exactly the bits of the kernel's row.
+# every training step, on inputs validated once up front, and a single record
+# is a one-row batch.  Each takes one parameter vector or a stack of S of them
+# (ParamVector.flat of shape (S, P)), with the same body: a stack puts a
+# leading axis of S on every result, so outputs are (S, n, o), deltas and the
+# activations past the input are (S, n, m_l) and gradient rows (S, n, P),
+# while the (n, d) inputs broadcast against the stack and stay unstacked as
+# acts[0].  Slice s of a stack's result equals the result for vector s alone
+# bit for bit, because each slice runs the same products as one vector does.
 # backprop_deltas is the one backward recursion: loss gradients backprop the
 # loss residuals, output Jacobians the unit residuals e_1..e_o.  Rows of a
-# batch with n > 1 go through larger GEMMs and may differ from the n=1 view in
+# batch with n > 1 go through larger GEMMs and may differ from n=1 calls in
 # the last bits.
 # ---------------------------------------------------------------------------
-
-def _input_row(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    params.expect_single()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.arch.d,):
-        raise ValueError(f"input must have shape ({params.arch.d},)")
-    return x[None, :]
-
-
-def _label_row(f_shape: tuple[int, ...], y, loss: LossKind) -> np.ndarray:
-    """Check one label against an output of shape ``f_shape``; return it as a batch row."""
-    if loss is LossKind.LOGISTIC_SINGLE:
-        if f_shape != (1,):
-            raise ValueError("logistic loss needs a single output")
-        yv = float(np.asarray(y).reshape(()))
-        if yv not in (-1.0, 1.0):
-            raise ValueError("logistic labels must be +-1")
-        return np.array([yv])
-    y = np.asarray(y, dtype=float)
-    if y.shape != f_shape:
-        raise ValueError("one-hot label must match the output shape")
-    return y[None, :]
-
-
-def forward(params: ParamVector, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Network output and all activations (h_0 = x, ..., h_{L-1}).
-
-    Returns:
-        ``(f, acts)`` with ``f`` of shape (o,) and ``acts`` a list of the L
-        activation vectors feeding each layer.
-    """
-    F, acts = forward_batch(params, _input_row(params, x))
-    return F[0], [h[0] for h in acts]
-
-
-def loss_value(f: np.ndarray, y, loss: LossKind) -> float:
-    """Per-example loss at network output f."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    return float(loss_batch(f[None, :], _label_row(f.shape, y, loss), loss)[0])
-
-
-def loss_residual(f: np.ndarray, y, loss: LossKind) -> np.ndarray:
-    """Derivative of the per-example loss with respect to the output f."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    return residual_batch(f[None, :], _label_row(f.shape, y, loss), loss)[0]
-
-
-def per_example_grad(params: ParamVector, x: np.ndarray, y, loss: LossKind) -> ParamVector:
-    """Gradient of the per-example loss by reverse accumulation."""
-    Y = _label_row((params.arch.o,), y, loss)
-    G = per_example_grad_batch(params, _input_row(params, x), Y, loss)
-    return ParamVector(params.arch, G[0])
-
-
-def output_jacobian(params: ParamVector, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the network output with respect to the flat parameters.
-
-    Row j holds the gradient of output coordinate j, laid out in the same
-    order as :class:`ParamVector`.
-    """
-    return jacobian_batch(params, _input_row(params, x))[1][0]
-
-
-def empirical_grad(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> ParamVector:
-    """Mean per-example gradient over a dataset."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("need a non-empty (n, d) design matrix")
-    G = per_example_grad_batch(params, X, Y, loss)
-    return ParamVector(params.arch, G.mean(axis=-2))
-
 
 def forward_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Vectorized forward pass; returns (..., n, o) outputs and per-layer activations."""

@@ -269,12 +269,12 @@ def gaussian_matrix(rows: int, cols: int, variance: float,
     return keyed_generator(key).normal(0.0, np.sqrt(variance), size=(rows, cols))
 
 
-def psd_spectrum(K: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
+def psd_spectrum(K: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Eigenvalues, numerical rank and smallest positive eigenvalue of a PSD matrix.
 
     Symmetry is enforced by averaging ``K`` with its transpose before the
     decomposition.  An eigenvalue counts toward the rank when it exceeds
-    ``tol * max_eigenvalue``.
+    1e-10 times the largest eigenvalue.
 
     Returns:
         ``(eigenvalues ascending, rank, lambda_min_nonzero)`` where
@@ -288,8 +288,7 @@ def psd_spectrum(K: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, int, fl
     sym = 0.5 * (K + K.T)
     eigvals = np.linalg.eigvalsh(sym)
     top = max(eigvals[-1], 0.0) if eigvals.size else 0.0
-    threshold = tol * top
-    above = eigvals[eigvals > threshold]
+    above = eigvals[eigvals > 1e-10 * top]
     rank = int(above.size)
     lam_min = float(above[0]) if rank > 0 else 0.0
     return eigvals, rank, lam_min

@@ -25,7 +25,7 @@ from klpriv import (
     dnn_drift_bound,
     enumerate_neighbors,
     finite_diff_gradient,
-    forward,
+    forward_batch,
     gradient_norm_constant_B,
     gram_analysis,
     init_betas,
@@ -34,12 +34,10 @@ from klpriv import (
     lin_empirical_loss,
     lin_forward,
     lin_per_example_grads,
-    loss_value,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
     neighbor_grad_diffs,
-    per_example_grad,
     per_example_grad_batch,
     run_kl_estimation,
     run_streams,
@@ -49,6 +47,7 @@ from klpriv import (
     tradeoff_schedule,
 )
 from klpriv.estimator import _noisy_gd
+from klpriv.network import loss_batch
 
 SCHEMES = ("lecun", "he", "ntk", "xavier")
 
@@ -140,12 +139,13 @@ def test_c04_backprop_matches_central_finite_differences():
 
         def f(flat, x=x, y=y):
             pv = ParamVector(arch, np.asarray(flat, dtype=float))
-            return loss_value(forward(pv, x)[0], y, LossKind.CROSS_ENTROPY_MULTI)
+            return loss_batch(forward_batch(pv, x[None])[0], y[None],
+                              LossKind.CROSS_ENTROPY_MULTI)[0]
 
-        g = per_example_grad(params, x, y, LossKind.CROSS_ENTROPY_MULTI)
+        g = per_example_grad_batch(params, x[None], y[None], LossKind.CROSS_ENTROPY_MULTI)[0]
         fd = finite_diff_gradient(f, params.flat.copy())
         scale = max(float(np.max(np.abs(fd))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(g.flat - fd))) / scale)
+        worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
     _verdict(4, "backprop vs finite differences", t0, 5.0, worst <= 1e-5,
              f"max rel err {worst:.2e} over 20 inputs")
 

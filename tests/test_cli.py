@@ -210,6 +210,21 @@ class TestEstimate:
     def test_all_schemes_rejected(self):
         assert main(["estimate", *_FAST_ESTIMATE, "--scheme", "all"]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["feature", "label"])
+    def test_non_finite_csv_cell_exits_2(self, tmp_path, capsys, cell, column):
+        rows = [["0.5", "1.0", "1"], ["1.0", "-0.5", "-1"], ["2.0", "0.5", "1"],
+                ["-1.0", "1.5", "-1"], ["0.5", "-2.0", "1"]]
+        rows[2][0 if column == "feature" else 2] = cell
+        p = tmp_path / "f.csv"
+        p.write_text("x0,x1,label\n" + "".join(",".join(r) + "\n" for r in rows))
+        out = tmp_path / "e.csv"
+        rc = main(["estimate", "--data", f"csv:{p}", "--d", "2", "--width", "4",
+                   "--depth", "2", "--steps", "3", "--runs", "1", "--out", str(out)])
+        assert rc == 2
+        assert "non-finite cell in row 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_add_neighbor_uses_pool(self, tmp_path):
         out = tmp_path / "e.csv"
         rc = main(["estimate", *_FAST_ESTIMATE, "--neighbor", "add",

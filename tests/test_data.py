@@ -6,7 +6,6 @@ import pytest
 from klpriv.data import (
     Dataset,
     Neighbor,
-    NormMode,
     enumerate_neighbors,
     load_csv,
     normalize_to_sqrt_d,
@@ -35,38 +34,24 @@ class TestDataset:
 class TestNormalize:
     def test_exact_puts_rows_on_sphere(self):
         X = RngStream(1).generator().standard_normal((20, 7))
-        out = normalize_to_sqrt_d(X, NormMode.EXACT)
+        out = normalize_to_sqrt_d(X)
         norms = np.linalg.norm(out, axis=1)
         assert np.max(np.abs(norms - np.sqrt(7.0))) <= 1e-12
 
     def test_row_already_on_sphere_unchanged(self):
         # (2, 0, 0, 0) has norm exactly sqrt(4): the scale factor is exactly 1
         X = np.array([[2.0, 0.0, 0.0, 0.0]])
-        assert np.array_equal(normalize_to_sqrt_d(X, NormMode.EXACT), X)
-        assert np.array_equal(normalize_to_sqrt_d(X, NormMode.CAP), X)
-
-    def test_cap_shrinks_large_rows_only(self):
-        d = 4
-        big = np.full(d, 2.0)            # norm 4 = 2 sqrt(d)
-        small = np.array([0.5, 0.0, 0.0, 0.0])   # norm sqrt(d)/4
-        out = normalize_to_sqrt_d(np.stack([big, small]), NormMode.CAP)
-        assert np.linalg.norm(out[0]) == pytest.approx(2.0, rel=1e-12)
-        assert np.array_equal(out[1], small)
+        assert np.array_equal(normalize_to_sqrt_d(X), X)
 
     def test_idempotent(self):
         X = RngStream(2).generator().standard_normal((10, 5))
-        once = normalize_to_sqrt_d(X, NormMode.EXACT)
-        twice = normalize_to_sqrt_d(once, NormMode.EXACT)
+        once = normalize_to_sqrt_d(X)
+        twice = normalize_to_sqrt_d(once)
         assert np.max(np.abs(twice - once)) <= 1e-15 * np.max(np.abs(once))
-        capped = normalize_to_sqrt_d(X, NormMode.CAP)
-        assert np.allclose(normalize_to_sqrt_d(capped, NormMode.CAP), capped,
-                           rtol=1e-15, atol=0)
 
     def test_exact_rejects_zero_rows(self):
         with pytest.raises(ValueError):
-            normalize_to_sqrt_d(np.zeros((2, 3)), NormMode.EXACT)
-        out = normalize_to_sqrt_d(np.zeros((2, 3)), NormMode.CAP)
-        assert not out.any()
+            normalize_to_sqrt_d(np.zeros((2, 3)))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -102,18 +87,11 @@ class TestSynthSphere:
         np.fill_diagonal(C, 0.0)
         assert C.max() < 1.0 - 1e-12
 
-    def test_teacher_labels(self):
-        w = np.array([1.0, -2.0, 0.5])
-        data = synth_sphere(40, 3, RngStream(8), teacher=w)
-        assert np.array_equal(data.Y, np.where(data.X @ w >= 0, 1.0, -1.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_sphere(0, 3, RngStream(0))
         with pytest.raises(ValueError):
             synth_sphere(3, 0, RngStream(0))
-        with pytest.raises(ValueError):
-            synth_sphere(3, 3, RngStream(0), teacher=np.ones(4))
 
 
 class TestCsvIO:
@@ -121,7 +99,7 @@ class TestCsvIO:
         data = synth_sphere(8, 5, RngStream(9))
         path = tmp_path / "d.csv"
         save_csv(data, path)
-        back = load_csv(path, "label", NormMode.EXACT)
+        back = load_csv(path, "label")
         assert back.n == 8 and back.d == 5
         assert np.max(np.abs(back.X - data.X)) <= 1e-15 * np.max(np.abs(data.X))
         assert np.array_equal(back.Y, data.Y)
@@ -129,19 +107,19 @@ class TestCsvIO:
     def test_existing_pm1_coding_kept(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,label\n2.0,1\n-1.0,-1\n0.5,1\n")
-        data = load_csv(path, "label", NormMode.CAP)
+        data = load_csv(path, "label")
         assert np.array_equal(data.Y, [1.0, -1.0, 1.0])
 
     def test_two_classes_mapped_by_sorted_order(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,label\n2.0,0\n-1.0,5\n0.5,0\n")
-        data = load_csv(path, "label", NormMode.CAP)
+        data = load_csv(path, "label")
         assert np.array_equal(data.Y, [-1.0, 1.0, -1.0])
 
     def test_three_classes_one_hot(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,x1,label\n1,0,2\n0,1,0\n1,1,1\n0,2,2\n")
-        data = load_csv(path, "label", NormMode.CAP)
+        data = load_csv(path, "label")
         assert data.num_outputs == 3
         want = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
         assert np.array_equal(data.Y, want)
@@ -149,14 +127,14 @@ class TestCsvIO:
     def test_label_column_position_free(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,x0,x1\n1,3.0,4.0\n-1,0.0,1.0\n")
-        data = load_csv(path, "label", NormMode.CAP)
+        data = load_csv(path, "label")
         assert data.d == 2
-        assert np.allclose(data.X[1], [0.0, 1.0])
+        assert np.allclose(data.X[1], [0.0, np.sqrt(2.0)])
 
     def test_normalization_applied(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,x1,label\n3.0,4.0,1\n1.0,0.0,-1\n")
-        data = load_csv(path, "label", NormMode.EXACT)
+        data = load_csv(path, "label")
         norms = np.linalg.norm(data.X, axis=1)
         assert np.allclose(norms, np.sqrt(2.0), rtol=1e-12)
 
@@ -182,6 +160,18 @@ class TestCsvIO:
             load_csv(p, "label")
         with pytest.raises(ValueError):
             save_csv(Dataset(X=np.zeros((2, 2)), Y=np.eye(2)), tmp_path / "o.csv")
+
+    @pytest.mark.parametrize("body, row", [
+        ("nan,0.5,1\n1.0,2.0,-1\n", 2),
+        ("1.0,0.5,1\n1.0,inf,-1\n", 3),
+        ("1.0,0.5,1\n-inf,2.0,-1\n", 3),
+        ("1.0,0.5,1\n1.0,2.0,-1\n0.5,0.5,nan\n", 4),
+    ], ids=["nan-feature", "inf-feature", "minus-inf-feature", "nan-label"])
+    def test_non_finite_cell_names_its_row(self, tmp_path, body, row):
+        p = tmp_path / "bad.csv"
+        p.write_text("x0,x1,label\n" + body)
+        with pytest.raises(ValueError, match=f"^non-finite cell in row {row}$"):
+            load_csv(p, "label")
 
 
 class TestEnumerateNeighbors:
@@ -213,10 +203,6 @@ class TestEnumerateNeighbors:
         assert len(set(a.indices)) == 100
         c = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=100, seed=6)
         assert c.indices != a.indices
-
-    def test_string_notion_accepted(self):
-        ns = enumerate_neighbors(self._data(4), "remove")
-        assert ns.notion is Neighbor.REMOVE_ONE
 
     def test_validation(self):
         one = self._data(2).X[:1]

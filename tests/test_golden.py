@@ -10,6 +10,9 @@ the arithmetic behind a number re-records them the same way.
 ``namespaces.json`` holds ``repr`` of every attribute of
 ``build_parser().parse_args([command])``, so the parser's flags, defaults
 and their types are pinned independently of how the parser is built.
+``public_names.json`` lists the public names of the ``klpriv`` package
+(its exports and its submodules, ``cli`` included since this module imports
+it), so adding or removing one is a visible diff.
 """
 
 import json
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import klpriv
 from klpriv.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -110,3 +114,8 @@ def test_parser_defaults_unchanged(command):
     expected = json.loads((GOLDEN / "namespaces.json").read_text())[command]
     ns = vars(build_parser().parse_args([command]))
     assert {k: repr(v) for k, v in ns.items()} == expected
+
+
+def test_public_names_unchanged():
+    expected = json.loads((GOLDEN / "public_names.json").read_text())
+    assert sorted(n for n in vars(klpriv) if not n.startswith("_")) == expected

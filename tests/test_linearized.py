@@ -16,10 +16,9 @@ from klpriv.network import (
     LossKind,
     NetArch,
     ParamVector,
-    forward,
     init_betas,
-    output_jacobian,
-    per_example_grad,
+    jacobian_batch,
+    per_example_grad_batch,
     sample_init,
 )
 from klpriv.numerics import RankDeficiencyError, RngStream
@@ -57,9 +56,9 @@ class TestBuildFeatures:
         assert feats.f0.shape == (5, 2)
         assert feats.jac.shape == (10, arch.num_params)
         for i in range(5):
-            f, _ = forward(W0, X[i])
-            assert np.allclose(feats.f0[i], f)
-            assert np.allclose(feats.jac[2 * i:2 * i + 2], output_jacobian(W0, X[i]))
+            F, J = jacobian_batch(W0, X[i:i + 1])
+            assert np.allclose(feats.f0[i], F[0])
+            assert np.allclose(feats.jac[2 * i:2 * i + 2], J[0])
 
     def test_w0_is_snapshotted(self):
         arch = NetArch.uniform(3, 4, 2, 1)
@@ -117,8 +116,8 @@ class TestLinGradients:
         feats = build_features(W0, X)
         G = lin_per_example_grads(feats, W0, Y, LossKind.LOGISTIC_SINGLE)
         for i in range(3):
-            g = per_example_grad(W0, X[i], Y[i], LossKind.LOGISTIC_SINGLE)
-            assert np.allclose(G[i], g.flat, atol=1e-14)
+            g = per_example_grad_batch(W0, X[i:i + 1], Y[i:i + 1], LossKind.LOGISTIC_SINGLE)
+            assert np.allclose(G[i], g[0], atol=1e-14)
 
     def test_perfect_fit_has_negligible_gradient(self):
         # margin 20 on every example: |residual| = sigmoid(-20) = 1/(1+e^20)

@@ -12,17 +12,11 @@ from klpriv.network import (
     LossKind,
     NetArch,
     ParamVector,
-    empirical_grad,
-    forward,
     forward_batch,
     init_betas,
     jacobian_batch,
     loss_backprop,
     loss_batch,
-    loss_residual,
-    loss_value,
-    output_jacobian,
-    per_example_grad,
     per_example_grad_batch,
     residual_batch,
     backprop_deltas,
@@ -33,6 +27,22 @@ from klpriv.numerics import RngStream, finite_diff_gradient
 
 
 ARCH = NetArch.uniform(10, 100, 3, 1)
+LOGISTIC, MULTI = LossKind.LOGISTIC_SINGLE, LossKind.CROSS_ENTROPY_MULTI
+
+
+def _row(y):
+    """One label as a one-row batch: (1,) for a +-1 scalar, (1, o) for a one-hot vector."""
+    return np.asarray(y, dtype=float)[None]
+
+
+def _grad(W, x, y, loss):
+    """Per-example loss gradient at one record, as a parameter vector."""
+    return ParamVector(W.arch, per_example_grad_batch(W, x[None], _row(y), loss)[0])
+
+
+def _loss_of_weights(a, x, y, loss):
+    """The loss at record (x, y) as a function of the flat weights, for finite differences."""
+    return lambda w: loss_batch(forward_batch(ParamVector(a, w), x[None])[0], _row(y), loss)[0]
 
 
 class TestNetArch:
@@ -198,63 +208,43 @@ class TestForward:
     def test_hand_computed_example(self):
         a = NetArch(d=2, hidden=(2,), o=1)
         W = ParamVector(a, np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
-        f, acts = forward(W, np.array([1.0, -2.0]))
-        assert np.array_equal(acts[0], [1.0, -2.0])
-        assert np.array_equal(acts[1], [1.0, 0.0])
-        assert f == pytest.approx(1.0)
+        F, acts = forward_batch(W, np.array([[1.0, -2.0]]))
+        assert np.array_equal(acts[0], [[1.0, -2.0]])
+        assert np.array_equal(acts[1], [[1.0, 0.0]])
+        assert F[0] == pytest.approx([1.0])
 
     def test_positive_homogeneity_in_input(self):
         a = NetArch.uniform(4, 6, 3, 2)
         W = sample_init(a, init_betas("he", a), RngStream(5))
         x = RngStream(6).generator().standard_normal(4)
-        f1, _ = forward(W, x)
-        f3, _ = forward(W, 3.0 * x)
-        assert np.allclose(f3, 3.0 * f1, rtol=1e-12)
-
-    def test_input_shape_checked(self):
-        a = NetArch.uniform(4, 6, 2, 1)
-        W = ParamVector.zeros(a)
-        with pytest.raises(ValueError):
-            forward(W, np.zeros(3))
+        F1, _ = forward_batch(W, x[None])
+        F3, _ = forward_batch(W, 3.0 * x[None])
+        assert np.allclose(F3, 3.0 * F1, rtol=1e-12)
 
 
 class TestLosses:
     def test_logistic_at_zero(self):
-        assert loss_value(np.array([0.0]), 1.0, LossKind.LOGISTIC_SINGLE) == pytest.approx(np.log(2.0))
-        r = loss_residual(np.array([0.0]), 1.0, LossKind.LOGISTIC_SINGLE)
-        assert r == pytest.approx([-0.5])
-        r = loss_residual(np.array([0.0]), -1.0, LossKind.LOGISTIC_SINGLE)
-        assert r == pytest.approx([0.5])
+        F = np.array([[0.0]])
+        assert loss_batch(F, _row(1.0), LOGISTIC) == pytest.approx([np.log(2.0)])
+        assert residual_batch(F, _row(1.0), LOGISTIC)[0] == pytest.approx([-0.5])
+        assert residual_batch(F, _row(-1.0), LOGISTIC)[0] == pytest.approx([0.5])
 
     def test_logistic_large_margin_stable(self):
-        v = loss_value(np.array([1000.0]), 1.0, LossKind.LOGISTIC_SINGLE)
+        v = loss_batch(np.array([[1000.0]]), _row(1.0), LOGISTIC)[0]
         assert v == pytest.approx(0.0, abs=1e-12)
-        v = loss_value(np.array([-1000.0]), 1.0, LossKind.LOGISTIC_SINGLE)
+        v = loss_batch(np.array([[-1000.0]]), _row(1.0), LOGISTIC)[0]
         assert v == pytest.approx(1000.0)
-
-    def test_logistic_label_validated(self):
-        with pytest.raises(ValueError):
-            loss_value(np.array([0.0]), 0.5, LossKind.LOGISTIC_SINGLE)
-        with pytest.raises(ValueError):
-            loss_value(np.array([0.0, 0.0]), 1.0, LossKind.LOGISTIC_SINGLE)
 
     def test_cross_entropy_uniform_outputs(self):
-        f = np.zeros(2)
-        y = np.array([1.0, 0.0])
-        assert loss_value(f, y, LossKind.CROSS_ENTROPY_MULTI) == pytest.approx(np.log(2.0))
-        r = loss_residual(f, y, LossKind.CROSS_ENTROPY_MULTI)
-        assert r == pytest.approx([-0.5, 0.5])
+        F = np.zeros((1, 2))
+        y = _row([1.0, 0.0])
+        assert loss_batch(F, y, MULTI) == pytest.approx([np.log(2.0)])
+        assert residual_batch(F, y, MULTI)[0] == pytest.approx([-0.5, 0.5])
 
     def test_cross_entropy_stable_at_large_logits(self):
-        f = np.array([1000.0, 0.0])
-        y = np.array([0.0, 1.0])
-        v = loss_value(f, y, LossKind.CROSS_ENTROPY_MULTI)
+        v = loss_batch(np.array([[1000.0, 0.0]]), _row([0.0, 1.0]), MULTI)[0]
         assert np.isfinite(v)
         assert v == pytest.approx(1000.0)
-
-    def test_cross_entropy_shape_checked(self):
-        with pytest.raises(ValueError):
-            loss_value(np.zeros(3), np.array([1.0, 0.0]), LossKind.CROSS_ENTROPY_MULTI)
 
 
 class TestGradients:
@@ -263,24 +253,16 @@ class TestGradients:
         W = sample_init(a, init_betas("he", a), RngStream(17))
         x = RngStream(18).generator().standard_normal(5)
         y = np.array([0.0, 1.0])
-        g = per_example_grad(W, x, y, LossKind.CROSS_ENTROPY_MULTI)
-        fd = finite_diff_gradient(
-            lambda w: loss_value(forward(ParamVector(a, w), x)[0], y,
-                                 LossKind.CROSS_ENTROPY_MULTI),
-            W.flat,
-        )
+        g = _grad(W, x, y, MULTI)
+        fd = finite_diff_gradient(_loss_of_weights(a, x, y, MULTI), W.flat)
         denom = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(g.flat - fd)) / denom <= 1e-6
 
         a1 = NetArch.uniform(4, 6, 2, 1)
         W1 = sample_init(a1, init_betas("lecun", a1), RngStream(19))
         x1 = RngStream(20).generator().standard_normal(4)
-        g1 = per_example_grad(W1, x1, -1.0, LossKind.LOGISTIC_SINGLE)
-        fd1 = finite_diff_gradient(
-            lambda w: loss_value(forward(ParamVector(a1, w), x1)[0], -1.0,
-                                 LossKind.LOGISTIC_SINGLE),
-            W1.flat,
-        )
+        g1 = _grad(W1, x1, -1.0, LOGISTIC)
+        fd1 = finite_diff_gradient(_loss_of_weights(a1, x1, -1.0, LOGISTIC), W1.flat)
         denom1 = max(np.max(np.abs(fd1)), 1e-12)
         assert np.max(np.abs(g1.flat - fd1)) / denom1 <= 1e-6
 
@@ -290,25 +272,25 @@ class TestGradients:
         W = sample_init(a, init_betas("he", a), RngStream(23))
         W.layer(a.L)[:] = 0.0
         x = RngStream(24).generator().standard_normal(3)
-        jac = output_jacobian(W, x)
+        jac = jacobian_batch(W, x[None])[1][0]
         for y in (1.0, -1.0):
-            g = per_example_grad(W, x, y, LossKind.LOGISTIC_SINGLE)
+            g = _grad(W, x, y, LOGISTIC)
             assert np.allclose(g.flat, -(y / 2.0) * jac[0], atol=1e-15)
 
     def test_zero_input_kills_first_layer(self):
         a = NetArch.uniform(4, 6, 3, 1)
         W = sample_init(a, init_betas("he", a), RngStream(29))
         x = np.zeros(4)
-        g = per_example_grad(W, x, 1.0, LossKind.LOGISTIC_SINGLE)
+        g = _grad(W, x, 1.0, LOGISTIC)
         assert not g.layer(1).any()
-        jac = output_jacobian(W, x)
+        jac = jacobian_batch(W, x[None])[1][0]
         assert not jac[:, :a.layer_offsets[1]].any()
 
     def test_relu_derivative_zero_at_kink(self):
         # first layer is all zeros, so every preactivation sits exactly at 0
         a = NetArch(d=2, hidden=(3,), o=1)
         W = ParamVector(a, np.concatenate([np.zeros(6), np.ones(3)]))
-        g = per_example_grad(W, np.array([1.0, 2.0]), 1.0, LossKind.LOGISTIC_SINGLE)
+        g = _grad(W, np.array([1.0, 2.0]), 1.0, LOGISTIC)
         assert not g.layer(1).any()
 
     def test_grad_is_jacobian_transpose_residual(self):
@@ -316,20 +298,20 @@ class TestGradients:
         W = sample_init(a, init_betas("ntk", a), RngStream(31))
         x = RngStream(32).generator().standard_normal(4)
         y = np.array([0.0, 0.0, 1.0])
-        f, _ = forward(W, x)
-        r = loss_residual(f, y, LossKind.CROSS_ENTROPY_MULTI)
-        g = per_example_grad(W, x, y, LossKind.CROSS_ENTROPY_MULTI)
-        assert np.allclose(g.flat, output_jacobian(W, x).T @ r, atol=1e-14)
+        F, J = jacobian_batch(W, x[None])
+        r = residual_batch(F, _row(y), MULTI)[0]
+        g = _grad(W, x, y, MULTI)
+        assert np.allclose(g.flat, J[0].T @ r, atol=1e-14)
 
     def test_last_layer_block_is_residual_outer_activation(self):
         a = NetArch.uniform(3, 4, 2, 2)
         W = sample_init(a, init_betas("he", a), RngStream(33))
         x = RngStream(34).generator().standard_normal(3)
         y = np.array([1.0, 0.0])
-        f, acts = forward(W, x)
-        r = loss_residual(f, y, LossKind.CROSS_ENTROPY_MULTI)
-        g = per_example_grad(W, x, y, LossKind.CROSS_ENTROPY_MULTI)
-        assert np.allclose(g.layer(a.L), np.outer(r, acts[-1]))
+        F, acts = forward_batch(W, x[None])
+        r = residual_batch(F, _row(y), MULTI)[0]
+        g = _grad(W, x, y, MULTI)
+        assert np.allclose(g.layer(a.L), np.outer(r, acts[-1][0]))
 
 
 class TestBatchedOps:
@@ -348,34 +330,23 @@ class TestBatchedOps:
     @pytest.mark.parametrize("o", [1, 3])
     def test_batch_matches_single(self, o):
         a, W, X, Y, loss = self._setup(o)
-        F, J = jacobian_batch(W, X)
+        F, acts = forward_batch(W, X)
+        FJ, J = jacobian_batch(W, X)
         G = per_example_grad_batch(W, X, Y, loss)
         LB = loss_batch(F, Y, loss)
         RB = residual_batch(F, Y, loss)
+        assert np.array_equal(FJ, F)
         for i in range(X.shape[0]):
-            # each single-example op is its batched kernel at n=1, bit for bit
+            # a larger batch multiplies as a GEMM, so its rows agree with
+            # one-row calls up to rounding
             Xi, Yi = X[i:i + 1], Y[i:i + 1]
-            f, acts = forward(W, X[i])
             Fi, acts_i = forward_batch(W, Xi)
-            assert np.array_equal(f, Fi[0])
-            assert all(np.array_equal(h, hb[0]) for h, hb in zip(acts, acts_i, strict=True))
-            assert np.array_equal(output_jacobian(W, X[i]), jacobian_batch(W, Xi)[1][0])
-            assert np.array_equal(per_example_grad(W, X[i], Y[i], loss).flat,
-                                  per_example_grad_batch(W, Xi, Yi, loss)[0])
-            assert loss_value(f, Y[i], loss) == loss_batch(Fi, Yi, loss)[0]
-            assert np.array_equal(loss_residual(f, Y[i], loss), residual_batch(Fi, Yi, loss)[0])
-            # a larger batch multiplies as a GEMM, so its rows agree up to rounding
-            assert np.allclose(F[i], f)
-            assert np.allclose(J[i], output_jacobian(W, X[i]))
-            assert np.allclose(G[i], per_example_grad(W, X[i], Y[i], loss).flat)
-            assert LB[i] == pytest.approx(loss_value(f, Y[i], loss))
-            assert np.allclose(RB[i], loss_residual(f, Y[i], loss))
-
-    def test_empirical_grad_is_mean(self):
-        a, W, X, Y, loss = self._setup(1)
-        G = per_example_grad_batch(W, X, Y, loss)
-        g = empirical_grad(W, X, Y, loss)
-        assert np.allclose(g.flat, G.mean(axis=0))
+            assert np.allclose(F[i], Fi[0])
+            assert all(np.allclose(h[i], hi[0]) for h, hi in zip(acts, acts_i, strict=True))
+            assert np.allclose(J[i], jacobian_batch(W, Xi)[1][0])
+            assert np.allclose(G[i], per_example_grad_batch(W, Xi, Yi, loss)[0])
+            assert LB[i] == pytest.approx(loss_batch(Fi, Yi, loss)[0])
+            assert np.allclose(RB[i], residual_batch(Fi, Yi, loss)[0])
 
     def test_non_finite_forward(self):
         a, W, X, Y, loss = self._setup(1)
@@ -402,21 +373,9 @@ class TestBatchedOps:
             h = np.maximum(z, 0.0)
         _, J = jacobian_batch(W, x[None, :])
         for j in range(o):
-            fd = finite_diff_gradient(lambda w: forward(ParamVector(a, w), x)[0][j], W.flat)
+            fd = finite_diff_gradient(lambda w: forward_batch(ParamVector(a, w), x[None])[0][0, j],
+                                      W.flat)
             assert np.max(np.abs(J[0, j] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
-
-    def test_single_example_views_reject_stacks(self):
-        a, W, X, Y, loss = self._setup(1)
-        Ws = ParamVector(a, np.stack([W.flat, W.flat]))
-        for view in (lambda: forward(Ws, X[0]), lambda: output_jacobian(Ws, X[0]),
-                     lambda: per_example_grad(Ws, X[0], Y[0], loss)):
-            with pytest.raises(ValueError, match="stack"):
-                view()
-
-    def test_empirical_grad_empty_rejected(self):
-        a, W, _, _, loss = self._setup(1)
-        with pytest.raises(ValueError):
-            empirical_grad(W, np.zeros((0, 5)), np.zeros(0), loss)
 
 
 def _same_bytes(a, b):
@@ -455,9 +414,8 @@ class TestStackedKernels:
         deltas, acts_l = loss_backprop(Ws, X, Y, loss)
         R = residual_batch(F, Y, loss)
         G = per_example_grad_batch(Ws, X, Y, loss)
-        g = empirical_grad(Ws, X, Y, loss)
         assert F.shape == (S, n, o) and J.shape == (S, n, o, a.num_params)
-        assert G.shape == (S, n, a.num_params) and g.flat.shape == (S, a.num_params)
+        assert G.shape == (S, n, a.num_params)
         assert acts[0] is X or _same_bytes(acts[0], X)
         for s, W in enumerate(singles):
             F1, acts1 = forward_batch(W, X)
@@ -468,7 +426,6 @@ class TestStackedKernels:
             assert all(_same_bytes(D[s], D1) for D, D1 in zip(deltas, deltas1, strict=True))
             assert _same_bytes(R[s], residual_batch(F1, Y, loss))
             assert _same_bytes(G[s], per_example_grad_batch(W, X, Y, loss))
-            assert _same_bytes(g.flat[s], empirical_grad(W, X, Y, loss).flat)
             # the pieces on their own, from the stack's activations
             assert all(_same_bytes(D[s], D1) for D, D1 in zip(
                 backprop_deltas(Ws, acts_l, R), backprop_deltas(W, acts1, R[s]), strict=True))
