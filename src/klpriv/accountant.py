@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .network import NetArch, as_scheme, init_betas
+from .network import NetArch, as_scheme
 
 # Guard for exp((2 + beta^2) T): beyond this the drift bound is vacuous and
 # evaluating it would overflow float64.

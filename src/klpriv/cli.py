@@ -462,13 +462,17 @@ def cmd_lazy(cfg: RunConfig) -> int:
         # measured against the near-optimal interpolator
         T = cfg.eta * cfg.steps
         _, noise_stream = run_streams(cfg.seed, 0)
+        live = np.ones(1, dtype=bool)
 
         def step(W: ParamVector):
-            G = lin_per_example_grads(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
-            return G.mean(axis=0), None
+            G = lin_per_example_grads(features, ParamVector(arch, W.flat[0]), data.Y,
+                                      LossKind.LOGISTIC_SINGLE)
+            return live, G.mean(axis=0)[None], None
 
-        iterates = _noisy_gd(features.W0, step, cfg.eta, cfg.sigma2, cfg.steps, noise_stream)
-        W_avg = ParamVector(arch, sum(W.flat for W, _ in iterates) / cfg.steps)
+        # a stack of one run
+        iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, cfg.eta,
+                             cfg.sigma2, noise_stream.keys(np.arange(cfg.steps))[None])
+        W_avg = ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / cfg.steps)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)
         bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * gram.rank / 2.0
         rows.append(("averaged_iterate_loss", avg_loss))

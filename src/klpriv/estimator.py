@@ -37,25 +37,34 @@ from .network import (
     NetArch,
     ParamVector,
     as_scheme,
+    backprop_deltas,
     forward_batch,
     init_betas,
     jacobian_batch,
-    loss_backprop,
     residual_batch,
     sample_init,
     sample_inits,
 )
 from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 
-# From this parameter count on, the noisy-GD trainer (_noisy_gd, behind
-# run_kl_estimation and the lazy command) draws each step's noise on one
-# helper thread while the step's gradient statistics are computed; BLAS runs
-# on one thread, as for all training, so the two do not contend for cores.
-# Measured on a 2-core host with numpy's OpenBLAS: at P = 270,592 (d=32,
+# One constant sizes the training stacks and gates the noise overlap.
+# run_kl_estimation trains the runs of a network max(1, min(runs,
+# OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
+# trainer (_noisy_gd), so each (R, P) array of a stack holds at most 2^17
+# parameters (1 MiB).  Linearized runs, whose (n + pool, P) gradient matrix is
+# the memory cost, and lazy's one run train as stacks of one.  On a 2-core host
+# with numpy's OpenBLAS, a CLI run training two runs of P = 3,104 (d=32,
+# width 32, depth 4, replace-one) as one stack took 0.70x the wall time of
+# one run at a time (median of 8 alternating pairs): at that size a step is
+# mostly per-call overhead, which a stack pays once for all its runs.
+# A stack of OVERLAP_MIN_PARAMS parameters or more (in practice one run with
+# P >= 2^17) draws each step's noise on one helper thread while the step's
+# gradient statistics are computed; BLAS runs on one thread, as for all
+# training, so the two do not contend for cores.  At P = 270,592 (d=32,
 # width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x the CPU
-# time.  With the gate forced to 0, a P = 3,104 model ran about 17% slower
-# (median of 8 alternating pairs; the per-step hand-off costs more than the
-# small draw saves) and a P = 36,992 linearized model gained no wall time.
+# time.  With the overlap gate forced to 0, a P = 3,104 model ran about 17%
+# slower (median of 8 alternating pairs; the per-step hand-off costs more than
+# the small draw saves) and a P = 36,992 linearized model gained no wall time.
 OVERLAP_MIN_PARAMS = 1 << 17
 
 # The Monte Carlo checks evaluate their initializations in stacks of
@@ -170,15 +179,16 @@ def run_streams(seed: int, run: int) -> tuple[RngStream, RngStream]:
 
 def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
                   noise: np.ndarray) -> ParamVector:
-    """One update W - eta * grad + sqrt(2 eta sigma2) * Z.
+    """One update W - eta * grad + sqrt(2 eta sigma2) * Z, elementwise.
 
-    ``noise`` holds the draw Z (P standard normals) and is scaled in place;
+    ``W`` is one parameter vector (P,) or a stack (R, P); ``grad`` and the
+    draw Z in ``noise`` (standard normals, scaled in place) have its shape.
     ``W`` and ``grad`` are left unchanged.
     """
     if W.arch != grad.arch:
         raise ValueError("weights and gradient must share an architecture")
-    W.expect_single("W")
-    grad.expect_single("grad")
+    if grad.flat.shape != W.flat.shape:
+        raise ValueError("gradient must have the shape of the weights")
     if eta < 0:
         raise ValueError("step size must be non-negative")
     if sigma2 < 0:
@@ -193,22 +203,27 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
     return ParamVector(W.arch, new)
 
 
-def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float, steps: int,
-              noise_stream: RngStream) -> Iterator[tuple[ParamVector, object]]:
-    """Noisy GD from ``W``: yield each updated iterate with its step's payload.
+def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
+              step_keys: np.ndarray) -> Iterator[tuple[np.ndarray, ParamVector, object]]:
+    """Noisy GD from the (R, P) stack ``W``, one row per run.
 
-    ``step(W)`` returns ``(mean_grad, payload)`` at the current iterate, with
-    ``mean_grad`` a (P,) array, or ``None`` to stop before updating.  Step k
-    (from 0) draws its noise from ``noise_stream.child(k)`` into one buffer
-    reused for every step.  Training runs with BLAS on one thread, and from
-    OVERLAP_MIN_PARAMS parameters on each draw runs on a helper thread while
-    ``step`` runs; with ``steps`` 0 neither happens.  ``W`` is not modified,
-    and the trainer holds no iterate but the current one.
+    ``step(W)`` returns ``(live, mean_grad, payload)`` at the current stack:
+    ``live`` flags the rows that take the step and ``mean_grad`` holds their
+    mean gradients, one row each; the other rows leave the stack for good.
+    Row r draws the noise of step k (from 0) with the Philox key
+    ``step_keys[r, k]`` into its row of one reused buffer.  Each step yields
+    the indices into ``W`` of the rows that took it, their updated iterates
+    and the payload; training ends after ``step_keys.shape[1]`` steps or
+    when no row is left.  Training runs with BLAS on one thread, and a stack
+    of OVERLAP_MIN_PARAMS parameters or more draws on a helper thread while
+    ``step`` runs; with no steps neither happens.  ``W`` is not modified,
+    and the trainer holds no iterate but the current stack.
     """
+    steps = step_keys.shape[1]
     if steps == 0:
         return
-    step_keys = noise_stream.keys(np.arange(steps))
-    noise = np.empty(W.flat.size)
+    rows = np.arange(W.flat.shape[0])
+    noise = np.empty(W.flat.shape)
     with ExitStack() as stack:
         # one BLAS thread for all training: on a 2-core host two threads
         # took more CPU for no less wall time on the statistics' GEMMs
@@ -218,24 +233,28 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float, steps: int,
             # imported here: only runs above the gate pay for the import
             from concurrent.futures import ThreadPoolExecutor
             helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            helper_rng = KeyedGenerator()
-        for key in step_keys:
-            draw = None
+            helper_rngs = [KeyedGenerator() for _ in rows]
+        for k in range(steps):
+            draws = None
             if helper is not None:
                 # the helper runs numpy only: this thread restarts the
-                # helper's generator, so every klpriv function, and any
+                # helper's generators, so every klpriv function, and any
                 # profiling hook on it, stays on this thread
-                draw = helper.submit(helper_rng.at(key).standard_normal, out=noise)
-            stepped = step(W)
-            if draw is not None:
+                draws = [helper.submit(g.at(key).standard_normal, out=row)
+                         for g, key, row in zip(helper_rngs, step_keys[:, k], noise)]
+            live, mean_grad, payload = step(W)
+            for draw in draws or ():
                 draw.result()
-            if stepped is None:
-                return
-            mean_grad, payload = stepped
-            if draw is None:
-                keyed_generator(key).standard_normal(out=noise)
+            if not live.all():
+                if not live.any():
+                    return
+                rows, step_keys, noise = rows[live], step_keys[live], noise[live]
+                W = ParamVector(W.arch, W.flat[live])
+            if draws is None:
+                for key, row in zip(step_keys[:, k], noise):
+                    keyed_generator(key).standard_normal(out=row)
             W = noisy_gd_step(W, ParamVector(W.arch, mean_grad), eta, sigma2, noise)
-            yield W, payload
+            yield rows, W, payload
 
 
 def _as_matrix(grads) -> np.ndarray:
@@ -249,22 +268,26 @@ def _as_matrix(grads) -> np.ndarray:
     return G
 
 
-def _explicit_stats(G: np.ndarray, Gp: np.ndarray | None, need_cross: bool) -> tuple:
+def _explicit_stats(G: np.ndarray, Gp: np.ndarray | None, notion: Neighbor) -> tuple:
     """Step statistics of explicit per-example gradients (rows of G and Gp).
 
     Returns ``(norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross,
-    mean_grad)``: the first six are the arguments of :func:`_diffs_from_scalars`
-    (pool entries ``None`` without a pool, ``cross`` only when asked for).
+    mean_grad)``: the first six are the arguments of :func:`_diffs_from_scalars`,
+    each ``None`` where ``notion`` does not read it.
     """
     S = G.sum(axis=0)
-    pool_norms_sq = pool_dots_S = cross = None
-    if Gp is not None:
+    norms_sq = dots_S = pool_norms_sq = pool_dots_S = cross = None
+    if notion is not Neighbor.ADD_ONE:
+        norms_sq = np.einsum("ip,ip->i", G, G)
+    if notion is Neighbor.REMOVE_ONE:
+        dots_S = G @ S
+    else:
         pool_norms_sq = np.einsum("ip,ip->i", Gp, Gp)
-        pool_dots_S = Gp @ S
-        if need_cross:
+        if notion is Neighbor.ADD_ONE:
+            pool_dots_S = Gp @ S
+        else:
             cross = G @ Gp.T
-    return (np.einsum("ip,ip->i", G, G), G @ S, float(S @ S),
-            pool_norms_sq, pool_dots_S, cross, S / G.shape[0])
+    return norms_sq, dots_S, float(S @ S), pool_norms_sq, pool_dots_S, cross, S / G.shape[0]
 
 
 def _diffs_from_scalars(n: int, notion: Neighbor, norms_sq, dots_S, S_sq,
@@ -274,8 +297,10 @@ def _diffs_from_scalars(n: int, notion: Neighbor, norms_sq, dots_S, S_sq,
 
     All three notions reduce, via the gradient sum S, to combinations of
     per-example norms and inner products; nothing here touches a parameter-
-    sized vector.
+    sized vector.  The statistics may carry a leading run axis (``S_sq`` of
+    shape (R,), the others (R, ...)); the result then has one row per run.
     """
+    S_sq = np.asarray(S_sq)[..., None]
     if notion is Neighbor.REMOVE_ONE:
         if n < 2:
             raise ValueError("remove-one needs at least two records")
@@ -286,9 +311,10 @@ def _diffs_from_scalars(n: int, notion: Neighbor, norms_sq, dots_S, S_sq,
         return num / (n * n * (n + 1) * (n + 1))
     # replace-one: ||g_i - g'_j||^2 / n^2 over the requested pairs
     if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(cross.shape[1])]
+        pairs = [(i, j) for i in range(n) for j in range(cross.shape[-1])]
     idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    num = norms_sq[idx[:, 0]] - 2.0 * cross[idx[:, 0], idx[:, 1]] + pool_norms_sq[idx[:, 1]]
+    num = (norms_sq[..., idx[:, 0]] - 2.0 * cross[..., idx[:, 0], idx[:, 1]]
+           + pool_norms_sq[..., idx[:, 1]])
     return num / (n * n)
 
 
@@ -315,24 +341,37 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
         if pool_grads is None:
             raise ValueError(f"{notion.value} needs pool gradients")
         Gp = _as_matrix(pool_grads)
-    *scalars, _ = _explicit_stats(G, Gp, notion is Neighbor.REPLACE_ONE)
+    *scalars, _ = _explicit_stats(G, Gp, notion)
     return _diffs_from_scalars(G.shape[0], notion, *scalars, pairs=pairs)
 
 
-def _factored_norms_dots(deltas, acts, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example squared gradient norms and dots with the gradient sum S.
+def _factored_norms(deltas, acts) -> np.ndarray:
+    """Per-example squared gradient norms: layer l adds |delta_l|^2 |h_{l-1}|^2."""
+    return sum(np.einsum("...na,...na->...n", D, D) * np.einsum("...nb,...nb->...n", H, H)
+               for D, H in zip(deltas, acts))
 
-    Layer l contributes |delta_l|^2 |h_{l-1}|^2 to a norm and
-    delta_l . (S_l h_{l-1}) to a dot, with ``blocks[l]`` the layer block S_l.
-    """
-    norms_sq = sum(np.einsum("na,na->n", D, D) * np.einsum("nb,nb->n", H, H)
-                   for D, H in zip(deltas, acts))
-    dots_S = sum(np.einsum("na,na->n", D, H @ B.T) for D, H, B in zip(deltas, acts, blocks))
-    return norms_sq, dots_S
+
+def _factored_dots(deltas, acts, blocks) -> np.ndarray:
+    """Per-example dots with the gradient sum S: layer l adds delta_l . (S_l h_{l-1}),
+    with ``blocks[l]`` the layer block S_l."""
+    return sum(np.einsum("...na,...na->...n", D, H @ B.swapaxes(-1, -2))
+               for D, H, B in zip(deltas, acts, blocks))
+
+
+def _finite_rows(F: np.ndarray) -> np.ndarray:
+    """Flags the runs of a stack's (R, n, o) outputs whose entries are all finite."""
+    return np.isfinite(F).all(axis=(-2, -1))
+
+
+def _keep_rows(keep: np.ndarray, W: ParamVector, *passes) -> tuple:
+    """The rows flagged in ``keep`` of the stack W and of its forward passes (F, acts)."""
+    # acts[0] is the unstacked input batch
+    return ParamVector(W.arch, W.flat[keep]), [
+        (F[keep], acts[:1] + [H[keep] for H in acts[1:]]) for F, acts in passes]
 
 
 class _DnnStepStats:
-    """Per-step gradient statistics for the full network.
+    """Per-step gradient statistics for the full network, over a stack of runs.
 
     Per-example layer gradients are outer products delta_l h_{l-1}^T, so all
     norms and inner products factor into activation and delta Grams (the
@@ -340,36 +379,64 @@ class _DnnStepStats:
     2015 per-example-gradient trick); the parameter-sized per-example matrix
     is never materialized.  Data and pool go through separate batches: one
     concatenated batch runs larger GEMMs whose summation order changes the
-    last bits of the pool statistics.
+    last bits of the pool statistics.  Every statistic carries a leading
+    run axis, and run r's slice equals the statistic of run r alone bit for
+    bit: the stacked products run the same GEMMs and reductions per run.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
         self.data = data
-        self.neighbors = neighbors
+        self.notion = neighbors.notion
+        self.pool = None if self.notion is Neighbor.REMOVE_ONE else neighbors.pool
         self.loss = loss
-        self.need_pool = neighbors.notion is not Neighbor.REMOVE_ONE
-        self.need_cross = neighbors.notion is Neighbor.REPLACE_ONE
+
+    def _backprop(self, W: ParamVector, forward, Y) -> tuple:
+        F, acts = forward
+        return backprop_deltas(W, acts, residual_batch(F, Y, self.loss)), acts
 
     def __call__(self, W: ParamVector):
-        data = loss_backprop(W, self.data.X, self.data.Y, self.loss)
-        if data is None:
-            return None
-        deltas, acts = data
-        blocks = [D.T @ H for D, H in zip(deltas, acts)]
-        S_sq = sum(float(np.sum(B * B)) for B in blocks)
-        norms_sq, dots_S = _factored_norms_dots(deltas, acts, blocks)
-        mean_grad = np.concatenate([B.ravel() for B in blocks]) / self.data.n
-        pool_norms_sq = pool_dots_S = cross = None
-        if self.need_pool:
-            pool = loss_backprop(W, self.neighbors.pool.X, self.neighbors.pool.Y, self.loss)
-            if pool is None:
-                return None
-            deltas_p, acts_p = pool
-            pool_norms_sq, pool_dots_S = _factored_norms_dots(deltas_p, acts_p, blocks)
-            if self.need_cross:
-                cross = sum((D @ Dp.T) * (H @ Hp.T)
+        """``(live, stats)`` at the (R, P) stack ``W``.
+
+        ``live`` flags the runs whose forward passes on data and pool are
+        finite.  ``stats`` holds the statistics of those runs, in order:
+        the arguments of :func:`_diffs_from_scalars` (``None`` where the
+        neighbor notion does not read them) and the mean gradients; it is
+        ``None`` when no run is live.
+        """
+        data_pass = forward_batch(W, self.data.X)
+        # residuals of non-finite outputs would warn: such runs leave first
+        live = _finite_rows(data_pass[0])
+        if not live.all():
+            W, (data_pass,) = _keep_rows(live, W, data_pass)
+        if self.pool is not None:
+            pool_pass = forward_batch(W, self.pool.X)
+            finite = _finite_rows(pool_pass[0])
+            if not finite.all():
+                live[live] = finite
+                W, (data_pass, pool_pass) = _keep_rows(finite, W, data_pass, pool_pass)
+        if not live.any():
+            return live, None
+        deltas, acts = self._backprop(W, data_pass, self.data.Y)
+        blocks = [D.swapaxes(-1, -2) @ H for D, H in zip(deltas, acts)]
+        S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
+        mean_grad = ParamVector(W.arch, np.empty(W.flat.shape))
+        for l, B in enumerate(blocks, start=1):
+            np.divide(B, self.data.n, out=mean_grad.layer(l))
+        norms_sq = dots_S = pool_norms_sq = pool_dots_S = cross = None
+        if self.notion is not Neighbor.ADD_ONE:
+            norms_sq = _factored_norms(deltas, acts)
+        if self.notion is Neighbor.REMOVE_ONE:
+            dots_S = _factored_dots(deltas, acts, blocks)
+        else:
+            deltas_p, acts_p = self._backprop(W, pool_pass, self.pool.Y)
+            pool_norms_sq = _factored_norms(deltas_p, acts_p)
+            if self.notion is Neighbor.ADD_ONE:
+                pool_dots_S = _factored_dots(deltas_p, acts_p, blocks)
+            else:
+                cross = sum((D @ Dp.swapaxes(-1, -2)) * (H @ Hp.swapaxes(-1, -2))
                             for D, Dp, H, Hp in zip(deltas, deltas_p, acts, acts_p))
-        return norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross, mean_grad
+        return live, (norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross,
+                      mean_grad.flat)
 
 
 class _LinStepStats:
@@ -377,7 +444,8 @@ class _LinStepStats:
 
     Jacobian rows are frozen at the expansion point, so pool features are
     computed once and per-example gradients are small residual-weighted
-    combinations of cached rows.
+    combinations of cached rows.  Runs are not stacked: ``W`` is a stack of
+    one, and the result is that of :class:`_DnnStepStats` for one run.
     """
 
     def __init__(self, model: LinearizedModel, data: Dataset, neighbors: NeighborSet,
@@ -386,20 +454,22 @@ class _LinStepStats:
         self.data = data
         self.neighbors = neighbors
         self.loss = loss
-        self.need_cross = neighbors.notion is Neighbor.REPLACE_ONE
         self.pool = None
         if neighbors.notion is not Neighbor.REMOVE_ONE:
             self.pool = build_features(self.features.W0, neighbors.pool.X)
 
     def __call__(self, W: ParamVector):
+        W = ParamVector(W.arch, W.flat[0])
         preds = lin_forward(self.features, W)
-        if not np.all(np.isfinite(preds)):
-            return None
+        live = np.array([np.all(np.isfinite(preds))])
+        if not live[0]:
+            return live, None
         G = lin_grads_at(self.features, preds, self.data.Y, self.loss)
         Gp = None
         if self.pool is not None:
             Gp = lin_per_example_grads(self.pool, W, self.neighbors.pool.Y, self.loss)
-        return _explicit_stats(G, Gp, self.need_cross)
+        stats = _explicit_stats(G, Gp, self.neighbors.notion)
+        return live, tuple(None if x is None else np.asarray(x)[None] for x in stats)
 
 
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
@@ -447,6 +517,21 @@ def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
+def _stack_size(model, runs: int) -> int:
+    """Runs trained together as one stack: see OVERLAP_MIN_PARAMS."""
+    if isinstance(model, LinearizedModel):
+        return 1
+    return max(1, min(runs, OVERLAP_MIN_PARAMS // model.arch.num_params))
+
+
+def _init_stack(model, betas, seed: int, runs: np.ndarray) -> ParamVector:
+    """Starting stack of ``runs``: the expansion point, or each run's initialization."""
+    if betas is None:
+        return ParamVector(model.arch, model.features.W0.flat[None])
+    return ParamVector(model.arch, np.stack(
+        [sample_init(model.arch, betas, run_streams(seed, r)[0]).flat for r in runs.tolist()]))
+
+
 def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                       cfg: TrainConfig) -> KLEstimationResult:
     """Estimate the KL privacy loss of noisy GD against worst-case neighbors.
@@ -488,37 +573,49 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
     def step(W: ParamVector):
-        stats = make_stats(W)
+        live, stats = make_stats(W)
         if stats is None:
-            return None
-        norms_sq, dots_S, S_sq, pn, pd, cross, mean_grad = stats
-        if not np.isfinite(S_sq) or np.linalg.norm(mean_grad) > cfg.divergence_threshold:
-            return None
-        return mean_grad, _diffs_from_scalars(data.n, neighbors.notion, norms_sq, dots_S, S_sq,
-                                              pool_norms_sq=pn, pool_dots_S=pd, cross=cross,
-                                              pairs=pairs)
+            return live, None, None
+        *scalars, mean_grad = stats
+        S_sq = scalars[2]
+        # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit; a
+        # row whose norm overflows has an infinite S^2 and leaves anyway
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((mean_grad[:, None, :] @ mean_grad[:, :, None]).reshape(-1))
+        # a NaN statistic makes S^2 NaN, while a NaN norm passes the threshold
+        ok = np.isfinite(S_sq) & ~(norms > cfg.divergence_threshold)
+        if not ok.all():
+            live[live] = ok
+            scalars = [None if x is None else x[ok] for x in scalars]
+            mean_grad = mean_grad[ok]
+        return live, mean_grad, _diffs_from_scalars(data.n, neighbors.notion, *scalars,
+                                                    pairs=pairs)
 
     traces: list[KLTrace] = []
-    for run in range(cfg.runs):
-        init_stream, noise_stream = run_streams(cfg.seed, run)
-        sq_diffs = np.empty((cfg.steps, neighbors.count))
-        # no name here holds an iterate: the first goes straight in and only
-        # the rows come out, so no extra P-vector outlives a step or a run
-        rows = (row for _, row in _noisy_gd(
-            model.features.W0 if betas is None else sample_init(arch, betas, init_stream),
-            step, cfg.eta, cfg.sigma2, cfg.steps, noise_stream))
-        completed = 0
-        for completed, row in enumerate(rows, start=1):
-            sq_diffs[completed - 1] = row
-        sq_diffs = sq_diffs[:completed]
-        cum, worst = _accumulate(sq_diffs, scale, recorded)
-        diverged = completed < cfg.steps
-        if diverged:
-            cum = np.full(neighbors.count, math.inf)
-        traces.append(KLTrace(
-            eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
-            recorded_steps=recorded.copy(), per_step_sq_diffs=sq_diffs,
-            cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
+    size = _stack_size(model, cfg.runs)
+    for start in range(0, cfg.runs, size):
+        runs = np.arange(start, min(start + size, cfg.runs))
+        # row r, step k: the key of run_streams(cfg.seed, runs[r])[1].child(k)
+        step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
+        sq_diffs = np.empty((runs.size, cfg.steps, neighbors.count))
+        completed = np.zeros(runs.size, dtype=int)
+        # no name here holds an iterate: the first stack goes straight in and
+        # only the rows come out, so no extra stack outlives a step or a run
+        stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
+            _init_stack(model, betas, cfg.seed, runs), step, cfg.eta, cfg.sigma2, step_keys))
+        for k, (rows, diffs) in enumerate(stepped, start=1):
+            sq_diffs[rows, k - 1] = diffs
+            completed[rows] = k
+        for run_diffs, done in zip(sq_diffs, completed.tolist()):
+            run_diffs = run_diffs[:done]
+            cum, worst = _accumulate(run_diffs, scale, recorded)
+            diverged = done < cfg.steps
+            if diverged:
+                cum = np.full(neighbors.count, math.inf)
+            traces.append(KLTrace(
+                eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
+                recorded_steps=recorded.copy(), per_step_sq_diffs=run_diffs,
+                cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,

@@ -226,11 +226,13 @@ def test_c08_averaged_iterate_risk_bound():
         sol = lazy_solution(features, data.Y, ridge=0.0)
 
         def step(W):
-            G = lin_per_example_grads(features, W, data.Y, LossKind.LOGISTIC_SINGLE)
-            return G.mean(axis=0), None
+            G = lin_per_example_grads(features, ParamVector(arch, W.flat[0]), data.Y,
+                                      LossKind.LOGISTIC_SINGLE)
+            return np.ones(1, dtype=bool), G.mean(axis=0)[None], None
 
-        iterates = _noisy_gd(W0, step, eta, sigma2, K, noise_stream)
-        W_avg = ParamVector(arch, sum(W.flat for W, _ in iterates) / K)
+        iterates = _noisy_gd(ParamVector(arch, W0.flat[None]), step, eta, sigma2,
+                             noise_stream.keys(np.arange(K))[None])
+        W_avg = ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / K)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y,
                                       LossKind.LOGISTIC_SINGLE)
         excesses.append(avg_loss - sol.achieved_loss)

@@ -11,7 +11,7 @@ import pytest
 
 from klpriv import estimator, numerics
 from klpriv.accountant import KLConstant, gradient_norm_constant_B
-from klpriv.data import Dataset, Neighbor, enumerate_neighbors, synth_sphere
+from klpriv.data import Neighbor, enumerate_neighbors, synth_sphere
 from klpriv.estimator import (
     DnnModel,
     LinearizedModel,
@@ -100,8 +100,9 @@ class TestNoisyGdStep:
     def test_deterministic_given_stream(self):
         # the noise of a training run is a function of its stream alone
         def iterates(stream):
-            return [W.flat for W, _ in estimator._noisy_gd(
-                _weights(0), lambda W: (0.5 * W.flat, None), 0.1, 0.5, 3, stream)]
+            return [W.flat for _, W, _ in estimator._noisy_gd(
+                _stack(_weights(0)), lambda W: (ONE_ROW, 0.5 * W.flat, None), 0.1, 0.5,
+                stream.keys(np.arange(3))[None])]
 
         a, b, other = iterates(RngStream(5)), iterates(RngStream(5)), iterates(RngStream(6))
         assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
@@ -133,20 +134,48 @@ class TestNoisyGdStep:
             noisy_gd_step(W, W, 0.1, -0.5, noise)
         with pytest.raises(ValueError):
             noisy_gd_step(W, W, 0.1, 0.5, np.zeros(W.flat.size + 1))
+        with pytest.raises(ValueError, match="shape of the weights"):
+            noisy_gd_step(_stack(W, W), W, 0.1, 0.5, np.zeros((2, W.flat.size)))
+        with pytest.raises(ValueError, match="shape of the weights"):
+            noisy_gd_step(W, _stack(W, W), 0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="one entry per parameter"):
+            noisy_gd_step(_stack(W, W), _stack(W, W), 0.1, 0.5, noise)
 
-    def test_stack_rejected(self):
-        W = _weights(0)
-        noise = np.zeros(W.flat.size)
-        stack = ParamVector(ARCH, np.stack([W.flat, W.flat]))
-        with pytest.raises(ValueError, match="W must be one parameter vector"):
-            noisy_gd_step(stack, stack, 0.1, 0.5, noise)
-        with pytest.raises(ValueError, match="grad must be one parameter vector"):
-            noisy_gd_step(W, stack, 0.1, 0.5, noise)
+    def test_stack_equals_loop_of_single_vectors(self):
+        Ws, gs = [_weights(s) for s in range(3)], [_weights(s) for s in range(3, 6)]
+        z = RngStream(5).generator().standard_normal((3, ARCH.num_params))
+        for sigma2 in (0.0, 0.5):
+            noise = z.copy()
+            out = noisy_gd_step(_stack(*Ws), _stack(*gs), 0.1, sigma2, noise)
+            assert out.flat.shape == (3, ARCH.num_params)
+            for r in range(3):
+                row_noise = z[r].copy()
+                want = noisy_gd_step(Ws[r], gs[r], 0.1, sigma2, row_noise)
+                assert out.flat[r].tobytes() == want.flat.tobytes()
+                assert noise[r].tobytes() == row_noise.tobytes()
+
+
+def _stack(*Ws):
+    return ParamVector(Ws[0].arch, np.stack([W.flat for W in Ws]))
+
+
+ONE_ROW = np.ones(1, dtype=bool)
 
 
 def _linear_grad(W):
     """A gradient that depends on the iterate, so a wrong chain shows."""
     return 0.3 * W.flat - 0.1
+
+
+def _hand_written_chain(W, eta, sigma2, stream, steps):
+    """Iterates of noisy GD with _linear_grad on one vector, step k drawing from
+    ``stream.child(k)``."""
+    out = []
+    for k in range(steps):
+        noise = keyed_generator(stream.child(k).keys()).standard_normal(W.flat.size)
+        W = noisy_gd_step(W, ParamVector(W.arch, _linear_grad(W)), eta, sigma2, noise)
+        out.append(W.flat.tobytes())
+    return out
 
 
 class TestNoisyGdTrainer:
@@ -155,49 +184,80 @@ class TestNoisyGdTrainer:
 
         def step(W):
             seen.append(W.flat.copy())
-            if len(seen) == 3:
-                return None
-            return _linear_grad(W), len(seen)
+            live = np.array([len(seen) < 3])
+            return live, _linear_grad(W)[live], len(seen)
 
-        W0 = _weights(0)
+        W0 = _stack(_weights(0))
         before = W0.flat.copy()
-        out = list(estimator._noisy_gd(W0, step, 0.05, 0.01, 5, RngStream(2)))
-        assert [payload for _, payload in out] == [1, 2]
+        out = list(estimator._noisy_gd(W0, step, 0.05, 0.01,
+                                       RngStream(2).keys(np.arange(5))[None]))
+        assert [payload for _, _, payload in out] == [1, 2]
+        assert all(rows.tolist() == [0] for rows, _, _ in out)
         # step k saw the iterate step k-1 yielded; the stopping step updates nothing
         assert np.array_equal(seen[0], before)
-        assert [W.flat.tobytes() for W, _ in out] == [x.tobytes() for x in seen[1:]]
+        assert [W.flat.tobytes() for _, W, _ in out] == [x.tobytes() for x in seen[1:]]
         assert np.array_equal(W0.flat, before)
 
     @pytest.mark.parametrize("above", [0, 1])
     def test_iterates_equal_hand_written_chain(self, monkeypatch, above):
-        # gate P: the draws overlap the steps on a helper; gate P + 1: inline
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", ARCH.num_params + above)
         fake = _FakeBlas()
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
         before = set(threading.enumerate())
-        helpers = []
+        eta, sigma2, steps = 0.05, 0.2, 6
+        for runs in (1, 3):
+            # gate R*P: the draws overlap the steps on a helper; gate R*P + 1: inline
+            monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS",
+                                runs * ARCH.num_params + above)
+            helpers = []
+
+            def step(W):
+                helpers.append(len(set(threading.enumerate()) - before))
+                return np.ones(len(W.flat), dtype=bool), _linear_grad(W), None
+
+            streams = [RngStream(4).child(r) for r in range(runs)]
+            keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
+            W0 = _stack(*(_weights(r) for r in range(runs)))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = [(rows.tolist(), W.flat.copy()) for rows, W, _ in
+                       estimator._noisy_gd(W0, step, eta, sigma2, keys)]
+            finally:
+                sys.setswitchinterval(interval)
+            assert [rows for rows, _ in got] == [list(range(runs))] * steps
+            for r, stream in enumerate(streams):
+                want = _hand_written_chain(_weights(r), eta, sigma2, stream, steps)
+                assert [flat[r].tobytes() for _, flat in got] == want
+            assert helpers == [1 - above] * steps
+            assert set(threading.enumerate()) == before
+        assert fake.set_calls == [1, 2] * 2     # pinned to one BLAS thread while training
+
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_rows_leave_the_stack(self, monkeypatch, above):
+        # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 4 * ARCH.num_params + above)
+        stops = {1: 2, 3: 4}
+        calls = []
 
         def step(W):
-            helpers.append(len(set(threading.enumerate()) - before))
-            return _linear_grad(W), None
+            k = len(calls)
+            calls.append(len(W.flat))
+            rows = [r for r in range(4) if stops.get(r, 99) > k - 1]
+            live = np.array([stops.get(r, 99) > k for r in rows])
+            return live, _linear_grad(W)[live], k
 
-        eta, sigma2, steps, stream = 0.05, 0.2, 6, RngStream(4).child(1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = [W.flat.tobytes() for W, _ in
-                   estimator._noisy_gd(_weights(0), step, eta, sigma2, steps, stream)]
-        finally:
-            sys.setswitchinterval(interval)
-        W, want = _weights(0), []
-        for k in range(steps):
-            noise = keyed_generator(stream.child(k).keys()).standard_normal(W.flat.size)
-            W = noisy_gd_step(W, ParamVector(ARCH, _linear_grad(W)), eta, sigma2, noise)
-            want.append(W.flat.tobytes())
-        assert got == want
-        assert helpers == [1 - above] * steps
-        assert fake.set_calls == [1, 2]     # pinned to one BLAS thread while training
-        assert set(threading.enumerate()) == before
+        eta, sigma2, steps = 0.05, 0.2, 6
+        streams = [RngStream(7).child(r) for r in range(4)]
+        keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
+        out = [(rows.tolist(), W.flat.copy(), k) for rows, W, k in estimator._noisy_gd(
+            _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
+        assert calls == [4, 4, 4, 3, 3, 2]
+        assert [rows for rows, _, _ in out] == [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
+        assert [k for _, _, k in out] == list(range(steps))
+        for r, stream in enumerate(streams):
+            want = _hand_written_chain(_weights(r), eta, sigma2, stream, stops.get(r, steps))
+            got = [flat[rows.index(r)].tobytes() for rows, flat, _ in out if r in rows]
+            assert got == want
 
     def test_zero_steps_start_nothing(self, monkeypatch):
         fake = _FakeBlas()
@@ -208,7 +268,8 @@ class TestNoisyGdTrainer:
         def step(W):
             raise AssertionError("no step at steps=0")
 
-        assert list(estimator._noisy_gd(_weights(0), step, 0.05, 0.01, 0, RngStream(2))) == []
+        keys = RngStream(2).keys(np.arange(0))[None]
+        assert list(estimator._noisy_gd(_stack(_weights(0)), step, 0.05, 0.01, keys)) == []
         assert fake.set_calls == []
         assert set(threading.enumerate()) == before
 
@@ -546,15 +607,21 @@ def _on_both_paths(monkeypatch, model, data, neighbors, cfg):
     return results
 
 
+def _same_bytes(a, b):
+    """Equal shape, dtype and raw bytes, so that signs of zeros and NaN bits count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _assert_same_bits(a, b):
     assert a.diverged_any == b.diverged_any
-    assert np.array_equal(a.worst_mean, b.worst_mean, equal_nan=True)
-    assert np.array_equal(a.worst_std, b.worst_std, equal_nan=True)
+    assert _same_bytes(a.worst_mean, b.worst_mean)
+    assert _same_bytes(a.worst_std, b.worst_std)
     for ta, tb in zip(a.traces, b.traces, strict=True):
-        assert ta.diverged == tb.diverged
-        assert np.array_equal(ta.per_step_sq_diffs, tb.per_step_sq_diffs)
-        assert np.array_equal(ta.cumulative_per_neighbor, tb.cumulative_per_neighbor)
-        assert np.array_equal(ta.cumulative_worst, tb.cumulative_worst)
+        assert ta.diverged is tb.diverged
+        assert _same_bytes(ta.per_step_sq_diffs, tb.per_step_sq_diffs)
+        assert _same_bytes(ta.cumulative_per_neighbor, tb.cumulative_per_neighbor)
+        assert _same_bytes(ta.cumulative_worst, tb.cumulative_worst)
 
 
 class _FakeBlas:
@@ -639,6 +706,137 @@ class TestOverlappedNoise:
         assert set(threading.enumerate()) == before
         assert fake.threads == 2
         assert fake.set_calls == [1, 2]
+
+
+def _setup_outputs(notion, o):
+    """_setup_estimation with o outputs: one-hot labels for o > 1."""
+    data, neighbors, model = _setup_estimation(notion=notion)
+    if o == 1:
+        return data, neighbors, model
+    gen = RngStream(102).generator()
+
+    def one_hot(ds):
+        return dataclasses.replace(ds, Y=np.eye(o)[gen.integers(0, o, ds.n)])
+
+    data = one_hot(data)
+    pool = None if neighbors.pool is None else one_hot(neighbors.pool)
+    return (data, enumerate_neighbors(data, notion, pool=pool),
+            DnnModel(arch=NetArch.uniform(data.d, 6, 2, o), scheme="lecun"))
+
+
+def _one_run_per_stack(monkeypatch, model):
+    # stacks hold OVERLAP_MIN_PARAMS // P runs: a gate of P + 1 gives one, inline draws
+    monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", model.arch.num_params + 1)
+
+
+class TestStackedRuns:
+    """The runs of a network estimate train as one stack; every trace, flag and
+    aggregate equals that of training one run per stack, in raw bytes."""
+
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    @pytest.mark.parametrize("o", [1, 3])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_equals_one_run_per_stack(self, monkeypatch, notion, o, runs):
+        data, neighbors, model = _setup_outputs(notion, o)
+        cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=runs, seed=3, record_every=2)
+        assert estimator._stack_size(model, runs) == runs
+        stacked = run_kl_estimation(model, data, neighbors, cfg)
+        _one_run_per_stack(monkeypatch, model)
+        assert estimator._stack_size(model, runs) == 1
+        single = run_kl_estimation(model, data, neighbors, cfg)
+        assert not single.diverged_any
+        _assert_same_bits(stacked, single)
+
+    # the gradient-norm threshold, and with an infinite threshold an overflowing S^2
+    @pytest.mark.parametrize("eta, sigma2, depth, steps, threshold, completed", [
+        (0.5, 20.0, 2, 8, 10.0, [2, 4, 5, 5, 1]),
+        (1e4, 1.0, 4, 40, math.inf, [40, 40, 40, 10, 40])])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_runs_leave_the_stack_at_different_steps(self, monkeypatch, notion, eta, sigma2,
+                                                      depth, steps, threshold, completed):
+        data, neighbors, _ = _setup_estimation(notion=notion)
+        model = DnnModel(arch=NetArch.uniform(4, 6, depth, 1), scheme="he")
+        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1,
+                          divergence_threshold=threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = run_kl_estimation(model, data, neighbors, cfg)
+            _one_run_per_stack(monkeypatch, model)
+            single = run_kl_estimation(model, data, neighbors, cfg)
+        assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == completed
+        assert [t.diverged for t in single.traces] == [c < steps for c in completed]
+        _assert_same_bits(stacked, single)
+
+    def test_non_finite_outputs_leave_before_residuals(self, monkeypatch):
+        data, neighbors, model = _setup_estimation(notion=Neighbor.REPLACE_ONE)
+        # a pool record far out: outputs overflow for the run with a huge last layer only
+        pool = dataclasses.replace(neighbors.pool, X=neighbors.pool.X * np.array(
+            [[1.0], [1e160], [1.0], [1.0]]))
+        neighbors = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
+        betas = init_betas("lecun", model.arch)
+        Ws = [sample_init(model.arch, betas, RngStream(s)) for s in range(4)]
+        Ws[1].layer(model.arch.L)[:] *= 1e150      # data outputs finite, pool outputs inf
+        Ws[3].layer(model.arch.L)[:] = np.inf      # data outputs non-finite
+        residuals = estimator.residual_batch
+
+        def finite_residuals(F, Y, loss):
+            assert np.all(np.isfinite(F))
+            return residuals(F, Y, loss)
+
+        monkeypatch.setattr(estimator, "residual_batch", finite_residuals)
+        stats = estimator._DnnStepStats(data, neighbors, LossKind.LOGISTIC_SINGLE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            live, got = stats(_stack(*Ws))
+        assert live.tolist() == [True, False, True, False]
+        for i, r in enumerate([0, 2]):
+            one_live, want = stats(_stack(Ws[r]))
+            assert one_live.tolist() == [True]
+            for x, y in zip(got, want, strict=True):
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert _same_bytes(x[i], y[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            none_live, nothing = stats(_stack(Ws[1], Ws[3]))
+        assert none_live.tolist() == [False, False] and nothing is None
+
+    def test_noise_keys_are_the_run_streams(self, monkeypatch):
+        data, neighbors, model = _setup_estimation()
+        trainer, seen = estimator._noisy_gd, []
+
+        def capture(W, step, eta, sigma2, step_keys):
+            seen.append((W.flat.copy(), step_keys))
+            return trainer(W, step, eta, sigma2, step_keys)
+
+        monkeypatch.setattr(estimator, "_noisy_gd", capture)
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 2 * model.arch.num_params)
+        cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=5, seed=11)
+        run_kl_estimation(model, data, neighbors, cfg)
+        assert [len(W) for W, _ in seen] == [2, 2, 1]
+        inits = np.concatenate([W for W, _ in seen])
+        keys = np.concatenate([k for _, k in seen])
+        betas = init_betas("lecun", model.arch)
+        for r in range(cfg.runs):
+            init_stream, noise_stream = run_streams(cfg.seed, r)
+            assert _same_bytes(inits[r], sample_init(model.arch, betas, init_stream).flat)
+            assert _same_bytes(keys[r], noise_stream.keys(np.arange(cfg.steps)))
+
+    def test_stack_size_rule(self):
+        def dnn(d, m, L, o=1):
+            return DnnModel(NetArch.uniform(d, m, L, o), "he")
+
+        wide, replace = dnn(32, 256, 6), dnn(32, 32, 4)
+        assert (wide.arch.num_params, replace.arch.num_params) == (270_592, 3_104)
+        assert estimator._stack_size(wide, 2) == 1          # estimate-wide
+        assert estimator._stack_size(replace, 2) == 2       # estimate-replace
+        assert estimator._stack_size(replace, 100) == estimator.OVERLAP_MIN_PARAMS // 3_104
+        for m in (16, 64):                                  # the test_c09 cells
+            assert estimator._stack_size(dnn(32, m, 6), 6) == 6
+        assert estimator._stack_size(dnn(8, 32, 4), 1) == 1     # one run
+        # the estimate-linearized shape: a network would stack, a linearized model does not
+        assert estimator._stack_size(dnn(32, 128, 3), 2) == 2
+        data = synth_sphere(64, 32, RngStream(1))
+        W0 = sample_init(NetArch.uniform(32, 128, 3, 1), init_betas("lecun", dnn(32, 128, 3).arch),
+                         RngStream(2))
+        assert estimator._stack_size(LinearizedModel(build_features(W0, data.X)), 2) == 1
 
 
 @pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")
