@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .network import NetArch, as_scheme
 
@@ -157,14 +157,11 @@ class BoundReport:
     value: float
     integral: float
     terms: dict[str, float]
-    constant_convention: KLConstant
     exponential_regime: bool = False
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def dnn_drift_bound(inputs: DnnBoundInputs,
-                    convention: KLConstant = KLConstant.PAPER,
-                    notes: tuple[str, ...] = ()) -> BoundReport:
+                    convention: KLConstant = KLConstant.PAPER) -> BoundReport:
     """Drift-based KL bound for noisy training of the full network.
 
     Integral bound over [0, T]:
@@ -185,8 +182,7 @@ def dnn_drift_bound(inputs: DnnBoundInputs,
                  "fluctuation": math.inf,
                  "non_smoothness": 2.0 * inputs.c_grad ** 2 * inputs.T / n2}
         return BoundReport(value=math.inf, integral=math.inf, terms=terms,
-                           constant_convention=convention,
-                           exponential_regime=True, notes=notes)
+                           exponential_regime=True)
     init_term = 2.0 * inputs.T * inputs.e_delta0
     growth = math.expm1(a * inputs.T) / a - inputs.T
     fluct = (2.0 * b2 / (n2 * a)) * growth * (
@@ -201,8 +197,7 @@ def dnn_drift_bound(inputs: DnnBoundInputs,
         value = integral / (convention.denominator_factor * inputs.sigma2)
     terms = {"init_difference": init_term, "fluctuation": fluct,
              "non_smoothness": nonsmooth}
-    return BoundReport(value=value, integral=integral, terms=terms,
-                       constant_convention=convention, notes=notes)
+    return BoundReport(value=value, integral=integral, terms=terms)
 
 
 def lazy_R_bound(arch: NetArch, betas, n: int) -> float:

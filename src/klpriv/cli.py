@@ -336,10 +336,7 @@ def cmd_bound(cfg: RunConfig) -> int:
                 rank_mt=cfg.rank_mt if cfg.rank_mt is not None else min(n, arch.num_params),
                 e_delta0=cfg.e_delta0 if cfg.e_delta0 is not None else 4.0 * B / n ** 2,
                 e_grad0=cfg.e_grad0 if cfg.e_grad0 is not None else B)
-            notes = tuple(f"{k}={'user' if v is not None else 'analytic'}"
-                          for k, v in (("c_grad", cfg.c_grad), ("rank_mt", cfg.rank_mt),
-                                       ("e_delta0", cfg.e_delta0), ("e_grad0", cfg.e_grad0)))
-            report = dnn_drift_bound(inputs, cfg.convention, notes=notes)
+            report = dnn_drift_bound(inputs, cfg.convention)
             rows.append((scheme, "kl_bound_dnn", report.value))
             rows.append((scheme, "dnn_integral", report.integral))
             for term, val in report.terms.items():

@@ -37,10 +37,10 @@ from .network import (
     NetArch,
     ParamVector,
     as_scheme,
-    backprop_deltas,
     forward_batch,
     init_betas,
     jacobian_batch,
+    loss_backprop,
     residual_batch,
     sample_init,
     sample_inits,
@@ -268,53 +268,82 @@ def _as_matrix(grads) -> np.ndarray:
     return G
 
 
-def _explicit_stats(G: np.ndarray, Gp: np.ndarray | None, notion: Neighbor) -> tuple:
-    """Step statistics of explicit per-example gradients (rows of G and Gp).
+class _ExplicitGrads:
+    """Per-example gradients as the explicit rows of an (n, P) matrix."""
 
-    Returns ``(norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross,
-    mean_grad)``: the first six are the arguments of :func:`_diffs_from_scalars`,
-    each ``None`` where ``notion`` does not read it.
+    def __init__(self, G: np.ndarray):
+        self.G = G
+
+    def norms_sq(self) -> np.ndarray:
+        return np.einsum("ip,ip->i", self.G, self.G)
+
+    def dots(self, S: np.ndarray) -> np.ndarray:
+        """Dots with the gradient sum S, a (P,) vector."""
+        return self.G @ S
+
+    def cross(self, pool: "_ExplicitGrads") -> np.ndarray:
+        return self.G @ pool.G.T
+
+
+class _FactoredGrads:
+    """Per-example gradients of the network, kept as their layer factors.
+
+    Example i's block of layer l is the outer product delta_l[i] h_{l-1}[i]^T,
+    so all norms and inner products factor into delta and activation Grams
+    (the per-layer Gram of two examples is (delta delta^T) * (h h^T),
+    Goodfellow's 2015 per-example-gradient trick); the parameter-sized
+    per-example matrix is never materialized.  Every result carries the
+    stack's leading run axis.
     """
-    S = G.sum(axis=0)
-    norms_sq = dots_S = pool_norms_sq = pool_dots_S = cross = None
-    if notion is not Neighbor.ADD_ONE:
-        norms_sq = np.einsum("ip,ip->i", G, G)
-    if notion is Neighbor.REMOVE_ONE:
-        dots_S = G @ S
-    else:
-        pool_norms_sq = np.einsum("ip,ip->i", Gp, Gp)
-        if notion is Neighbor.ADD_ONE:
-            pool_dots_S = Gp @ S
-        else:
-            cross = G @ Gp.T
-    return norms_sq, dots_S, float(S @ S), pool_norms_sq, pool_dots_S, cross, S / G.shape[0]
+
+    def __init__(self, deltas, acts):
+        self.deltas, self.acts = deltas, acts
+
+    def norms_sq(self) -> np.ndarray:
+        """Layer l adds |delta_l|^2 |h_{l-1}|^2."""
+        return sum(np.einsum("...na,...na->...n", D, D) * np.einsum("...nb,...nb->...n", H, H)
+                   for D, H in zip(self.deltas, self.acts))
+
+    def dots(self, S) -> np.ndarray:
+        """Dots with the gradient sum S, given as its layer blocks S_l: layer l
+        adds delta_l . (S_l h_{l-1})."""
+        return sum(np.einsum("...na,...na->...n", D, H @ B.swapaxes(-1, -2))
+                   for D, H, B in zip(self.deltas, self.acts, S))
+
+    def cross(self, pool: "_FactoredGrads") -> np.ndarray:
+        return sum((D @ Dp.swapaxes(-1, -2)) * (H @ Hp.swapaxes(-1, -2))
+                   for D, Dp, H, Hp in zip(self.deltas, pool.deltas, self.acts, pool.acts))
 
 
-def _diffs_from_scalars(n: int, notion: Neighbor, norms_sq, dots_S, S_sq,
-                        pool_norms_sq=None, pool_dots_S=None, cross=None,
-                        pairs=None) -> np.ndarray:
-    """Squared empirical-gradient differences from cached inner products.
+def _sq_diffs(n: int, notion: Neighbor, S, S_sq, data, pool, pairs) -> np.ndarray:
+    """Squared empirical-gradient differences against every neighbor candidate.
 
-    All three notions reduce, via the gradient sum S, to combinations of
-    per-example norms and inner products; nothing here touches a parameter-
-    sized vector.  The statistics may carry a leading run axis (``S_sq`` of
-    shape (R,), the others (R, ...)); the result then has one row per run.
+    The one formula per neighbor notion.  Through the gradient sum S of the
+    n records (``S_sq`` is ||S||^2) all three notions reduce to per-example
+    norms and inner products, which it asks of the per-example gradients of
+    the records, ``data``, and of the candidates, ``pool`` (None for
+    remove-one): an :class:`_ExplicitGrads` or a :class:`_FactoredGrads`,
+    with S in the form their ``dots`` takes.  Each notion asks only for what
+    it reads.  ``pairs`` restricts replace-one to (record, pool) index pairs,
+    all of them when None.  Statistics with a leading run axis (``S_sq`` of
+    shape (R,)) give one row per run.
     """
     S_sq = np.asarray(S_sq)[..., None]
     if notion is Neighbor.REMOVE_ONE:
         if n < 2:
             raise ValueError("remove-one needs at least two records")
-        num = n * n * norms_sq - 2.0 * n * dots_S + S_sq
+        num = n * n * data.norms_sq() - 2.0 * n * data.dots(S) + S_sq
         return num / (n * n * (n - 1) * (n - 1))
     if notion is Neighbor.ADD_ONE:
-        num = S_sq - 2.0 * n * pool_dots_S + n * n * pool_norms_sq
+        num = S_sq - 2.0 * n * pool.dots(S) + n * n * pool.norms_sq()
         return num / (n * n * (n + 1) * (n + 1))
     # replace-one: ||g_i - g'_j||^2 / n^2 over the requested pairs
+    cross = data.cross(pool)
     if pairs is None:
         pairs = [(i, j) for i in range(n) for j in range(cross.shape[-1])]
     idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    num = (norms_sq[..., idx[:, 0]] - 2.0 * cross[..., idx[:, 0], idx[:, 1]]
-           + pool_norms_sq[..., idx[:, 1]])
+    num = (data.norms_sq()[..., idx[:, 0]] - 2.0 * cross[..., idx[:, 0], idx[:, 1]]
+           + pool.norms_sq()[..., idx[:, 1]])
     return num / (n * n)
 
 
@@ -336,52 +365,24 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
         per pool record for add-one, one per (i, j) pair for replace-one.
     """
     G = _as_matrix(per_example_grads)
-    Gp = None
+    pool = None
     if notion is not Neighbor.REMOVE_ONE:
         if pool_grads is None:
             raise ValueError(f"{notion.value} needs pool gradients")
-        Gp = _as_matrix(pool_grads)
-    *scalars, _ = _explicit_stats(G, Gp, notion)
-    return _diffs_from_scalars(G.shape[0], notion, *scalars, pairs=pairs)
+        pool = _ExplicitGrads(_as_matrix(pool_grads))
+    S = G.sum(axis=0)
+    return _sq_diffs(G.shape[0], notion, S, S @ S, _ExplicitGrads(G), pool, pairs)
 
 
-def _factored_norms(deltas, acts) -> np.ndarray:
-    """Per-example squared gradient norms: layer l adds |delta_l|^2 |h_{l-1}|^2."""
-    return sum(np.einsum("...na,...na->...n", D, D) * np.einsum("...nb,...nb->...n", H, H)
-               for D, H in zip(deltas, acts))
+class _StepStats:
+    """What the two producers of step statistics share: the data, the
+    neighbor candidates and the loss.
 
-
-def _factored_dots(deltas, acts, blocks) -> np.ndarray:
-    """Per-example dots with the gradient sum S: layer l adds delta_l . (S_l h_{l-1}),
-    with ``blocks[l]`` the layer block S_l."""
-    return sum(np.einsum("...na,...na->...n", D, H @ B.swapaxes(-1, -2))
-               for D, H, B in zip(deltas, acts, blocks))
-
-
-def _finite_rows(F: np.ndarray) -> np.ndarray:
-    """Flags the runs of a stack's (R, n, o) outputs whose entries are all finite."""
-    return np.isfinite(F).all(axis=(-2, -1))
-
-
-def _keep_rows(keep: np.ndarray, W: ParamVector, *passes) -> tuple:
-    """The rows flagged in ``keep`` of the stack W and of its forward passes (F, acts)."""
-    # acts[0] is the unstacked input batch
-    return ParamVector(W.arch, W.flat[keep]), [
-        (F[keep], acts[:1] + [H[keep] for H in acts[1:]]) for F, acts in passes]
-
-
-class _DnnStepStats:
-    """Per-step gradient statistics for the full network, over a stack of runs.
-
-    Per-example layer gradients are outer products delta_l h_{l-1}^T, so all
-    norms and inner products factor into activation and delta Grams (the
-    per-layer Gram of two examples is (delta delta^T) * (h h^T), Goodfellow's
-    2015 per-example-gradient trick); the parameter-sized per-example matrix
-    is never materialized.  Data and pool go through separate batches: one
-    concatenated batch runs larger GEMMs whose summation order changes the
-    last bits of the pool statistics.  Every statistic carries a leading
-    run axis, and run r's slice equals the statistic of run r alone bit for
-    bit: the stacked products run the same GEMMs and reductions per run.
+    A producer maps an (R, P) stack of runs to ``(finite, S_sq, mean_grad,
+    diffs)``, one row per run: whether the run's outputs on data and pool
+    are all finite, ||S||^2 of its gradient sum, its mean gradient and its
+    :func:`_sq_diffs`.  Rows of runs that are not finite may hold anything;
+    the caller sees that they leave the stack.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -389,87 +390,70 @@ class _DnnStepStats:
         self.notion = neighbors.notion
         self.pool = None if self.notion is Neighbor.REMOVE_ONE else neighbors.pool
         self.loss = loss
+        self.pairs = None
+        if self.notion is Neighbor.REPLACE_ONE:
+            # built once: indexing with a ready (K, 2) array skips a per-step conversion
+            self.pairs = np.array(neighbors.indices, dtype=int).reshape(-1, 2)
 
-    def _backprop(self, W: ParamVector, forward, Y) -> tuple:
-        F, acts = forward
-        return backprop_deltas(W, acts, residual_batch(F, Y, self.loss)), acts
 
-    def __call__(self, W: ParamVector):
-        """``(live, stats)`` at the (R, P) stack ``W``.
+class _DnnStepStats(_StepStats):
+    """Step statistics for the full network, over a stack of runs.
 
-        ``live`` flags the runs whose forward passes on data and pool are
-        finite.  ``stats`` holds the statistics of those runs, in order:
-        the arguments of :func:`_diffs_from_scalars` (``None`` where the
-        neighbor notion does not read them) and the mean gradients; it is
-        ``None`` when no run is live.
-        """
-        data_pass = forward_batch(W, self.data.X)
-        # residuals of non-finite outputs would warn: such runs leave first
-        live = _finite_rows(data_pass[0])
-        if not live.all():
-            W, (data_pass,) = _keep_rows(live, W, data_pass)
+    The per-example gradients are :class:`_FactoredGrads`.  Data and pool go
+    through separate batches: one concatenated batch runs larger GEMMs whose
+    summation order changes the last bits of the pool statistics.  Run r's
+    row equals its statistics alone bit for bit, whatever the other rows
+    hold: the stacked products run the same GEMMs and reductions per run.
+    """
+
+    def __call__(self, W: ParamVector) -> tuple:
+        F, *factors = loss_backprop(W, self.data.X, self.data.Y, self.loss)
+        finite = np.isfinite(F).all(axis=(-2, -1))
+        grads, pool_grads = _FactoredGrads(*factors), None
         if self.pool is not None:
-            pool_pass = forward_batch(W, self.pool.X)
-            finite = _finite_rows(pool_pass[0])
-            if not finite.all():
-                live[live] = finite
-                W, (data_pass, pool_pass) = _keep_rows(finite, W, data_pass, pool_pass)
-        if not live.any():
-            return live, None
-        deltas, acts = self._backprop(W, data_pass, self.data.Y)
-        blocks = [D.swapaxes(-1, -2) @ H for D, H in zip(deltas, acts)]
+            F, *factors = loss_backprop(W, self.pool.X, self.pool.Y, self.loss)
+            finite &= np.isfinite(F).all(axis=(-2, -1))
+            pool_grads = _FactoredGrads(*factors)
+        blocks = [D.swapaxes(-1, -2) @ H for D, H in zip(grads.deltas, grads.acts)]
         S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
         mean_grad = ParamVector(W.arch, np.empty(W.flat.shape))
         for l, B in enumerate(blocks, start=1):
             np.divide(B, self.data.n, out=mean_grad.layer(l))
-        norms_sq = dots_S = pool_norms_sq = pool_dots_S = cross = None
-        if self.notion is not Neighbor.ADD_ONE:
-            norms_sq = _factored_norms(deltas, acts)
-        if self.notion is Neighbor.REMOVE_ONE:
-            dots_S = _factored_dots(deltas, acts, blocks)
-        else:
-            deltas_p, acts_p = self._backprop(W, pool_pass, self.pool.Y)
-            pool_norms_sq = _factored_norms(deltas_p, acts_p)
-            if self.notion is Neighbor.ADD_ONE:
-                pool_dots_S = _factored_dots(deltas_p, acts_p, blocks)
-            else:
-                cross = sum((D @ Dp.swapaxes(-1, -2)) * (H @ Hp.swapaxes(-1, -2))
-                            for D, Dp, H, Hp in zip(deltas, deltas_p, acts, acts_p))
-        return live, (norms_sq, dots_S, S_sq, pool_norms_sq, pool_dots_S, cross,
-                      mean_grad.flat)
+        return finite, S_sq, mean_grad.flat, _sq_diffs(self.data.n, self.notion, blocks, S_sq,
+                                                       grads, pool_grads, self.pairs)
 
 
-class _LinStepStats:
-    """Per-step gradient statistics for the linearized model.
+class _LinStepStats(_StepStats):
+    """Step statistics for the linearized model.
 
     Jacobian rows are frozen at the expansion point, so pool features are
     computed once and per-example gradients are small residual-weighted
-    combinations of cached rows.  Runs are not stacked: ``W`` is a stack of
-    one, and the result is that of :class:`_DnnStepStats` for one run.
+    combinations of cached rows, held as :class:`_ExplicitGrads`.  Runs are
+    not stacked: ``W`` is a stack of one.
     """
 
     def __init__(self, model: LinearizedModel, data: Dataset, neighbors: NeighborSet,
                  loss: LossKind):
+        super().__init__(data, neighbors, loss)
         self.features = model.features
-        self.data = data
-        self.neighbors = neighbors
-        self.loss = loss
-        self.pool = None
-        if neighbors.notion is not Neighbor.REMOVE_ONE:
-            self.pool = build_features(self.features.W0, neighbors.pool.X)
+        self.pool_features = None
+        if self.pool is not None:
+            self.pool_features = build_features(self.features.W0, self.pool.X)
 
-    def __call__(self, W: ParamVector):
+    def __call__(self, W: ParamVector) -> tuple:
         W = ParamVector(W.arch, W.flat[0])
         preds = lin_forward(self.features, W)
-        live = np.array([np.all(np.isfinite(preds))])
-        if not live[0]:
-            return live, None
+        finite = np.isfinite(preds).all()
         G = lin_grads_at(self.features, preds, self.data.Y, self.loss)
-        Gp = None
+        pool_grads = None
         if self.pool is not None:
-            Gp = lin_per_example_grads(self.pool, W, self.neighbors.pool.Y, self.loss)
-        stats = _explicit_stats(G, Gp, self.neighbors.notion)
-        return live, tuple(None if x is None else np.asarray(x)[None] for x in stats)
+            pool_grads = _ExplicitGrads(
+                lin_per_example_grads(self.pool_features, W, self.pool.Y, self.loss))
+        S = G.sum(axis=0)
+        S_sq = S @ S
+        diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, _ExplicitGrads(G), pool_grads,
+                          self.pairs)
+        return np.array([finite]), S_sq[None], (S / G.shape[0])[None], diffs[None]
 
 
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
@@ -565,31 +549,23 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         if not np.array_equal(model.features.X, data.X):
             raise ValueError("linearized features were built on other inputs than the dataset")
         make_stats = _LinStepStats(model, data, neighbors, loss)
-    pairs = None
-    if neighbors.notion is Neighbor.REPLACE_ONE:
-        # built once: indexing with a ready (K, 2) array skips a per-step conversion
-        pairs = np.array(neighbors.indices, dtype=int).reshape(-1, 2)
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
     def step(W: ParamVector):
-        live, stats = make_stats(W)
-        if stats is None:
-            return live, None, None
-        *scalars, mean_grad = stats
-        S_sq = scalars[2]
-        # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit; a
-        # row whose norm overflows has an infinite S^2 and leaves anyway
-        with np.errstate(over="ignore"):
+        # the one leave rule: a run leaves at the step whose outputs or S^2
+        # are not finite, or whose mean-gradient norm passes the threshold;
+        # its statistics at that step are computed with the others' and
+        # dropped, so their non-finite arithmetic must not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite, S_sq, mean_grad, diffs = make_stats(W)
+            # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit
             norms = np.sqrt((mean_grad[:, None, :] @ mean_grad[:, :, None]).reshape(-1))
-        # a NaN statistic makes S^2 NaN, while a NaN norm passes the threshold
-        ok = np.isfinite(S_sq) & ~(norms > cfg.divergence_threshold)
-        if not ok.all():
-            live[live] = ok
-            scalars = [None if x is None else x[ok] for x in scalars]
-            mean_grad = mean_grad[ok]
-        return live, mean_grad, _diffs_from_scalars(data.n, neighbors.notion, *scalars,
-                                                    pairs=pairs)
+            # a NaN statistic makes S^2 NaN, while a NaN norm passes the threshold
+            live = finite & np.isfinite(S_sq) & ~(norms > cfg.divergence_threshold)
+        if not live.all():
+            mean_grad, diffs = mean_grad[live], diffs[live]
+        return live, mean_grad, diffs
 
     traces: list[KLTrace] = []
     size = _stack_size(model, cfg.runs)

@@ -164,9 +164,6 @@ class ParamVector:
         shape = flat.shape[:-1] + self.arch.layer_shapes[l - 1]
         return flat[..., offs[l - 1]:offs[l]].reshape(shape)
 
-    def layers(self) -> list[np.ndarray]:
-        return [self.layer(l) for l in range(1, self.arch.L + 1)]
-
     def copy(self) -> "ParamVector":
         return ParamVector(self.arch, self.flat.copy())
 
@@ -308,12 +305,13 @@ def backprop_deltas(params: ParamVector, acts: list[np.ndarray], R: np.ndarray) 
     return deltas
 
 
-def loss_backprop(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> tuple | None:
-    """(deltas, activations) of the loss on a batch, or None on a non-finite forward pass."""
+def loss_backprop(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> tuple:
+    """(outputs, deltas, activations) of the loss on a batch.
+
+    Non-finite outputs are not checked here: each caller decides what they mean.
+    """
     F, acts = forward_batch(params, X)
-    if not np.all(np.isfinite(F)):
-        return None
-    return backprop_deltas(params, acts, residual_batch(F, Y, loss)), acts
+    return F, backprop_deltas(params, acts, residual_batch(F, Y, loss)), acts
 
 
 def _outer_products(params: ParamVector, deltas, acts) -> np.ndarray:
@@ -329,10 +327,10 @@ def _outer_products(params: ParamVector, deltas, acts) -> np.ndarray:
 
 def per_example_grad_batch(params: ParamVector, X: np.ndarray, Y, loss: LossKind) -> np.ndarray:
     """All per-example loss gradients stacked into an (..., n, P) array."""
-    backprop = loss_backprop(params, X, Y, loss)
-    if backprop is None:
+    F, deltas, acts = loss_backprop(params, X, Y, loss)
+    if not np.all(np.isfinite(F)):
         raise ValueError("forward pass produced non-finite outputs")
-    return _outer_products(params, *backprop)
+    return _outer_products(params, deltas, acts)
 
 
 def jacobian_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

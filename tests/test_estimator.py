@@ -373,18 +373,27 @@ class TestRunKlEstimation:
             assert not t.diverged
             assert np.all(t.cumulative_per_neighbor == 0.0)
 
-    def test_single_step_manual_accumulation(self):
-        data, neighbors, model = _setup_estimation()
-        cfg = TrainConfig(eta=0.05, steps=1, sigma2=0.02, runs=1, seed=9)
+    @pytest.mark.parametrize("o", [1, 3])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_single_step_manual_accumulation(self, notion, o):
+        # the factored statistics of a stack of runs against the explicit reference
+        data, neighbors, model = _setup_outputs(notion, o)
+        cfg = TrainConfig(eta=0.05, steps=1, sigma2=0.02, runs=3, seed=9)
+        assert estimator._stack_size(model, cfg.runs) == cfg.runs
         res = run_kl_estimation(model, data, neighbors, cfg)
-        init_stream, _ = run_streams(cfg.seed, 0)
-        W0 = sample_init(model.arch, init_betas("lecun", model.arch), init_stream)
-        G = per_example_grad_batch(W0, data.X, data.Y, LossKind.LOGISTIC_SINGLE)
-        diffs = neighbor_grad_diffs(G, notion=Neighbor.REMOVE_ONE)
-        want = cfg.eta * diffs / (2.0 * cfg.sigma2)
-        trace = res.traces[0]
-        assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
-        assert trace.cumulative_worst[-1] == pytest.approx(want.max(), rel=1e-15)
+        loss = LossKind.LOGISTIC_SINGLE if o == 1 else LossKind.CROSS_ENTROPY_MULTI
+        betas = init_betas("lecun", model.arch)
+        for r, trace in enumerate(res.traces):
+            W0 = sample_init(model.arch, betas, run_streams(cfg.seed, r)[0])
+            G = per_example_grad_batch(W0, data.X, data.Y, loss)
+            Gp = None
+            if neighbors.pool is not None:
+                Gp = per_example_grad_batch(W0, neighbors.pool.X, neighbors.pool.Y, loss)
+            pairs = neighbors.indices if notion is Neighbor.REPLACE_ONE else None
+            diffs = neighbor_grad_diffs(G, Gp, notion, pairs=pairs)
+            want = cfg.eta * diffs / (2.0 * cfg.sigma2)
+            assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
+            assert trace.cumulative_worst[-1] == pytest.approx(want.max(), rel=1e-15)
 
     def test_single_step_linearized_manual(self):
         data, neighbors, _ = _setup_estimation()
@@ -766,7 +775,7 @@ class TestStackedRuns:
         assert [t.diverged for t in single.traces] == [c < steps for c in completed]
         _assert_same_bits(stacked, single)
 
-    def test_non_finite_outputs_leave_before_residuals(self, monkeypatch):
+    def test_non_finite_outputs_leave_at_that_step(self, monkeypatch):
         data, neighbors, model = _setup_estimation(notion=Neighbor.REPLACE_ONE)
         # a pool record far out: outputs overflow for the run with a huge last layer only
         pool = dataclasses.replace(neighbors.pool, X=neighbors.pool.X * np.array(
@@ -776,27 +785,19 @@ class TestStackedRuns:
         Ws = [sample_init(model.arch, betas, RngStream(s)) for s in range(4)]
         Ws[1].layer(model.arch.L)[:] *= 1e150      # data outputs finite, pool outputs inf
         Ws[3].layer(model.arch.L)[:] = np.inf      # data outputs non-finite
-        residuals = estimator.residual_batch
-
-        def finite_residuals(F, Y, loss):
-            assert np.all(np.isfinite(F))
-            return residuals(F, Y, loss)
-
-        monkeypatch.setattr(estimator, "residual_batch", finite_residuals)
-        stats = estimator._DnnStepStats(data, neighbors, LossKind.LOGISTIC_SINGLE)
-        with np.errstate(over="ignore", invalid="ignore"):
-            live, got = stats(_stack(*Ws))
-        assert live.tolist() == [True, False, True, False]
-        for i, r in enumerate([0, 2]):
-            one_live, want = stats(_stack(Ws[r]))
-            assert one_live.tolist() == [True]
-            for x, y in zip(got, want, strict=True):
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert _same_bytes(x[i], y[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            none_live, nothing = stats(_stack(Ws[1], Ws[3]))
-        assert none_live.tolist() == [False, False] and nothing is None
+        monkeypatch.setattr(estimator, "_init_stack",
+                            lambda model, betas, seed, runs: _stack(*[Ws[r] for r in runs]))
+        # no threshold: run 1 can leave by its pool outputs only
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=4, seed=2,
+                          divergence_threshold=math.inf)
+        # no errstate here: the statistics of a leaving run must not warn
+        assert estimator._stack_size(model, cfg.runs) == cfg.runs
+        stacked = run_kl_estimation(model, data, neighbors, cfg)
+        _one_run_per_stack(monkeypatch, model)
+        single = run_kl_estimation(model, data, neighbors, cfg)
+        assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == [3, 0, 3, 0]
+        assert [t.diverged for t in single.traces] == [False, True, False, True]
+        _assert_same_bits(stacked, single)
 
     def test_noise_keys_are_the_run_streams(self, monkeypatch):
         data, neighbors, model = _setup_estimation()

@@ -351,10 +351,8 @@ class TestBatchedOps:
     def test_non_finite_forward(self):
         a, W, X, Y, loss = self._setup(1)
         W.layer(a.L)[:] = np.inf
-        with np.errstate(invalid="ignore"):
-            assert loss_backprop(W, X, Y, loss) is None
-            with pytest.raises(ValueError, match="non-finite"):
-                per_example_grad_batch(W, X, Y, loss)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            per_example_grad_batch(W, X, Y, loss)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(o=st.sampled_from([1, 2, 3]), d=st.integers(1, 4),
@@ -411,9 +409,10 @@ class TestStackedKernels:
 
         F, acts = forward_batch(Ws, X)
         Fj, J = jacobian_batch(Ws, X)
-        deltas, acts_l = loss_backprop(Ws, X, Y, loss)
+        Fl, deltas, acts_l = loss_backprop(Ws, X, Y, loss)
         R = residual_batch(F, Y, loss)
         G = per_example_grad_batch(Ws, X, Y, loss)
+        assert _same_bytes(Fl, F)
         assert F.shape == (S, n, o) and J.shape == (S, n, o, a.num_params)
         assert G.shape == (S, n, a.num_params)
         assert acts[0] is X or _same_bytes(acts[0], X)
@@ -422,7 +421,7 @@ class TestStackedKernels:
             assert _same_bytes(F[s], F1) and _same_bytes(Fj[s], F1)
             assert all(_same_bytes(h[s], h1) for h, h1 in zip(acts[1:], acts1[1:], strict=True))
             assert _same_bytes(J[s], jacobian_batch(W, X)[1])
-            deltas1, _ = loss_backprop(W, X, Y, loss)
+            _, deltas1, _ = loss_backprop(W, X, Y, loss)
             assert all(_same_bytes(D[s], D1) for D, D1 in zip(deltas, deltas1, strict=True))
             assert _same_bytes(R[s], residual_batch(F1, Y, loss))
             assert _same_bytes(G[s], per_example_grad_batch(W, X, Y, loss))
