@@ -49,7 +49,8 @@ from .linearized import (
     gram_analysis,
     lazy_solution,
     lin_empirical_loss,
-    lin_per_example_grads,
+    lin_forward,
+    lin_grad_sum,
 )
 from .network import SCHEME_NAMES, LossKind, NetArch, ParamVector, init_betas, sample_init
 from .numerics import RngStream
@@ -462,9 +463,9 @@ def cmd_lazy(cfg: RunConfig) -> int:
         live = np.ones(1, dtype=bool)
 
         def step(W: ParamVector):
-            G = lin_per_example_grads(features, ParamVector(arch, W.flat[0]), data.Y,
-                                      LossKind.LOGISTIC_SINGLE)
-            return live, G.mean(axis=0)[None], None
+            preds = lin_forward(features, ParamVector(arch, W.flat[0]))
+            S = lin_grad_sum(features, preds, data.Y, LossKind.LOGISTIC_SINGLE)
+            return live, (S / data.n)[None], None
 
         # a stack of one run
         iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, cfg.eta,

@@ -28,8 +28,7 @@ from .linearized import (
     NtkFeatures,
     build_features,
     lin_forward,
-    lin_grads_at,
-    lin_per_example_grads,
+    lin_grad_sum,
 )
 from .network import (
     InitScheme,
@@ -51,11 +50,11 @@ from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 # run_kl_estimation trains the runs of a network max(1, min(runs,
 # OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
 # trainer (_noisy_gd), so each (R, P) array of a stack holds at most 2^17
-# parameters (1 MiB).  Linearized runs, whose (n + pool, P) gradient matrix is
-# the memory cost, and lazy's one run train as stacks of one.  On a 2-core host
-# with numpy's OpenBLAS, a CLI run training two runs of P = 3,104 (d=32,
-# width 32, depth 4, replace-one) as one stack took 0.70x the wall time of
-# one run at a time (median of 8 alternating pairs): at that size a step is
+# parameters (1 MiB).  Linearized runs, whose step statistics take one
+# parameter vector at a time, and lazy's one run train as stacks of one.  On a
+# 2-core host with numpy's OpenBLAS, a CLI run training two runs of P = 3,104
+# (d=32, width 32, depth 4, replace-one) as one stack took 0.70x the wall time
+# of one run at a time (median of 8 alternating pairs): at that size a step is
 # mostly per-call overhead, which a stack pays once for all its runs.
 # A stack of OVERLAP_MIN_PARAMS parameters or more (in practice one run with
 # P >= 2^17) draws each step's noise on one helper thread while the step's
@@ -285,6 +284,10 @@ class _ExplicitGrads:
         return self.G @ pool.G.T
 
 
+def _row_norms_sq(A: np.ndarray) -> np.ndarray:
+    return np.einsum("...nb,...nb->...n", A, A)
+
+
 class _FactoredGrads:
     """Per-example gradients of the network, kept as their layer factors.
 
@@ -293,16 +296,17 @@ class _FactoredGrads:
     (the per-layer Gram of two examples is (delta delta^T) * (h h^T),
     Goodfellow's 2015 per-example-gradient trick); the parameter-sized
     per-example matrix is never materialized.  Every result carries the
-    stack's leading run axis.
+    stack's leading run axis.  ``input_sq`` holds |h_0|^2, the squared norms
+    of the input rows ``acts[0]``, which stay fixed through training.
     """
 
-    def __init__(self, deltas, acts):
-        self.deltas, self.acts = deltas, acts
+    def __init__(self, deltas, acts, input_sq):
+        self.deltas, self.acts, self.input_sq = deltas, acts, input_sq
 
     def norms_sq(self) -> np.ndarray:
         """Layer l adds |delta_l|^2 |h_{l-1}|^2."""
-        return sum(np.einsum("...na,...na->...n", D, D) * np.einsum("...nb,...nb->...n", H, H)
-                   for D, H in zip(self.deltas, self.acts))
+        acts_sq = [self.input_sq, *(_row_norms_sq(H) for H in self.acts[1:])]
+        return sum(_row_norms_sq(D) * H_sq for D, H_sq in zip(self.deltas, acts_sq))
 
     def dots(self, S) -> np.ndarray:
         """Dots with the gradient sum S, given as its layer blocks S_l: layer l
@@ -404,16 +408,24 @@ class _DnnStepStats(_StepStats):
     summation order changes the last bits of the pool statistics.  Run r's
     row equals its statistics alone bit for bit, whatever the other rows
     hold: the stacked products run the same GEMMs and reductions per run.
+    The squared norms of the input rows are computed once per estimate.
     """
+
+    def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
+        super().__init__(data, neighbors, loss)
+        self.input_sq = _row_norms_sq(np.asarray(data.X, dtype=float))
+        self.pool_input_sq = None
+        if self.pool is not None:
+            self.pool_input_sq = _row_norms_sq(np.asarray(self.pool.X, dtype=float))
 
     def __call__(self, W: ParamVector) -> tuple:
         F, *factors = loss_backprop(W, self.data.X, self.data.Y, self.loss)
         finite = np.isfinite(F).all(axis=(-2, -1))
-        grads, pool_grads = _FactoredGrads(*factors), None
+        grads, pool_grads = _FactoredGrads(*factors, self.input_sq), None
         if self.pool is not None:
             F, *factors = loss_backprop(W, self.pool.X, self.pool.Y, self.loss)
             finite &= np.isfinite(F).all(axis=(-2, -1))
-            pool_grads = _FactoredGrads(*factors)
+            pool_grads = _FactoredGrads(*factors, self.pool_input_sq)
         blocks = [D.swapaxes(-1, -2) @ H for D, H in zip(grads.deltas, grads.acts)]
         S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
         mean_grad = ParamVector(W.arch, np.empty(W.flat.shape))
@@ -427,33 +439,39 @@ class _LinStepStats(_StepStats):
     """Step statistics for the linearized model.
 
     Jacobian rows are frozen at the expansion point, so pool features are
-    computed once and per-example gradients are small residual-weighted
-    combinations of cached rows, held as :class:`_ExplicitGrads`.  Runs are
-    not stacked: ``W`` is a stack of one.
+    computed once, and each step forms the gradient sum S and the
+    per-example gradients from cached rows with :func:`lin_grad_sum`.  Only
+    the per-example rows that the notion's formula reads are kept, as
+    :class:`_ExplicitGrads` over (n, P) buffers allocated once and refilled
+    every step: add-one reads the data only through S, so its data rows are
+    never formed.  Runs are not stacked: ``W`` is a stack of one.
     """
 
     def __init__(self, model: LinearizedModel, data: Dataset, neighbors: NeighborSet,
                  loss: LossKind):
         super().__init__(data, neighbors, loss)
         self.features = model.features
-        self.pool_features = None
+        P = model.arch.num_params
+        self.rows = None if self.notion is Neighbor.ADD_ONE else np.empty((data.n, P))
+        self.pool_features = self.pool_rows = None
         if self.pool is not None:
             self.pool_features = build_features(self.features.W0, self.pool.X)
+            self.pool_rows = np.empty((self.pool.n, P))
 
     def __call__(self, W: ParamVector) -> tuple:
         W = ParamVector(W.arch, W.flat[0])
         preds = lin_forward(self.features, W)
         finite = np.isfinite(preds).all()
-        G = lin_grads_at(self.features, preds, self.data.Y, self.loss)
+        S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, self.rows)
+        grads = None if self.rows is None else _ExplicitGrads(self.rows)
         pool_grads = None
         if self.pool is not None:
-            pool_grads = _ExplicitGrads(
-                lin_per_example_grads(self.pool_features, W, self.pool.Y, self.loss))
-        S = G.sum(axis=0)
+            lin_grad_sum(self.pool_features, lin_forward(self.pool_features, W), self.pool.Y,
+                         self.loss, self.pool_rows)
+            pool_grads = _ExplicitGrads(self.pool_rows)
         S_sq = S @ S
-        diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, _ExplicitGrads(G), pool_grads,
-                          self.pairs)
-        return np.array([finite]), S_sq[None], (S / G.shape[0])[None], diffs[None]
+        diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, grads, pool_grads, self.pairs)
+        return np.array([finite]), S_sq[None], (S / self.data.n)[None], diffs[None]
 
 
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:

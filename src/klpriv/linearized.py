@@ -74,16 +74,39 @@ def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
     return features.f0 + shift.reshape(features.f0.shape)
 
 
-def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> np.ndarray:
-    """Per-example loss gradients of the linearized model, shape (n, P)."""
-    return lin_grads_at(features, lin_forward(features, W), Y, loss)
+def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum S (P,) of the per-example loss gradients given the model's predictions (n, o).
 
-
-def lin_grads_at(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind) -> np.ndarray:
-    """Per-example loss gradients (n, P) given the model's predictions ``preds`` (n, o)."""
+    Example i's gradient is sum_j r_ij J_ij over its Jacobian rows, with r the
+    loss residual; it is written to row i of ``rows`` when an (n, P) buffer is
+    given.  Row i is J_i0 r_i0 plus the terms j = 1..o-1 in order, and S starts
+    from zeros and adds the rows in order: the bits of
+    ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P) matrix unless
+    the caller keeps the rows.
+    """
     R = residual_batch(preds, Y, loss)
     n, o = preds.shape
-    return np.einsum("nop,no->np", features.jac.reshape(n, o, -1), R)
+    J = features.jac.reshape(n, o, -1)
+    S = np.zeros(J.shape[-1])
+    # the row scratch and the term scratch stay apart: a row adds its terms
+    row = np.empty_like(S) if rows is None else None
+    term = np.empty_like(S) if o > 1 else None
+    for i in range(n):
+        g = row if rows is None else rows[i]
+        np.multiply(J[i, 0], R[i, 0], out=g)
+        for j in range(1, o):
+            g += np.multiply(J[i, j], R[i, j], out=term)
+        S += g
+    return S
+
+
+def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> np.ndarray:
+    """Per-example loss gradients of the linearized model, shape (n, P)."""
+    preds = lin_forward(features, W)
+    rows = np.empty((preds.shape[0], features.arch.num_params))
+    lin_grad_sum(features, preds, Y, loss, rows)
+    return rows
 
 
 def lin_empirical_loss(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> float:

@@ -33,7 +33,6 @@ from klpriv import (
     lazy_solution,
     lin_empirical_loss,
     lin_forward,
-    lin_per_example_grads,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
@@ -47,6 +46,7 @@ from klpriv import (
     tradeoff_schedule,
 )
 from klpriv.estimator import _noisy_gd
+from klpriv.linearized import lin_grad_sum
 from klpriv.network import loss_batch
 
 SCHEMES = ("lecun", "he", "ntk", "xavier")
@@ -226,9 +226,9 @@ def test_c08_averaged_iterate_risk_bound():
         sol = lazy_solution(features, data.Y, ridge=0.0)
 
         def step(W):
-            G = lin_per_example_grads(features, ParamVector(arch, W.flat[0]), data.Y,
-                                      LossKind.LOGISTIC_SINGLE)
-            return np.ones(1, dtype=bool), G.mean(axis=0)[None], None
+            preds = lin_forward(features, ParamVector(arch, W.flat[0]))
+            S = lin_grad_sum(features, preds, data.Y, LossKind.LOGISTIC_SINGLE)
+            return np.ones(1, dtype=bool), (S / n)[None], None
 
         iterates = _noisy_gd(ParamVector(arch, W0.flat[None]), step, eta, sigma2,
                              noise_stream.keys(np.arange(K))[None])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -717,9 +718,9 @@ class TestOverlappedNoise:
         assert fake.set_calls == [1, 2]
 
 
-def _setup_outputs(notion, o):
+def _setup_outputs(notion, o, n=6):
     """_setup_estimation with o outputs: one-hot labels for o > 1."""
-    data, neighbors, model = _setup_estimation(notion=notion)
+    data, neighbors, model = _setup_estimation(n=n, notion=notion)
     if o == 1:
         return data, neighbors, model
     gen = RngStream(102).generator()
@@ -838,6 +839,56 @@ class TestStackedRuns:
         W0 = sample_init(NetArch.uniform(32, 128, 3, 1), init_betas("lecun", dnn(32, 128, 3).arch),
                          RngStream(2))
         assert estimator._stack_size(LinearizedModel(build_features(W0, data.X)), 2) == 1
+
+
+def _lin_step_setup(notion, o, n=6, width=6):
+    """A linearized model with o outputs, its data and neighbors, loss and two stacks of one."""
+    data, neighbors, _ = _setup_outputs(notion, o, n)
+    arch = NetArch.uniform(data.d, width, 3, o)
+    W0 = sample_init(arch, init_betas("he", arch), RngStream(56))
+    model = LinearizedModel(features=build_features(W0, data.X))
+    loss = LossKind.LOGISTIC_SINGLE if o == 1 else LossKind.CROSS_ENTROPY_MULTI
+    shift = 0.3 * RngStream(57).generator().standard_normal(arch.num_params)
+    stacks = [ParamVector(arch, W.flat[None]) for W in (W0, ParamVector(arch, W0.flat + shift))]
+    return model, data, neighbors, loss, stacks
+
+
+class TestLinStepStats:
+    """The linearized step statistics refill buffers allocated once per estimate."""
+
+    @pytest.mark.parametrize("o", [1, 3])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_reused_buffers_equal_fresh_steps(self, notion, o):
+        model, data, neighbors, loss, stacks = _lin_step_setup(notion, o)
+        stats = estimator._LinStepStats(model, data, neighbors, loss)
+        reused = [stats(W) for W in stacks]
+        assert not _same_bytes(reused[0][3], reused[1][3])
+        for got, W in zip(reused, stacks):
+            fresh = estimator._LinStepStats(model, data, neighbors, loss)(W)
+            assert len(got) == len(fresh) == 4
+            assert all(_same_bytes(a, b) for a, b in zip(got, fresh))
+
+    def test_add_one_step_allocates_less_than_a_data_gradient_matrix(self):
+        model, data, neighbors, loss, stacks = _lin_step_setup(Neighbor.ADD_ONE, 1, n=32,
+                                                                width=32)
+        matrix_bytes = 8 * data.n * model.arch.num_params
+        stats = estimator._LinStepStats(model, data, neighbors, loss)
+        stats(stacks[0])
+
+        def peak_bytes(fn):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # the tracer sees numpy's buffers: the explicit rows count in full
+        W = ParamVector(model.arch, stacks[1].flat[0])
+        assert peak_bytes(lambda: lin_per_example_grads(model.features, W, data.Y, loss)) \
+            >= matrix_bytes
+        assert peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
 
 
 @pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")

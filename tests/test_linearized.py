@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klpriv.linearized import (
     NtkFeatures,
@@ -10,6 +12,7 @@ from klpriv.linearized import (
     lazy_solution,
     lin_empirical_loss,
     lin_forward,
+    lin_grad_sum,
     lin_per_example_grads,
 )
 from klpriv.network import (
@@ -19,6 +22,7 @@ from klpriv.network import (
     init_betas,
     jacobian_batch,
     per_example_grad_batch,
+    residual_batch,
     sample_init,
 )
 from klpriv.numerics import RankDeficiencyError, RngStream
@@ -131,6 +135,45 @@ class TestLinGradients:
         tail = 1.0 / (1.0 + np.exp(20.0))
         assert np.linalg.norm(G, axis=1).max() <= (tail + 1e-15) * row_norm
         assert tail < 2.1e-9
+
+
+def _same_bytes(a, b):
+    """Equal shape, dtype and raw bytes, so that the signs of zeros count too."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLinGradSum:
+    """The kernel against the einsum it replaced: the same rows and the same sum."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(o=st.sampled_from([1, 2, 3, 5]), n=st.sampled_from([1, 2, 9]),
+           hidden=st.integers(1, 6), dead=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    def test_matches_einsum_reference(self, o, n, hidden, dead, seed):
+        arch = NetArch(d=2, hidden=(hidden,), o=o)
+        gens = [RngStream(seed).child(k).generator() for k in range(4)]
+        jac = gens[0].standard_normal((n * o, arch.num_params))
+        # dead units: all-zero Jacobian columns, where a product's sign of zero
+        # follows the residual's
+        jac[:, gens[1].random(arch.num_params) < dead] = 0.0
+        preds = 3.0 * gens[2].standard_normal((n, o))
+        # at W = W0 the model predicts f0
+        feats = NtkFeatures(arch=arch, W0=ParamVector.zeros(arch), X=np.zeros((n, 2)),
+                            f0=preds, jac=jac)
+        if o == 1:
+            Y, loss = np.where(gens[3].random(n) < 0.5, -1.0, 1.0), LossKind.LOGISTIC_SINGLE
+        else:
+            Y, loss = np.eye(o)[gens[3].integers(0, o, n)], LossKind.CROSS_ENTROPY_MULTI
+        R = residual_batch(preds, Y, loss)
+        ref = np.einsum("nop,no->np", jac.reshape(n, o, -1), R)
+
+        rows = np.full((n, arch.num_params), np.nan)
+        S = lin_grad_sum(feats, preds, Y, loss, rows)
+        assert np.array_equal(rows, ref)
+        assert _same_bytes(S, ref.sum(axis=0))
+        assert _same_bytes(lin_grad_sum(feats, preds, Y, loss), S)
+        assert np.array_equal(lin_per_example_grads(feats, ParamVector.zeros(arch), Y, loss),
+                              ref)
 
 
 class TestGramAnalysis:
