@@ -55,7 +55,6 @@ from .linearized import (
     lin_per_example_grads,
 )
 from .network import (
-    InitScheme,
     LossKind,
     NetArch,
     ParamVector,

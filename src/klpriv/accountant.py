@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .network import NetArch, as_scheme
+from .network import NetArch, init_betas
 
 # Guard for exp((2 + beta^2) T): beyond this the drift bound is vacuous and
 # evaluating it would overflow float64.
@@ -36,14 +36,10 @@ class KLConstant(enum.Enum):
 
 
 def _check_betas(arch: NetArch, betas, positive: bool = True) -> tuple[float, ...]:
-    betas = tuple(float(b) for b in betas)
-    if len(betas) != arch.L:
-        raise ValueError(f"need {arch.L} layer variances, got {len(betas)}")
+    betas = init_betas(betas, arch)
     # formulas that divide by a beta need strict positivity
     if positive and any(b <= 0 for b in betas):
         raise ValueError("layer variances must be positive")
-    if any(b < 0 for b in betas):
-        raise ValueError("layer variances must be non-negative")
     return betas
 
 
@@ -82,21 +78,20 @@ def expected_output_sqnorm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
     return arch.o * betas[-1] * _hidden_product(arch, betas) * x_sqnorm
 
 
-def table_closed_form_B(scheme, d: int, m: int, L: int, o: int) -> float:
-    """Per-scheme closed form of B for uniform hidden width m and depth L."""
+def table_closed_form_B(scheme: str, d: int, m: int, L: int, o: int) -> float:
+    """Closed form of B for a scheme name from SCHEME_NAMES, uniform hidden width m and depth L."""
     if min(d, m, L, o) < 1 or L < 2:
         raise ValueError("need d, m, o >= 1 and depth L >= 2")
-    kind = as_scheme(scheme).kind
-    if kind == "lecun":
+    if scheme == "lecun":
         return o * m * (L - 1 + d / m) / 2.0 ** (L - 1)
-    if kind == "he":
+    if scheme == "he":
         return float(o * m * (L - 1 + d / m))
-    if kind == "ntk":
+    if scheme == "ntk":
         return d * m * ((L - 1) / 2.0 + o / m)
-    if kind == "xavier":
+    if scheme == "xavier":
         return o * d * (L - 1 + (d + o) / (2.0 * m)) / (
             2.0 ** (L - 3) * (1.0 + d / m) * (1.0 + o / m))
-    raise ValueError(f"no closed form for scheme {kind!r}")
+    raise ValueError(f"no closed form for scheme {scheme!r}")
 
 
 def kl_bound_linearized(B: float, T: float, n: int, sigma2: float,

@@ -46,7 +46,6 @@ from .estimator import (
 )
 from .linearized import (
     build_features,
-    gram_analysis,
     lazy_solution,
     lin_empirical_loss,
     lin_forward,
@@ -264,14 +263,8 @@ def _resolve_data(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
     """Dataset and (when the notion needs one) a held-out candidate pool."""
     notion = Neighbor(cfg.neighbor)
     need_pool = notion is not Neighbor.REMOVE_ONE
-    spec = cfg.data
-    if spec.startswith("synth:"):
-        try:
-            n = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad data spec {spec!r}; expected synth:<n> or csv:<path>")
-        if n < 1:
-            raise ValueError("synthetic dataset size must be positive")
+    n = _synth_size(cfg.data)
+    if n is not None:
         if cfg.outputs != 1:
             raise ValueError("synthetic data is binary; multi-output runs need csv data")
         data = synth_sphere(n, cfg.d, RngStream(cfg.seed).child(_DATA_CHILD))
@@ -280,24 +273,40 @@ def _resolve_data(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
             pool = synth_sphere(cfg.pool_size, cfg.d,
                                 RngStream(cfg.seed).child(_POOL_CHILD))
         return data, pool
+    full = load_csv(cfg.data.split(":", 1)[1], cfg.label_column)
+    if not need_pool:
+        return full, None
+    if full.n <= cfg.pool_size:
+        raise ValueError("dataset too small to hold out a candidate pool")
+    data = Dataset(X=full.X[:-cfg.pool_size], Y=full.Y[:-cfg.pool_size])
+    pool = Dataset(X=full.X[-cfg.pool_size:], Y=full.Y[-cfg.pool_size:])
+    return data, pool
+
+
+def _synth_size(spec: str) -> int | None:
+    """Size n of a ``synth:<n>`` data spec, or None for a ``csv:<path>`` spec."""
     if spec.startswith("csv:"):
-        full = load_csv(spec.split(":", 1)[1], cfg.label_column)
-        if not need_pool:
-            return full, None
-        if full.n <= cfg.pool_size:
-            raise ValueError("dataset too small to hold out a candidate pool")
-        data = Dataset(X=full.X[:-cfg.pool_size], Y=full.Y[:-cfg.pool_size])
-        pool = Dataset(X=full.X[-cfg.pool_size:], Y=full.Y[-cfg.pool_size:])
-        return data, pool
-    raise ValueError(f"bad data spec {spec!r}; expected synth:<n> or csv:<path>")
+        return None
+    n = None
+    if spec.startswith("synth:"):
+        try:
+            n = int(spec.split(":", 1)[1])
+        except ValueError:
+            pass
+    if n is None:
+        raise ValueError(f"bad data spec {spec!r}; expected synth:<n> or csv:<path>")
+    if n < 1:
+        raise ValueError("synthetic dataset size must be positive")
+    return n
 
 
 def _dataset_size(cfg: RunConfig) -> int:
     if cfg.n is not None:
         return cfg.n
-    if cfg.data.startswith("synth:"):
-        return int(cfg.data.split(":", 1)[1])
-    raise ValueError("--n is required when the data spec is a csv file")
+    n = _synth_size(cfg.data)
+    if n is None:
+        raise ValueError("--n is required when the data spec is a csv file")
+    return n
 
 
 def _sphere_input(d: int, seed: int) -> np.ndarray:
@@ -441,12 +450,11 @@ def cmd_lazy(cfg: RunConfig) -> int:
     betas = init_betas(scheme, arch)
     W0 = sample_init(arch, betas, RngStream(cfg.seed).child(_INIT_CHILD))
     features = build_features(W0, data.X)
-    gram = gram_analysis(features)
     sol = lazy_solution(features, data.Y, ridge=cfg.ridge)
     target = 1.0 / data.n ** 2
     rows = [
-        ("lambda_min", gram.lambda_min),
-        ("rank_M0", gram.rank),
+        ("lambda_min", sol.gram.lambda_min),
+        ("rank_M0", sol.gram.rank),
         ("R", sol.R),
         ("R_bound_order_of_magnitude", lazy_R_bound(arch, betas, data.n)),
         ("achieved_loss", sol.achieved_loss),
@@ -472,7 +480,7 @@ def cmd_lazy(cfg: RunConfig) -> int:
                              cfg.sigma2, noise_stream.keys(np.arange(cfg.steps))[None])
         W_avg = ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / cfg.steps)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)
-        bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * gram.rank / 2.0
+        bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * sol.gram.rank / 2.0
         rows.append(("averaged_iterate_loss", avg_loss))
         rows.append(("excess_vs_interpolator", avg_loss - sol.achieved_loss))
         rows.append(("risk_bound", bound))

@@ -8,6 +8,7 @@ analysis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,38 +75,56 @@ def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
     return features.f0 + shift.reshape(features.f0.shape)
 
 
-def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    """Sum S (P,) of the per-example loss gradients given the model's predictions (n, o).
+def _grad_rows(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
+               rows: np.ndarray | None) -> Iterator[np.ndarray]:
+    """Yield example i's loss gradient, i = 0..n-1, given the predictions (n, o).
 
-    Example i's gradient is sum_j r_ij J_ij over its Jacobian rows, with r the
-    loss residual; it is written to row i of ``rows`` when an (n, P) buffer is
-    given.  Row i is J_i0 r_i0 plus the terms j = 1..o-1 in order, and S starts
-    from zeros and adds the rows in order: the bits of
-    ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P) matrix unless
-    the caller keeps the rows.
+    The gradient is sum_j r_ij J_ij over its Jacobian rows, with r the loss
+    residual: J_i0 r_i0 plus the terms j = 1..o-1 in order.  It is written to
+    row i of ``rows``, an (n, P) buffer, or with None to one scratch row that
+    the next example overwrites.
     """
     R = residual_batch(preds, Y, loss)
     n, o = preds.shape
     J = features.jac.reshape(n, o, -1)
-    S = np.zeros(J.shape[-1])
     # the row scratch and the term scratch stay apart: a row adds its terms
-    row = np.empty_like(S) if rows is None else None
-    term = np.empty_like(S) if o > 1 else None
+    row = np.empty(J.shape[-1]) if rows is None else None
+    term = np.empty(J.shape[-1]) if o > 1 else None
     for i in range(n):
         g = row if rows is None else rows[i]
         np.multiply(J[i, 0], R[i, 0], out=g)
         for j in range(1, o):
             g += np.multiply(J[i, j], R[i, j], out=term)
+        yield g
+
+
+def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum S (P,) of the per-example loss gradients given the model's predictions (n, o).
+
+    Example i's gradient is written to row i of ``rows`` when an (n, P)
+    buffer is given.  S starts from zeros and adds the rows in order: the
+    bits of ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P)
+    matrix unless the caller keeps the rows.
+    """
+    S = np.zeros(features.jac.shape[-1])
+    for g in _grad_rows(features, preds, Y, loss, rows):
         S += g
     return S
 
 
-def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> np.ndarray:
-    """Per-example loss gradients of the linearized model, shape (n, P)."""
+def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind,
+                          rows: np.ndarray | None = None) -> np.ndarray:
+    """Per-example loss gradients of the linearized model, shape (n, P).
+
+    They are written into ``rows``, an (n, P) buffer, when one is given; no
+    gradient sum is formed.
+    """
     preds = lin_forward(features, W)
-    rows = np.empty((preds.shape[0], features.arch.num_params))
-    lin_grad_sum(features, preds, Y, loss, rows)
+    if rows is None:
+        rows = np.empty((preds.shape[0], features.arch.num_params))
+    for _ in _grad_rows(features, preds, Y, loss, rows):
+        pass
     return rows
 
 
@@ -139,12 +158,14 @@ class LazySolution:
 
     ``achieved_loss`` certifies near-optimality: the empirical loss minimum
     is non-negative, so the achieved loss itself bounds the optimality gap.
+    ``gram`` is the :func:`gram_analysis` the construction solved with.
     """
 
     Wstar: ParamVector
     R: float                # squared parameter distance ||Wstar - W0||^2
     achieved_loss: float
     ridge_used: float
+    gram: GramAnalysis
 
 
 def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None = None) -> LazySolution:
@@ -167,10 +188,10 @@ def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None
         raise ValueError("labels must be +-1 with one entry per example")
     if n < 1:
         raise ValueError("need at least one example")
-    K = features.jac @ features.jac.T
-    _, rank, _ = psd_spectrum(K)
-    if rank < n:
-        raise RankDeficiencyError(rank, n)
+    gram = gram_analysis(features)
+    K = gram.K
+    if gram.rank < n:
+        raise RankDeficiencyError(gram.rank, n)
     if ridge is None:
         ridge = 1e-10 * float(np.trace(K)) / n
     t = 2.0 * np.log(n) * y - features.f0[:, 0]
@@ -178,4 +199,5 @@ def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None
     Wstar = ParamVector(features.arch, features.W0.flat + features.jac.T @ alpha)
     R = float(alpha @ (K @ alpha))
     achieved = lin_empirical_loss(features, Wstar, y, LossKind.LOGISTIC_SINGLE)
-    return LazySolution(Wstar=Wstar, R=R, achieved_loss=achieved, ridge_used=float(ridge))
+    return LazySolution(Wstar=Wstar, R=R, achieved_loss=achieved, ridge_used=float(ridge),
+                        gram=gram)

@@ -10,7 +10,6 @@ order and each layer matrix flattened row-major.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,58 +69,31 @@ class NetArch:
         return self.layer_offsets[-1]
 
 
-@dataclass(frozen=True)
-class InitScheme:
-    """Initialization scheme: per-layer Gaussian entry variances beta_l.
+def init_betas(scheme, arch: NetArch) -> tuple[float, ...]:
+    """Per-layer entry variances (beta_1, ..., beta_L) of an initialization.
 
-    The named schemes derive beta_l from the architecture; ``custom`` carries
-    explicit variances for all L layers.
+    ``scheme`` is a name from SCHEME_NAMES, whose variances derive from the
+    architecture, or a sequence of L non-negative variances, returned as
+    floats; a zero variance initializes its layer at zero.
     """
-
-    kind: str
-    betas: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in SCHEME_NAMES + ("custom",):
-            raise ValueError(f"unknown scheme {self.kind!r}")
-        if self.kind == "custom" and self.betas is None:
-            raise ValueError("custom scheme needs explicit betas")
-        if self.kind != "custom" and self.betas is not None:
-            raise ValueError("named schemes derive betas from the architecture")
-
-    @classmethod
-    def custom(cls, betas) -> "InitScheme":
-        return cls("custom", tuple(float(b) for b in betas))
-
-
-def as_scheme(scheme: "InitScheme | str") -> InitScheme:
-    if isinstance(scheme, InitScheme):
-        return scheme
-    return InitScheme(str(scheme))
-
-
-def init_betas(scheme: "InitScheme | str", arch: NetArch) -> tuple[float, ...]:
-    """Per-layer entry variances (beta_1, ..., beta_L) for a scheme."""
-    scheme = as_scheme(scheme)
     w = arch.widths
     L = arch.L
-    if scheme.kind == "custom":
-        betas = scheme.betas
+    if not isinstance(scheme, str):
+        betas = tuple(float(b) for b in scheme)
         if len(betas) != L:
-            raise ValueError(f"custom betas must have length {L}")
-        # variance 0 is allowed for custom schemes (degenerate init at zero)
-        if any(b < 0 for b in betas):
+            raise ValueError(f"need {L} layer variances, got {len(betas)}")
+        if not all(b >= 0 for b in betas):
             raise ValueError("layer variances must be non-negative")
         return betas
-    elif scheme.kind == "lecun":
-        betas = tuple(1.0 / w[l - 1] for l in range(1, L + 1))
-    elif scheme.kind == "he":
-        betas = tuple(2.0 / w[l - 1] for l in range(1, L + 1))
-    elif scheme.kind == "ntk":
-        betas = tuple(2.0 / w[l] for l in range(1, L)) + (1.0 / arch.o,)
-    else:  # xavier
-        betas = tuple(2.0 / (w[l - 1] + w[l]) for l in range(1, L + 1))
-    return betas
+    if scheme == "lecun":
+        return tuple(1.0 / w[l - 1] for l in range(1, L + 1))
+    if scheme == "he":
+        return tuple(2.0 / w[l - 1] for l in range(1, L + 1))
+    if scheme == "ntk":
+        return tuple(2.0 / w[l] for l in range(1, L)) + (1.0 / arch.o,)
+    if scheme == "xavier":
+        return tuple(2.0 / (w[l - 1] + w[l]) for l in range(1, L + 1))
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 @dataclass
@@ -175,54 +147,44 @@ class LossKind(enum.Enum):
     CROSS_ENTROPY_MULTI = "cross-entropy"
 
 
-def sample_init(arch: NetArch, betas, rng: RngStream) -> ParamVector:
-    """Draw W_l with iid N(0, beta_l) entries from substream ``rng.child(l)``."""
-    W = ParamVector(arch, np.empty((1, arch.num_params)))
-    _draw_layers(W, _layer_variances(arch, betas), rng.keys(_layer_ids(arch))[None])
-    return ParamVector(arch, W.flat[0])
+def init_keys(arch: NetArch, rng: RngStream, *path) -> np.ndarray:
+    """Philox keys, shape (S, L, 2), of the layer streams of S initializations.
 
-
-def sample_inits(arch: NetArch, betas, rng: RngStream, count: int,
-                 chunk: int) -> Iterator[ParamVector]:
-    """``sample_init(arch, betas, rng.child(s))`` for s = 0 .. count-1, lazily.
-
-    Yields stacks of ``chunk`` consecutive initializations (the last may hold
-    fewer), each drawn when the iterator reaches it into one (chunk, P)
-    buffer that the next stack overwrites.  The keys of all count x L layer
-    substreams are derived up front in one call.
+    ``path`` holds index arrays that broadcast to shape (S,), as in
+    :meth:`RngStream.keys`: initialization s descends from the parent stream
+    ``rng.child(path[0][s]).child(path[1][s])...``, and without ``path`` from
+    ``rng`` alone (S = 1).  Its layer l draws from ``parent.child(l)``.  All
+    S x L keys come from one :meth:`RngStream.keys` call.
     """
-    betas = _layer_variances(arch, betas)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    keys = rng.keys(np.arange(count)[:, None], _layer_ids(arch))
-
-    def stacks():
-        buf = np.empty((min(chunk, count), arch.num_params))
-        for start in range(0, count, chunk):
-            W = ParamVector(arch, buf[:count - start])
-            _draw_layers(W, betas, keys[start:start + chunk])
-            yield W
-
-    return stacks()
+    layers = np.arange(1, arch.L + 1)
+    return rng.keys(*(np.asarray(i)[..., None] for i in path), layers).reshape(-1, arch.L, 2)
 
 
-def _layer_variances(arch: NetArch, betas) -> tuple:
-    betas = tuple(betas)
-    if len(betas) != arch.L:
-        raise ValueError(f"need {arch.L} layer variances, got {len(betas)}")
-    return betas
+def sample_inits(arch: NetArch, scheme, keys: np.ndarray,
+                 out: np.ndarray | None = None) -> ParamVector:
+    """Stack (S, P) of initializations with iid N(0, beta_l) entries in layer l.
 
-
-def _layer_ids(arch: NetArch) -> np.ndarray:
-    return np.arange(1, arch.L + 1)
-
-
-def _draw_layers(W: ParamVector, betas: tuple, keys: np.ndarray) -> None:
-    """Fill the S vectors of stack W; ``keys[s, l - 1]`` is the key of layer l of vector s."""
-    for l, ((rows, cols), beta) in enumerate(zip(W.arch.layer_shapes, betas), start=1):
+    ``scheme`` is as for :func:`init_betas`; ``keys`` comes from
+    :func:`init_keys`, and layer l of vector s draws with ``keys[s, l - 1]``.
+    The stack is written into ``out``, an (S, P) array, when one is given.
+    """
+    betas = init_betas(scheme, arch)
+    if keys.shape[1:] != (arch.L, 2):
+        raise ValueError(f"need keys of shape (S, {arch.L}, 2), got {keys.shape}")
+    shape = (keys.shape[0], arch.num_params)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
+    W = ParamVector(arch, np.empty(shape) if out is None else out)
+    for l, ((rows, cols), beta) in enumerate(zip(arch.layer_shapes, betas), start=1):
         layer = W.layer(l)
         for s, key in enumerate(keys[:, l - 1]):
             layer[s] = gaussian_matrix(rows, cols, beta, key)
+    return W
+
+
+def sample_init(arch: NetArch, scheme, rng: RngStream) -> ParamVector:
+    """One initialization, layer l drawn from substream ``rng.child(l)``."""
+    return ParamVector(arch, sample_inits(arch, scheme, init_keys(arch, rng)).flat[0])
 
 
 # ---------------------------------------------------------------------------

@@ -255,17 +255,15 @@ def blas_threads(count: int):
         set_(previous)
 
 
-def gaussian_matrix(rows: int, cols: int, variance: float,
-                    rng: RngStream | np.ndarray) -> np.ndarray:
+def gaussian_matrix(rows: int, cols: int, variance: float, key: np.ndarray) -> np.ndarray:
     """Sample a ``rows x cols`` matrix with iid N(0, variance) entries.
 
-    ``rng`` is the stream to draw from, or its Philox key (:meth:`RngStream.keys`).
+    ``key`` is the Philox key of the stream to draw from (:meth:`RngStream.keys`).
     """
     if rows <= 0 or cols <= 0:
         raise ValueError("empty matrix: rows and cols must be positive")
     if variance < 0:
         raise ValueError("variance must be non-negative")
-    key = rng.keys() if isinstance(rng, RngStream) else rng
     return keyed_generator(key).normal(0.0, np.sqrt(variance), size=(rows, cols))
 
 

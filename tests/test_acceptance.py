@@ -27,7 +27,6 @@ from klpriv import (
     finite_diff_gradient,
     forward_batch,
     gradient_norm_constant_B,
-    gram_analysis,
     init_betas,
     kl_bound_linearized,
     lazy_solution,
@@ -222,7 +221,6 @@ def test_c08_averaged_iterate_risk_bound():
         init_stream, noise_stream = run_streams(8, seed_run)
         W0 = sample_init(arch, betas, init_stream)
         features = build_features(W0, data.X)
-        gram = gram_analysis(features)
         sol = lazy_solution(features, data.Y, ridge=0.0)
 
         def step(W):
@@ -237,7 +235,7 @@ def test_c08_averaged_iterate_risk_bound():
                                       LossKind.LOGISTIC_SINGLE)
         excesses.append(avg_loss - sol.achieved_loss)
         bounds.append(sol.achieved_loss + sol.R / (2.0 * T)
-                      + sigma2 * gram.rank / 2.0)
+                      + sigma2 * sol.gram.rank / 2.0)
     mean_excess = float(np.mean(excesses))
     mean_bound = float(np.mean(bounds))
     _verdict(8, "averaged-iterate risk bound", t0, 300.0,

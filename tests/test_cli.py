@@ -478,6 +478,19 @@ class TestRunConfig:
             RunConfig(runs=1 << 20).validate()
         assert main(["estimate", "--steps", "0", "--runs", str(1 << 20)]) == 2
 
+    @pytest.mark.parametrize("spec", ["synth:abc", "synth:", "synth", "sinth:4", "synth:1.5"])
+    @pytest.mark.parametrize("command", ["bound", "sweep", "estimate", "lazy"])
+    def test_bad_data_spec_is_named_by_every_command(self, capsys, command, spec):
+        assert main([command, "--data", spec, "--steps", "0"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: bad data spec {spec!r}; expected synth:<n> or csv:<path>" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["bound", "sweep", "estimate", "lazy"])
+    def test_empty_synthetic_data_exits_2(self, capsys, command):
+        assert main([command, "--data", "synth:0", "--steps", "0"]) == 2
+        assert "synthetic dataset size must be positive" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

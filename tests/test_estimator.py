@@ -29,7 +29,6 @@ from klpriv.estimator import (
 from klpriv.linearized import build_features, lin_per_example_grads
 from klpriv.network import (
     SCHEME_NAMES,
-    InitScheme,
     LossKind,
     NetArch,
     ParamVector,
@@ -821,6 +820,16 @@ class TestStackedRuns:
             assert _same_bytes(inits[r], sample_init(model.arch, betas, init_stream).flat)
             assert _same_bytes(keys[r], noise_stream.keys(np.arange(cfg.steps)))
 
+    def test_stack_from_a_later_run_draws_each_runs_init(self):
+        data, neighbors, model = _setup_estimation()
+        betas = init_betas("lecun", model.arch)
+        runs = np.arange(3, 6)
+        W = estimator._init_stack(model, betas, 11, runs)
+        assert W.flat.shape == (runs.size, model.arch.num_params)
+        for row, r in zip(W.flat, runs.tolist()):
+            want = sample_init(model.arch, betas, run_streams(11, r)[0])
+            assert row.tobytes() == want.flat.tobytes()
+
     def test_stack_size_rule(self):
         def dnn(d, m, L, o=1):
             return DnnModel(NetArch.uniform(d, m, L, o), "he")
@@ -945,8 +954,7 @@ class TestMonteCarlo:
         assert not rep.violation
 
     def test_output_sqnorm_zero_variance_scheme(self):
-        scheme = InitScheme.custom([0.0, 0.0])
-        rep = mc_output_sqnorm(ARCH, scheme, np.ones(4), 8, RngStream(47))
+        rep = mc_output_sqnorm(ARCH, (0.0, 0.0), np.ones(4), 8, RngStream(47))
         assert rep.mean == 0.0 and rep.reference == 0.0
         assert rep.z_score == 0.0 and not rep.violation
 
@@ -1022,9 +1030,7 @@ class TestStackedMonteCarlo:
     def test_reports_equal_per_sample_reference(self, monkeypatch, o, scheme):
         arch = NetArch.uniform(3, 5, 3, o)
         if scheme == ZERO_FIRST:
-            scheme = InitScheme.custom((0.0,) + init_betas("he", arch)[1:])
-        else:
-            scheme = InitScheme(scheme)
+            scheme = (0.0,) + init_betas("he", arch)[1:]
         chunk = 4
         monkeypatch.setattr(estimator, "MC_STACK_BYTES", 8 * o * arch.num_params * chunk + 7)
         assert estimator._mc_chunk(arch) == chunk
@@ -1053,7 +1059,7 @@ class TestStackedMonteCarlo:
                        output_sqnorm, rng.child(0))]
             # the gradient closed forms need positive variances; the kernels'
             # bits at a zero-variance layer are checked in tests/test_network.py
-            if scheme.kind != "custom":
+            if isinstance(scheme, str):
                 checks.append((mc_grad_norm_at_init(arch, scheme, x, samples, rng.child(1)),
                                grad_sqnorm, rng.child(1)))
                 if o == 1:
@@ -1092,6 +1098,7 @@ class TestMonteCarloValidation:
 
     @pytest.fixture(autouse=True)
     def _forbid_draws(self, monkeypatch):
+        monkeypatch.setattr(estimator, "init_keys", _no_draws)
         monkeypatch.setattr(estimator, "sample_inits", _no_draws)
 
     @pytest.mark.parametrize("label", [0.5, 3.0, 0.0, -2.0])
@@ -1122,7 +1129,7 @@ class TestMonteCarloValidation:
 
     def test_gradient_closed_forms_need_positive_variances(self):
         x = np.ones(4)
-        scheme = InitScheme.custom([0.0, 1.0])
+        scheme = [0.0, 1.0]
         with pytest.raises(ValueError, match="positive"):
             mc_grad_norm_at_init(ARCH, scheme, x, 8, RngStream(0))
         with pytest.raises(ValueError, match="positive"):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from klpriv.network import (
     SCHEME_NAMES,
     _outer_products,
-    InitScheme,
     LossKind,
     NetArch,
     ParamVector,
     forward_batch,
     init_betas,
+    init_keys,
     jacobian_batch,
     loss_backprop,
     loss_batch,
@@ -89,20 +89,22 @@ class TestInitBetas:
         assert init_betas("ntk", a) == pytest.approx((2.0 / 8.0, 1.0 / 4.0))
 
     def test_custom_passthrough_and_zero_allowed(self):
-        sch = InitScheme.custom([0.5, 0.0, 2.0])
-        assert init_betas(sch, ARCH) == (0.5, 0.0, 2.0)
+        for betas in ((0.5, 0.0, 2.0), [0.5, 0, 2], np.array([0.5, 0.0, 2.0])):
+            got = init_betas(betas, ARCH)
+            assert got == (0.5, 0.0, 2.0)
+            assert all(type(b) is float for b in got)
 
     def test_custom_errors(self):
-        with pytest.raises(ValueError):
-            init_betas(InitScheme.custom([1.0]), ARCH)
-        with pytest.raises(ValueError):
-            init_betas(InitScheme.custom([1.0, -1.0, 1.0]), ARCH)
-        with pytest.raises(ValueError):
-            init_betas("glorot", ARCH)
-        with pytest.raises(ValueError):
-            InitScheme("custom")
-        with pytest.raises(ValueError):
-            InitScheme("lecun", betas=(1.0,))
+        for wrong_length in ((1.0,), [1.0, 1.0], np.ones(4)):
+            with pytest.raises(ValueError, match="need 3 layer variances"):
+                init_betas(wrong_length, ARCH)
+        for negative in ((1.0, -1.0, 1.0), [1.0, 1.0, -0.5], np.array([-1.0, 1.0, 1.0]),
+                         (1.0, float("nan"), 1.0)):
+            with pytest.raises(ValueError, match="non-negative"):
+                init_betas(negative, ARCH)
+        for unknown in ("glorot", "custom", "LeCun", ""):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                init_betas(unknown, ARCH)
 
 
 class TestParamVector:
@@ -176,12 +178,15 @@ class TestSampleInit:
         assert not np.array_equal(W.layer(1), W.layer(2))
 
     def test_wrong_length_rejected(self):
+        keys = init_keys(ARCH, RngStream(0), np.arange(3))
         with pytest.raises(ValueError):
             sample_init(ARCH, (1.0, 1.0), RngStream(0))
         with pytest.raises(ValueError):
-            sample_inits(ARCH, (1.0, 1.0), RngStream(0), 3, chunk=2)
-        with pytest.raises(ValueError, match="chunk"):
-            sample_inits(ARCH, (1.0, 1.0, 1.0), RngStream(0), 3, chunk=0)
+            sample_inits(ARCH, (1.0, 1.0), keys)
+        with pytest.raises(ValueError, match="keys of shape"):
+            sample_inits(ARCH, (1.0, 1.0, 1.0), keys[:, :2])
+        with pytest.raises(ValueError, match="out must have shape"):
+            sample_inits(ARCH, (1.0, 1.0, 1.0), keys, out=np.empty((2, ARCH.num_params)))
 
     def test_layer_l_draws_substream_l(self):
         a = NetArch.uniform(3, 5, 3, 2)
@@ -195,13 +200,33 @@ class TestSampleInit:
     def test_bulk_samples_equal_single_samples(self):
         rng = RngStream(6, 2)
         betas = init_betas("lecun", ARCH)
-        single = [sample_init(ARCH, betas, rng.child(s)).flat for s in range(5)]
+        single = np.stack([sample_init(ARCH, betas, rng.child(s)).flat for s in range(5)])
+        keys = init_keys(ARCH, rng, np.arange(5))
+        assert keys.shape == (5, ARCH.L, 2)
+        assert sample_inits(ARCH, betas, keys).flat.tobytes() == single.tobytes()
         for chunk in (1, 2, 5, 7):
-            # each stack is a view of one reused buffer: copy it before the next
-            stacks = [W.flat.copy() for W in sample_inits(ARCH, betas, rng, 5, chunk=chunk)]
+            # Monte Carlo's way: each stack is drawn into one reused buffer,
+            # so copy it before the next
+            buf = np.empty((min(chunk, 5), ARCH.num_params))
+            stacks = []
+            for start in range(0, 5, chunk):
+                stop = min(start + chunk, 5)
+                W = sample_inits(ARCH, betas, keys[start:stop], out=buf[:stop - start])
+                assert np.shares_memory(W.flat, buf)
+                stacks.append(W.flat.copy())
             assert [len(S) for S in stacks] == [min(chunk, 5 - s) for s in range(0, 5, chunk)]
-            assert np.array_equal(np.concatenate(stacks), single)
-            assert list(sample_inits(ARCH, betas, rng, 0, chunk=chunk)) == []
+            assert np.concatenate(stacks).tobytes() == single.tobytes()
+        assert sample_inits(ARCH, betas, keys[:0]).flat.shape == (0, ARCH.num_params)
+
+    def test_parent_streams_on_a_path(self):
+        # vector s descends from rng.child(path[0][s]).child(path[1][s]); scalars broadcast
+        a = NetArch.uniform(3, 4, 3, 2)
+        rng = RngStream(12, 3)
+        runs = np.array([4, 1, 9])
+        W = sample_inits(a, "he", init_keys(a, rng, runs, 0))
+        for s, r in enumerate(runs.tolist()):
+            want = sample_init(a, "he", rng.child(r).child(0))
+            assert W.flat[s].tobytes() == want.flat.tobytes()
 
 
 class TestForward:
