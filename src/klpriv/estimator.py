@@ -177,11 +177,14 @@ def run_streams(seed: int, run: int) -> tuple[RngStream, RngStream]:
 
 def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
                   noise: np.ndarray) -> ParamVector:
-    """One update W - eta * grad + sqrt(2 eta sigma2) * Z, elementwise.
+    """One update W - eta * grad + sqrt(2 eta sigma2) * Z, elementwise, in place.
 
     ``W`` is one parameter vector (P,) or a stack (R, P); ``grad`` and the
-    draw Z in ``noise`` (standard normals, scaled in place) have its shape.
-    ``W`` and ``grad`` are left unchanged.
+    draw Z in ``noise`` (standard normals) have its shape.  All three are
+    consumed: ``W`` becomes the new iterate and is returned, ``grad`` is
+    scaled by eta and ``noise`` by sqrt(2 eta sigma2).  These are the
+    operations of the pure update, in its order, so the bits are the same.
+    ``grad`` and ``noise`` may share no memory with ``W`` or each other.
     """
     if W.arch != grad.arch:
         raise ValueError("weights and gradient must share an architecture")
@@ -193,12 +196,16 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
         raise ValueError("noise variance must be non-negative")
     if noise.shape != W.flat.shape:
         raise ValueError("noise must have one entry per parameter")
-    new = eta * grad.flat
-    np.subtract(W.flat, new, out=new)
+    if (np.may_share_memory(W.flat, grad.flat) or np.may_share_memory(W.flat, noise)
+            or np.may_share_memory(grad.flat, noise)):
+        raise ValueError("weights, gradient and noise must not share memory")
+    w, g = W.flat, grad.flat
+    g *= eta
+    np.subtract(w, g, out=w)
     if sigma2 > 0 and eta > 0:
         noise *= math.sqrt(2.0 * eta * sigma2)
-        new += noise
-    return ParamVector(W.arch, new)
+        w += noise
+    return W
 
 
 def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
@@ -207,19 +214,26 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
 
     ``step(W)`` returns ``(live, mean_grad, payload)`` at the current stack:
     ``live`` flags the rows that take the step and ``mean_grad`` holds their
-    mean gradients, one row each; the other rows leave the stack for good.
-    Row r draws the noise of step k (from 0) with the Philox key
-    ``step_keys[r, k]`` into its row of one reused buffer.  Each step yields
-    the indices into ``W`` of the rows that took it, their updated iterates
-    and the payload; training ends after ``step_keys.shape[1]`` steps or
-    when no row is left.  Training runs with BLAS on one thread, and a stack
-    of OVERLAP_MIN_PARAMS parameters or more draws on a helper thread while
-    ``step`` runs; with no steps neither happens.  ``W`` is not modified,
-    and the trainer holds no iterate but the current stack.
+    mean gradients, one row each, in an array the update consumes; the other
+    rows leave the stack for good.  Row r draws the noise of step k (from 0)
+    with the Philox key ``step_keys[r, k]`` into its row of one reused
+    buffer.  Each step yields the indices into ``W`` of the rows that took
+    it, their updated iterates and the payload; training ends after
+    ``step_keys.shape[1]`` steps or when no row is left.  Training runs with
+    BLAS on one thread, and a stack of OVERLAP_MIN_PARAMS parameters or more
+    draws on a helper thread while ``step`` runs; with no steps neither
+    happens.
+
+    ``W`` is copied once and never written.  :func:`noisy_gd_step` updates
+    the copy in place, so every step yields the same stack until rows leave
+    and the survivors form a new one: copy an iterate to keep it.  A step's
+    gradient is dropped before the next step runs, so training holds three
+    stack-sized arrays: the iterate, the noise and one gradient.
     """
     steps = step_keys.shape[1]
     if steps == 0:
         return
+    W = ParamVector(W.arch, W.flat.copy())
     rows = np.arange(W.flat.shape[0])
     noise = np.empty(W.flat.shape)
     with ExitStack() as stack:
@@ -251,7 +265,8 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
             if draws is None:
                 for key, row in zip(step_keys[:, k], noise):
                     keyed_generator(key).standard_normal(out=row)
-            W = noisy_gd_step(W, ParamVector(W.arch, mean_grad), eta, sigma2, noise)
+            noisy_gd_step(W, ParamVector(W.arch, mean_grad), eta, sigma2, noise)
+            del mean_grad   # consumed: not held through the next step
             yield rows, W, payload
 
 
@@ -383,8 +398,8 @@ class _StepStats:
 
     A producer maps an (R, P) stack of runs to ``(finite, S_sq, mean_grad,
     diffs)``, one row per run: whether the run's outputs on data and pool
-    are all finite, ||S||^2 of its gradient sum, its mean gradient and its
-    :func:`_sq_diffs`.  Rows of runs that are not finite may hold anything;
+    are all finite, ||S||^2 of its gradient sum, its mean gradient (in a
+    fresh array, which the update consumes) and its :func:`_sq_diffs`.  Rows of runs that are not finite may hold anything;
     the caller sees that they leave the stack.
     """
 
@@ -425,13 +440,15 @@ class _DnnStepStats(_StepStats):
             F, *factors = loss_backprop(W, self.pool.X, self.pool.Y, self.loss)
             finite &= np.isfinite(F).all(axis=(-2, -1))
             pool_grads = _FactoredGrads(*factors, self.pool_input_sq)
-        blocks = [D.swapaxes(-1, -2) @ H for D, H in zip(grads.deltas, grads.acts)]
-        S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
+        # the gradient sum's layer blocks go straight into the mean-gradient
+        # buffer; S^2 and the differences read them before the division by n
         mean_grad = ParamVector(W.arch, np.empty(W.flat.shape))
-        for l, B in enumerate(blocks, start=1):
-            np.divide(B, self.data.n, out=mean_grad.layer(l))
-        return finite, S_sq, mean_grad.flat, _sq_diffs(self.data.n, self.notion, blocks, S_sq,
-                                                       grads, pool_grads, self.pairs)
+        blocks = [np.matmul(D.swapaxes(-1, -2), H, out=mean_grad.layer(l))
+                  for l, (D, H) in enumerate(zip(grads.deltas, grads.acts), start=1)]
+        S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
+        diffs = _sq_diffs(self.data.n, self.notion, blocks, S_sq, grads, pool_grads, self.pairs)
+        np.divide(mean_grad.flat, self.data.n, out=mean_grad.flat)
+        return finite, S_sq, mean_grad.flat, diffs
 
 
 class _LinStepStats(_StepStats):
@@ -594,8 +611,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
         sq_diffs = np.empty((runs.size, cfg.steps, neighbors.count))
         completed = np.zeros(runs.size, dtype=int)
-        # no name here holds an iterate: the first stack goes straight in and
-        # only the rows come out, so no extra stack outlives a step or a run
+        # no name here holds an iterate: the first stack goes straight in,
+        # where the trainer's copy replaces it, and only the rows come out
         stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
             _init_stack(model, betas, cfg.seed, runs), step, cfg.eta, cfg.sigma2, step_keys))
         for k, (rows, diffs) in enumerate(stepped, start=1):

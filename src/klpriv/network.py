@@ -96,23 +96,26 @@ def init_betas(scheme, arch: NetArch) -> tuple[float, ...]:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamVector:
     """Flat parameters with layer views for a fixed architecture.
 
     ``flat`` holds one vector, shape (P,), or a stack of S vectors, shape
-    (S, P); the batched kernels below take either.
+    (S, P); the batched kernels below take either.  ``flat`` is never
+    rebound, so the layer views are built once, on first use, and stay
+    valid while the trainer updates the vector in place.
     """
 
     arch: NetArch
     flat: np.ndarray
 
     def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=float)
+        flat = np.asarray(self.flat, dtype=float)
         P = self.arch.num_params
-        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != P:
+        if flat.ndim not in (1, 2) or flat.shape[-1] != P:
             raise ValueError(f"expected {P} parameters or an (S, {P}) stack, "
-                             f"got {self.flat.shape}")
+                             f"got {flat.shape}")
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
     def zeros(cls, arch: NetArch) -> "ParamVector":
@@ -125,6 +128,12 @@ class ParamVector:
                              f"not a stack of {self.flat.shape[0]}")
         return self
 
+    @cached_property
+    def _layers(self) -> tuple[np.ndarray, ...]:
+        offs, flat = self.arch.layer_offsets, self.flat
+        return tuple(flat[..., offs[l]:offs[l + 1]].reshape(flat.shape[:-1] + shape)
+                     for l, shape in enumerate(self.arch.layer_shapes))
+
     def layer(self, l: int) -> np.ndarray:
         """Weight matrix of layer l (1-based) as a view into the flat vector.
 
@@ -132,9 +141,7 @@ class ParamVector:
         """
         if not 1 <= l <= self.arch.L:
             raise ValueError(f"layer index must be in 1..{self.arch.L}")
-        offs, flat = self.arch.layer_offsets, self.flat
-        shape = flat.shape[:-1] + self.arch.layer_shapes[l - 1]
-        return flat[..., offs[l - 1]:offs[l]].reshape(shape)
+        return self._layers[l - 1]
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.arch, self.flat.copy())
@@ -217,12 +224,12 @@ def forward_batch(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, list[
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # both branches on every entry, each from e = exp(-|z|) <= 1: no boolean
+    # scatter, and the bits of 1 / (1 + exp(-z)) for z >= 0 and
+    # exp(z) / (1 + exp(z)) below
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def residual_batch(F: np.ndarray, Y, loss: LossKind) -> np.ndarray:

@@ -74,7 +74,12 @@ def _hashmix(value, xor: int, mult: int):
 def _seed_sequence_words(seeds, streams) -> list:
     """The four 32-bit state words SeedSequence generates for ``(seed, stream)``.
 
-    ``seeds`` and ``streams`` are equally shaped uint64 arrays.
+    ``streams`` is a uint64 array of at least one dimension and ``seeds`` a
+    uint64 array that broadcasts against it, or one seed as a Python int;
+    the words have the broadcast shape.  The words are masked, so Python
+    ints and wrapping uint64 arrays give the same values.  Mixing the seed
+    into the pool runs at the seed's own shape, and only the mixing of the
+    stream runs at the broadcast shape.
     """
     mults = iter(zip(_MIX_MULTS, _MIX_MULTS[1:]))
 
@@ -113,13 +118,14 @@ def _philox_keys(seeds, streams) -> np.ndarray:
     if isinstance(seeds, int) and isinstance(streams, int):
         return np.random.SeedSequence(entropy=seeds, spawn_key=(streams,)).generate_state(
             2, np.uint64)
-    seeds, streams = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
-                                         np.asarray(streams, dtype=np.uint64))
-    w = _seed_sequence_words(seeds.ravel(), streams.ravel())
-    keys = np.empty((seeds.size, 2), dtype=np.uint64)
-    keys[:, 0] = w[0] | w[1] << 32
-    keys[:, 1] = w[2] | w[3] << 32
-    return keys.reshape(seeds.shape + (2,))
+    seeds, streams = np.asarray(seeds, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
+    shape = np.broadcast_shapes(seeds.shape, streams.shape)
+    # not broadcast up front: a lone seed is mixed into the pool once, on
+    # Python ints; streams stay at least 1-d, so their arithmetic runs in
+    # arrays, which wrap silently where numpy scalars would warn
+    w = _seed_sequence_words(int(seeds) if seeds.ndim == 0 else seeds, np.atleast_1d(streams))
+    keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
+    return keys.reshape(shape + (2,))
 
 
 @dataclass(frozen=True)

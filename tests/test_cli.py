@@ -303,6 +303,28 @@ class TestLazy:
     def test_multi_output_rejected(self):
         assert main(["lazy", "--data", "synth:8", "--outputs", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["lazy", "--ridge", "0"],
+        ["estimate", "--linearize", "--runs", "2", "--neighbor", "add", "--pool-size", "3"],
+    ], ids=["lazy", "estimate-linearize"])
+    def test_training_keeps_the_expansion_point(self, tmp_path, monkeypatch, argv):
+        built = []
+
+        def build_features(W0, X):
+            features = cli_build_features(W0, X)
+            built.append((features, features.W0.flat.copy()))
+            return features
+
+        cli_build_features = cli.build_features
+        monkeypatch.setattr(cli, "build_features", build_features)
+        rc = main([*argv, "--data", "synth:8", "--d", "6", "--width", "8", "--depth", "2",
+                   "--steps", "5", "--eta", "0.05", "--sigma2", "1e-3",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert len(built) == 1
+        features, before = built[0]
+        assert features.W0.flat.tobytes() == before.tobytes()
+
 
 class TestSweep:
     def test_grid_of_one_single_row(self, tmp_path):

@@ -71,27 +71,31 @@ class TestTrainConfig:
 
 
 class TestNoisyGdStep:
+    # the step updates its arguments in place: expectations come from copies
+    # taken before the call
     def test_zero_noise_is_plain_gd(self):
         W, g = _weights(0), _weights(1)
+        want = W.flat - 0.25 * g.flat
         out = noisy_gd_step(W, g, eta=0.25, sigma2=0.0, noise=np.ones(W.flat.size))
-        assert np.array_equal(out.flat, W.flat - 0.25 * g.flat)
+        assert out is W
+        assert out.flat.tobytes() == want.tobytes()
 
     def test_zero_step_size_keeps_weights(self):
         W, g = _weights(0), _weights(1)
+        before = W.flat.copy()
         out = noisy_gd_step(W, g, eta=0.0, sigma2=0.7, noise=np.ones(W.flat.size))
-        assert np.array_equal(out.flat, W.flat)
+        assert out.flat.tobytes() == before.tobytes()
 
     def test_noise_variance_matches_2_eta_sigma2(self):
         arch = NetArch(d=1, hidden=(1,), o=1)
-        W = ParamVector.zeros(arch)
-        g = ParamVector.zeros(arch)
         eta, sigma2 = 0.3, 0.8
         reps = 100_000
         keys = RngStream(31).keys(np.arange(reps))
         draws = np.empty((reps, arch.num_params))
         for r in range(reps):
             noise = keyed_generator(keys[r]).standard_normal(arch.num_params)
-            draws[r] = noisy_gd_step(W, g, eta, sigma2, noise).flat
+            draws[r] = noisy_gd_step(ParamVector.zeros(arch), ParamVector.zeros(arch),
+                                     eta, sigma2, noise).flat
         want = 2.0 * eta * sigma2
         sample_var = draws.var(axis=0, ddof=1)
         se = want * math.sqrt(2.0 / (reps - 1))
@@ -100,7 +104,8 @@ class TestNoisyGdStep:
     def test_deterministic_given_stream(self):
         # the noise of a training run is a function of its stream alone
         def iterates(stream):
-            return [W.flat for _, W, _ in estimator._noisy_gd(
+            # the trainer yields one stack updated in place: copy each iterate
+            return [W.flat.copy() for _, W, _ in estimator._noisy_gd(
                 _stack(_weights(0)), lambda W: (ONE_ROW, 0.5 * W.flat, None), 0.1, 0.5,
                 stream.keys(np.arange(3))[None])]
 
@@ -108,38 +113,60 @@ class TestNoisyGdStep:
         assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
         assert not any(np.array_equal(x, y) for x, y in zip(a, other, strict=True))
 
-    def test_update_formula_exact_and_inputs_unchanged(self):
+    def test_update_formula_exact_and_inputs_consumed(self):
         W, g = _weights(0), _weights(1)
         W_before, g_before = W.flat.copy(), g.flat.copy()
         eta, sigma2 = 0.1, 0.5
         z = RngStream(5).generator().standard_normal(W.flat.size)
-        want = W.flat - eta * g.flat + math.sqrt(2.0 * eta * sigma2) * z
+        want = W_before - eta * g_before + math.sqrt(2.0 * eta * sigma2) * z
         noise = z.copy()
         out = noisy_gd_step(W, g, eta, sigma2, noise)
-        assert np.array_equal(out.flat, want)
-        assert np.array_equal(noise, math.sqrt(2.0 * eta * sigma2) * z)   # scaled in place
-        assert np.array_equal(W.flat, W_before)
-        assert np.array_equal(g.flat, g_before)
+        assert out is W
+        assert out.flat.tobytes() == want.tobytes()
+        # the gradient and the noise are scaled in place
+        assert g.flat.tobytes() == (eta * g_before).tobytes()
+        assert noise.tobytes() == (math.sqrt(2.0 * eta * sigma2) * z).tobytes()
 
     def test_validation(self):
-        W = _weights(0)
+        W, g = _weights(0), _weights(1)
+        before = W.flat.copy()
         noise = np.zeros(W.flat.size)
         other = sample_init(NetArch.uniform(3, 6, 2, 1),
                             init_betas("he", NetArch.uniform(3, 6, 2, 1)), RngStream(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="architecture"):
             noisy_gd_step(W, other, 0.1, 0.5, noise)
-        with pytest.raises(ValueError):
-            noisy_gd_step(W, W, -0.1, 0.5, noise)
-        with pytest.raises(ValueError):
-            noisy_gd_step(W, W, 0.1, -0.5, noise)
-        with pytest.raises(ValueError):
-            noisy_gd_step(W, W, 0.1, 0.5, np.zeros(W.flat.size + 1))
-        with pytest.raises(ValueError, match="shape of the weights"):
-            noisy_gd_step(_stack(W, W), W, 0.1, 0.5, np.zeros((2, W.flat.size)))
-        with pytest.raises(ValueError, match="shape of the weights"):
-            noisy_gd_step(W, _stack(W, W), 0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="step size"):
+            noisy_gd_step(W, g, -0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="noise variance"):
+            noisy_gd_step(W, g, 0.1, -0.5, noise)
         with pytest.raises(ValueError, match="one entry per parameter"):
-            noisy_gd_step(_stack(W, W), _stack(W, W), 0.1, 0.5, noise)
+            noisy_gd_step(W, g, 0.1, 0.5, np.zeros(W.flat.size + 1))
+        with pytest.raises(ValueError, match="shape of the weights"):
+            noisy_gd_step(_stack(W, W), g, 0.1, 0.5, np.zeros((2, W.flat.size)))
+        with pytest.raises(ValueError, match="shape of the weights"):
+            noisy_gd_step(W, _stack(g, g), 0.1, 0.5, noise)
+        with pytest.raises(ValueError, match="one entry per parameter"):
+            noisy_gd_step(_stack(W, W), _stack(g, g), 0.1, 0.5, noise)
+        assert W.flat.tobytes() == before.tobytes()
+
+    def test_aliased_arguments_rejected(self):
+        W, g = _weights(0), _weights(1)
+        W_before, g_before = W.flat.copy(), g.flat.copy()
+        noise = np.ones(W.flat.size)
+        stack = _stack(W, W)
+        aliased = [
+            (W, W, noise),                                  # the gradient is the iterate
+            (W, ParamVector(ARCH, W.flat[::-1]), noise),    # or a view of it
+            (W, g, W.flat),                                 # the noise is the iterate
+            (W, g, g.flat),                                 # the noise is the gradient
+            (stack, ParamVector(ARCH, stack.flat[::-1]), np.ones(stack.flat.shape)),
+        ]
+        for args in aliased:
+            with pytest.raises(ValueError, match="share memory"):
+                noisy_gd_step(args[0], args[1], 0.1, 0.5, args[2])
+        assert W.flat.tobytes() == W_before.tobytes()
+        assert g.flat.tobytes() == g_before.tobytes()
+        assert not (noise - 1).any()
 
     def test_stack_equals_loop_of_single_vectors(self):
         Ws, gs = [_weights(s) for s in range(3)], [_weights(s) for s in range(3, 6)]
@@ -150,7 +177,7 @@ class TestNoisyGdStep:
             assert out.flat.shape == (3, ARCH.num_params)
             for r in range(3):
                 row_noise = z[r].copy()
-                want = noisy_gd_step(Ws[r], gs[r], 0.1, sigma2, row_noise)
+                want = noisy_gd_step(Ws[r].copy(), gs[r].copy(), 0.1, sigma2, row_noise)
                 assert out.flat[r].tobytes() == want.flat.tobytes()
                 assert noise[r].tobytes() == row_noise.tobytes()
 
@@ -189,14 +216,17 @@ class TestNoisyGdTrainer:
 
         W0 = _stack(_weights(0))
         before = W0.flat.copy()
-        out = list(estimator._noisy_gd(W0, step, 0.05, 0.01,
-                                       RngStream(2).keys(np.arange(5))[None]))
-        assert [payload for _, _, payload in out] == [1, 2]
-        assert all(rows.tolist() == [0] for rows, _, _ in out)
+        # the trainer yields its own stack, updated in place: copy each iterate
+        out = [(rows, W, W.flat.copy(), payload) for rows, W, payload in estimator._noisy_gd(
+            W0, step, 0.05, 0.01, RngStream(2).keys(np.arange(5))[None])]
+        assert [payload for _, _, _, payload in out] == [1, 2]
+        assert all(rows.tolist() == [0] for rows, _, _, _ in out)
+        assert out[0][1] is out[1][1] and not np.shares_memory(out[0][1].flat, W0.flat)
         # step k saw the iterate step k-1 yielded; the stopping step updates nothing
-        assert np.array_equal(seen[0], before)
-        assert [W.flat.tobytes() for _, W, _ in out] == [x.tobytes() for x in seen[1:]]
-        assert np.array_equal(W0.flat, before)
+        assert seen[0].tobytes() == before.tobytes()
+        assert [flat.tobytes() for _, _, flat, _ in out] == [x.tobytes() for x in seen[1:]]
+        # the caller's stack is never written
+        assert W0.flat.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("above", [0, 1])
     def test_iterates_equal_hand_written_chain(self, monkeypatch, above):
@@ -883,21 +913,44 @@ class TestLinStepStats:
         matrix_bytes = 8 * data.n * model.arch.num_params
         stats = estimator._LinStepStats(model, data, neighbors, loss)
         stats(stacks[0])
-
-        def peak_bytes(fn):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                fn()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         # the tracer sees numpy's buffers: the explicit rows count in full
         W = ParamVector(model.arch, stacks[1].flat[0])
-        assert peak_bytes(lambda: lin_per_example_grads(model.features, W, data.Y, loss)) \
+        assert _peak_bytes(lambda: lin_per_example_grads(model.features, W, data.Y, loss)) \
             >= matrix_bytes
-        assert peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
+        assert _peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
+
+
+def _peak_bytes(fn):
+    """Traced peak memory of ``fn()`` above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemory:
+    """Noisy GD holds three stack-sized arrays."""
+
+    def test_dnn_steps_hold_three_stack_sized_arrays(self):
+        # deep and narrow, few records: the stack-sized arrays dominate the
+        # step's other buffers (the largest layer is 0.16 P, activations n x 96)
+        arch = NetArch.uniform(8, 96, 8, 1)
+        data = synth_sphere(4, 8, RngStream(1))
+        neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
+        model = DnnModel(arch, "lecun")
+        runs = estimator._stack_size(model, 2)
+        assert runs == 2
+        cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=runs)
+        run_kl_estimation(model, data, neighbors, cfg)         # caches filled
+        stack_bytes = 8 * runs * arch.num_params
+        # three stacks (the iterate, the noise and one gradient) and the
+        # step's smaller buffers read 3.3 stacks here; one more stack-sized
+        # array would pass 4
+        peak = _peak_bytes(lambda: run_kl_estimation(model, data, neighbors, cfg))
+        assert peak < 3.5 * stack_bytes
 
 
 @pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")

@@ -1,13 +1,18 @@
 """Tests for architectures, initialization schemes and relu-network gradients."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from klpriv.network import (
     SCHEME_NAMES,
     _outer_products,
+    _sigmoid,
     LossKind,
     NetArch,
     ParamVector,
@@ -151,6 +156,53 @@ class TestParamVector:
         assert W.expect_single() is W
         with pytest.raises(ValueError, match="W must be one parameter vector"):
             ParamVector(a, np.zeros((3, 6))).expect_single("W")
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 6)])
+    def test_layer_views_built_once_and_follow_in_place_updates(self, shape):
+        a = NetArch(d=2, hidden=(2,), o=1)
+        W = ParamVector(a, np.zeros(shape))
+        views = [W.layer(l) for l in (1, 2)]
+        assert all(W.layer(l) is v for l, v in zip((1, 2), views))
+        W.flat[...] = np.arange(6.0)
+        np.add(W.flat, 1.0, out=W.flat)
+        assert np.array_equal(views[1][..., 0, :], np.broadcast_to([5.0, 6.0], shape[:-1] + (2,)))
+        # flat is never rebound, so the views stay the vector's
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            W.flat = np.zeros(shape)
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask formula _sigmoid replaced, kept as its reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 745.2,
+             -745.2, 746.0, -746.0, 709.8, -709.8, 1e308, -1e308, 37.0, -37.0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=6),
+                        elements=st.floats(allow_nan=False)))
+    @example(z=np.array(EDGES))
+    def test_bytes_equal_masked_formula(self, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+        assert got.shape == z.shape and got.dtype == np.float64
+        assert got.tobytes() == _masked_sigmoid(z).tobytes()
+
+    def test_nan_gives_nan(self):
+        z = np.array([np.nan, 0.0, -np.nan, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sigmoid(z)
+        assert np.isnan(got[[0, 2]]).all()
+        assert got[[1, 3]].tobytes() == _masked_sigmoid(z[[1, 3]]).tobytes()
 
 
 class TestSampleInit:

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ class TestPhiloxKeys:
         # one pair of Python ints goes through numpy's SeedSequence itself
         for j in [*range(0, 4 * n, 97), *range(4 * n, seeds.size)]:
             assert np.array_equal(numerics._philox_keys(int(seeds[j]), int(streams[j])), expected[j])
+
+    def test_one_seed_many_streams_match_seed_sequence(self):
+        # a lone seed is mixed into the pool as a Python int, the streams as arrays
+        edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+        for seed in edges + [7, 2**40 + 3]:
+            streams = np.array(edges + _cli_streams(seed)[:200], dtype=np.uint64)
+            expected = np.array([_seed_sequence_key(seed, int(b)) for b in streams])
+            for one_seed in (seed, np.uint64(seed), np.array(seed, dtype=np.uint64)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = numerics._philox_keys(one_seed, streams)
+                assert got.dtype == np.uint64
+                assert np.array_equal(got, expected)
+            assert np.array_equal(numerics._philox_keys(seed, streams[:1].reshape(())),
+                                  expected[0])
 
     def test_broadcast_shapes(self):
         keys = numerics._philox_keys(np.arange(3, dtype=np.uint64)[:, None], [5, 2**40])

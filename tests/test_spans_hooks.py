@@ -52,10 +52,10 @@ def test_each_counter_counts_a_real_return_value():
     data = synth_sphere(4, 3, RngStream(1))
     pool = synth_sphere(3, 3, RngStream(2))
     steps, runs = 3, 2
-    W = ParamVector.zeros(arch)
+    W, grad = ParamVector.zeros(arch), ParamVector.zeros(arch)
     # the arguments that produce each hooked function's return value
     calls = {
-        "estimator.noisy_gd_step": lambda fn: fn(W, W, 0.1, 0.01, np.zeros(arch.num_params)),
+        "estimator.noisy_gd_step": lambda fn: fn(W, grad, 0.1, 0.01, np.zeros(arch.num_params)),
         "data.enumerate_neighbors": lambda fn: fn(data, Neighbor.REPLACE_ONE, pool=pool, cap=2),
         "estimator.run_kl_estimation": lambda fn: fn(
             DnnModel(arch, "he"), data,
