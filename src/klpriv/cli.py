@@ -357,15 +357,13 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _estimate_result(cfg: RunConfig, scheme: str):
-    data, pool = _resolve_data(cfg)
+def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset | None):
+    """KL estimate on ``data`` and ``pool`` as resolved by :func:`_resolve_data`."""
     arch = NetArch.uniform(data.d, cfg.width, cfg.depth, cfg.outputs)
     neighbors = enumerate_neighbors(data, Neighbor(cfg.neighbor), pool=pool,
                                     cap=cfg.cap, seed=cfg.seed)
     if cfg.linearize:
-        W0 = sample_init(arch, init_betas(scheme, arch),
-                         RngStream(cfg.seed).child(_INIT_CHILD))
-        model = LinearizedModel(build_features(W0, data.X))
+        model = LinearizedModel(sample_init(arch, scheme, RngStream(cfg.seed).child(_INIT_CHILD)))
     else:
         model = DnnModel(arch, scheme)
     tc = TrainConfig(eta=cfg.eta, steps=cfg.steps, sigma2=cfg.sigma2, runs=cfg.runs,
@@ -394,7 +392,7 @@ def _trace_rows(result, worst: np.ndarray | None = None) -> list[tuple]:
 def cmd_estimate(cfg: RunConfig) -> int:
     """Empirical worst-case KL trace for one scheme."""
     scheme = _schemes(cfg, allow_all=False)[0]
-    result = _estimate_result(cfg, scheme)
+    result = _estimate_result(cfg, scheme, *_resolve_data(cfg))
     _write_table(cfg, ["epochs", "kl_means", "kl_stds", "diverged"],
                  _trace_rows(result), cfg.out)
     if cfg.out is not None:
@@ -416,8 +414,10 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
     rows = []
     base = RngStream(cfg.seed)
     x = _sphere_input(cfg.d, cfg.seed)
+    if cfg.outputs == 1:
+        xb = _sphere_input(cfg.d, cfg.seed + 1)
+    arch = NetArch.uniform(cfg.d, cfg.width, cfg.depth, cfg.outputs)
     for si, scheme in enumerate(_schemes(cfg)):
-        arch = NetArch.uniform(cfg.d, cfg.width, cfg.depth, cfg.outputs)
         checks = [
             ("grad_norm_init", mc_grad_norm_at_init(
                 arch, scheme, x, cfg.samples, base.child(3 * si))),
@@ -425,7 +425,6 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
                 arch, scheme, x, cfg.samples, base.child(3 * si + 1))),
         ]
         if cfg.outputs == 1:
-            xb = _sphere_input(cfg.d, cfg.seed + 1)
             checks.append(("linearized_grad_diff", mc_linearized_grad_diff(
                 arch, scheme, (x, 1.0), (xb, -1.0), cfg.mc_n, cfg.samples,
                 base.child(3 * si + 2))))
@@ -497,7 +496,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("widths and depths must be comma-separated integers")
     if not widths or not depths:
         raise ValueError("need at least one width and one depth")
-    n = _dataset_size(cfg)
+    train = cfg.metric in ("empirical", "both")
+    if train:
+        # the analytic rows bound the problem that the empirical rows train on
+        resolved = _resolve_data(cfg)
+        d, n = resolved[0].d, resolved[0].n
+        if cfg.n is not None and cfg.n != n:
+            raise ValueError(f"--n {cfg.n} differs from the {n} records the sweep trains on")
+    else:
+        d, n = cfg.d, _dataset_size(cfg)
     rows = []
     any_diverged = False
     for scheme in _schemes(cfg):
@@ -505,16 +512,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
             for L in depths:
                 try:
                     if cfg.metric in ("analytic", "both"):
-                        arch = NetArch.uniform(cfg.d, m, L, cfg.outputs)
+                        arch = NetArch.uniform(d, m, L, cfg.outputs)
                         B = gradient_norm_constant_B(arch, init_betas(scheme, arch))
                         for step in [0, *_recorded_steps(cfg.steps, cfg.record_every).tolist()]:
                             kl = kl_bound_linearized(B, cfg.eta * step, n, cfg.sigma2,
                                                      cfg.convention) if step else 0.0
                             rows.append((scheme, m, L, step, "kl_bound", kl))
-                    if cfg.metric in ("empirical", "both"):
+                    if train:
                         cell = RunConfig(**{**cfg.__dict__, "scheme": scheme,
                                             "width": m, "depth": L})
-                        result = _estimate_result(cell, scheme)
+                        result = _estimate_result(cell, scheme, *resolved)
                         for step, mean, std, _ in _trace_rows(result):
                             rows.append((scheme, m, L, step, "kl_mean", mean))
                             rows.append((scheme, m, L, step, "kl_std", std))

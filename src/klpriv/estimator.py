@@ -25,7 +25,6 @@ from .accountant import (
 )
 from .data import Dataset, Neighbor, NeighborSet
 from .linearized import (
-    NtkFeatures,
     build_features,
     lin_forward,
     lin_grad_sum,
@@ -116,13 +115,17 @@ class DnnModel:
 
 @dataclass(frozen=True)
 class LinearizedModel:
-    """Train the linearized model around the expansion point in ``features``."""
+    """Train the linearized model f(W0) + J(W0) (W - W0) around the expansion point W0.
 
-    features: NtkFeatures
+    Every run starts from ``W0``, one parameter vector; the features of the
+    data and of the neighbor pool are built at it by :func:`run_kl_estimation`.
+    """
+
+    W0: ParamVector
 
     @property
     def arch(self) -> NetArch:
-        return self.features.arch
+        return self.W0.arch
 
 
 @dataclass
@@ -224,9 +227,11 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     draws on a helper thread while ``step`` runs; with no steps neither
     happens.
 
-    ``W`` is copied once and never written.  :func:`noisy_gd_step` updates
-    the copy in place, so every step yields the same stack until rows leave
-    and the survivors form a new one: copy an iterate to keep it.  A step's
+    ``W`` is copied once and never written, so a caller may pass a view of
+    weights it keeps, such as a linearized model's expansion point.
+    :func:`noisy_gd_step` updates the copy in place, so every step yields
+    the same stack until rows leave and the survivors form a new one: copy
+    an iterate to keep it.  A step's
     gradient is dropped before the next step runs, so training holds three
     stack-sized arrays: the iterate, the noise and one gradient.
     """
@@ -452,10 +457,11 @@ class _DnnStepStats(_StepStats):
 
 
 class _LinStepStats(_StepStats):
-    """Step statistics for the linearized model.
+    """Step statistics for the linearized model around the expansion point W0.
 
-    Jacobian rows are frozen at the expansion point, so pool features are
-    computed once, and each step forms the gradient sum S and the data's
+    Jacobian rows are frozen at W0, so the features of the data and of the
+    pool are built once, both with :func:`build_features`, which rejects a
+    stacked W0.  Each step forms the gradient sum S and the data's
     per-example gradients from cached rows with :func:`lin_grad_sum`, and the
     pool's with :func:`lin_per_example_grads`, which forms no sum.  Only
     the per-example rows that the notion's formula reads are kept, as
@@ -464,15 +470,15 @@ class _LinStepStats(_StepStats):
     never formed.  Runs are not stacked: ``W`` is a stack of one.
     """
 
-    def __init__(self, model: LinearizedModel, data: Dataset, neighbors: NeighborSet,
+    def __init__(self, W0: ParamVector, data: Dataset, neighbors: NeighborSet,
                  loss: LossKind):
         super().__init__(data, neighbors, loss)
-        self.features = model.features
-        P = model.arch.num_params
+        self.features = build_features(W0, data.X)
+        P = W0.arch.num_params
         self.rows = None if self.notion is Neighbor.ADD_ONE else np.empty((data.n, P))
         self.pool_features = self.pool_rows = None
         if self.pool is not None:
-            self.pool_features = build_features(self.features.W0, self.pool.X)
+            self.pool_features = build_features(W0, self.pool.X)
             self.pool_rows = np.empty((self.pool.n, P))
 
     def __call__(self, W: ParamVector) -> tuple:
@@ -542,14 +548,14 @@ def _stack_size(model, runs: int) -> int:
     return max(1, min(runs, OVERLAP_MIN_PARAMS // model.arch.num_params))
 
 
-def _init_stack(model, betas, seed: int, runs: np.ndarray) -> ParamVector:
+def _init_stack(model, seed: int, runs: np.ndarray) -> ParamVector:
     """Starting stack of ``runs``: the expansion point, or each run's initialization.
 
     Run r's initialization descends from its init stream ``run_streams(seed, r)[0]``.
     """
-    if betas is None:
-        return ParamVector(model.arch, model.features.W0.flat[None])
-    return sample_inits(model.arch, betas, init_keys(model.arch, RngStream(seed), runs, 0))
+    if isinstance(model, LinearizedModel):
+        return ParamVector(model.arch, model.W0.flat[None])
+    return sample_inits(model.arch, model.scheme, init_keys(model.arch, RngStream(seed), runs, 0))
 
 
 def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
@@ -560,7 +566,9 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     differences against every neighbor candidate accumulate into per-neighbor
     KL estimates, and the running maximum over neighbors is recorded.  Runs
     differ in initialization (full network) and injected noise; all streams
-    derive deterministically from ``cfg.seed``.
+    derive deterministically from ``cfg.seed``.  Every run of a linearized
+    model starts from its expansion point, where the features of the data and
+    of the neighbor pool are built.
 
     Returns:
         Result with one trace per run and mean/std across runs of the
@@ -577,14 +585,9 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     if neighbors.notion is Neighbor.REMOVE_ONE and data.n < 2:
         raise ValueError("remove-one estimation needs at least two records")
     if isinstance(model, DnnModel):
-        betas = init_betas(model.scheme, arch)
         make_stats = _DnnStepStats(data, neighbors, loss)
     else:
-        betas = None
-        model.features.W0.expect_single("the expansion point")
-        if not np.array_equal(model.features.X, data.X):
-            raise ValueError("linearized features were built on other inputs than the dataset")
-        make_stats = _LinStepStats(model, data, neighbors, loss)
+        make_stats = _LinStepStats(model.W0, data, neighbors, loss)
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
@@ -614,7 +617,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         # no name here holds an iterate: the first stack goes straight in,
         # where the trainer's copy replaces it, and only the rows come out
         stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
-            _init_stack(model, betas, cfg.seed, runs), step, cfg.eta, cfg.sigma2, step_keys))
+            _init_stack(model, cfg.seed, runs), step, cfg.eta, cfg.sigma2, step_keys))
         for k, (rows, diffs) in enumerate(stepped, start=1):
             sq_diffs[rows, k - 1] = diffs
             completed[rows] = k

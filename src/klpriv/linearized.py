@@ -26,7 +26,7 @@ from .numerics import RankDeficiencyError, psd_spectrum, solve_psd
 
 @dataclass(frozen=True)
 class NtkFeatures:
-    """Frozen expansion point: reference weights, inputs, outputs and Jacobian.
+    """Frozen expansion point: reference weights, outputs and Jacobian on n inputs.
 
     ``jac`` has one row per (example, output) pair, example-major, so row
     ``i * o + j`` is the gradient of output j on example i.
@@ -34,18 +34,17 @@ class NtkFeatures:
 
     arch: NetArch
     W0: ParamVector
-    X: np.ndarray
     f0: np.ndarray          # (n, o) outputs at W0
     jac: np.ndarray         # (n * o, P)
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.f0.shape[0]
 
 
-def jacobian_rows(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outputs (n, o) and stacked Jacobian rows (n*o, P) at the given weights."""
-    params.expect_single()
+def build_features(params: ParamVector, X: np.ndarray) -> NtkFeatures:
+    """Expand the network around ``params`` on the rows of ``X``."""
+    params.expect_single("the expansion point")
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     arch = params.arch
@@ -58,14 +57,7 @@ def jacobian_rows(params: ParamVector, X: np.ndarray) -> tuple[np.ndarray, np.nd
         F, J = jacobian_batch(params, X[i:i + 1])
         f0[i] = F[0]
         jac[i * arch.o:(i + 1) * arch.o] = J[0]
-    return f0, jac
-
-
-def build_features(params: ParamVector, X: np.ndarray) -> NtkFeatures:
-    """Expand the network around ``params`` on the rows of ``X``."""
-    f0, jac = jacobian_rows(params, X)
-    return NtkFeatures(arch=params.arch, W0=params.copy(), X=np.array(X, dtype=float),
-                       f0=f0, jac=jac)
+    return NtkFeatures(arch=arch, W0=params.copy(), f0=f0, jac=jac)
 
 
 def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:

@@ -111,13 +111,9 @@ def _philox_keys(seeds, streams) -> np.ndarray:
 
     Element for element the key ``RngStream(seed, stream).generator()`` starts
     from, ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2,
-    np.uint64)``.  Two Python ints give shape ``(2,)``, from numpy's own
-    SeedSequence, which is faster for one pair than the array port below;
-    arrays broadcast, and give shape ``broadcast shape + (2,)``; dtype uint64.
+    np.uint64)``.  Seeds and streams, ints or arrays, broadcast, and give
+    shape ``broadcast shape + (2,)``; dtype uint64.
     """
-    if isinstance(seeds, int) and isinstance(streams, int):
-        return np.random.SeedSequence(entropy=seeds, spawn_key=(streams,)).generate_state(
-            2, np.uint64)
     seeds, streams = np.asarray(seeds, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
     shape = np.broadcast_shapes(seeds.shape, streams.shape)
     # not broadcast up front: a lone seed is mixed into the pool once, on

@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klpriv import cli
+from klpriv import cli, estimator
+from klpriv.accountant import KLConstant, gradient_norm_constant_B, kl_bound_linearized
 from klpriv.cli import RunConfig, load_config_file, main
+from klpriv.data import save_csv, synth_sphere
+from klpriv.network import NetArch, init_betas
+from klpriv.numerics import RngStream
 
 
 def _read_table(path):
@@ -303,27 +307,38 @@ class TestLazy:
     def test_multi_output_rejected(self):
         assert main(["lazy", "--data", "synth:8", "--outputs", "2"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["lazy", "--ridge", "0"],
-        ["estimate", "--linearize", "--runs", "2", "--neighbor", "add", "--pool-size", "3"],
+    # lazy builds the data's features; estimate builds the data's and the pool's
+    @pytest.mark.parametrize("argv, builder, builds", [
+        (["lazy", "--ridge", "0"], cli, 1),
+        (["estimate", "--linearize", "--runs", "2", "--neighbor", "add", "--pool-size", "3"],
+         estimator, 2),
     ], ids=["lazy", "estimate-linearize"])
-    def test_training_keeps_the_expansion_point(self, tmp_path, monkeypatch, argv):
-        built = []
+    def test_training_keeps_the_expansion_point(self, tmp_path, monkeypatch, argv, builder,
+                                                builds):
+        drawn, built = [], []
+
+        def sample_init(*args):
+            W0 = cli_sample_init(*args)
+            drawn.append((W0, W0.flat.copy()))
+            return W0
 
         def build_features(W0, X):
-            features = cli_build_features(W0, X)
+            features = real_build_features(W0, X)
             built.append((features, features.W0.flat.copy()))
             return features
 
-        cli_build_features = cli.build_features
-        monkeypatch.setattr(cli, "build_features", build_features)
+        cli_sample_init, real_build_features = cli.sample_init, builder.build_features
+        monkeypatch.setattr(cli, "sample_init", sample_init)
+        monkeypatch.setattr(builder, "build_features", build_features)
         rc = main([*argv, "--data", "synth:8", "--d", "6", "--width", "8", "--depth", "2",
                    "--steps", "5", "--eta", "0.05", "--sigma2", "1e-3",
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 0
-        assert len(built) == 1
-        features, before = built[0]
-        assert features.W0.flat.tobytes() == before.tobytes()
+        assert len(drawn) == 1 and len(built) == builds
+        W0, before = drawn[0]
+        assert W0.flat.tobytes() == before.tobytes()
+        for features, at_build in built:
+            assert features.W0.flat.tobytes() == at_build.tobytes() == before.tobytes()
 
 
 class TestSweep:
@@ -384,6 +399,47 @@ class TestSweep:
         error_rows = [r for r in rows if r[4] == "error"]
         assert len(error_rows) == 2
         assert all(r[5] == "nan" for r in error_rows)
+
+    @staticmethod
+    def _bounds(path, d, n, steps):
+        """The kl_bound rows of a one-cell lecun sweep at width 8, depth 2, and
+        the bound they should hold for a d-dimensional problem of n records."""
+        _, _, rows = _read_table(path)
+        got = [float(r[5]) for r in rows if r[4] == "kl_bound"]
+        arch = NetArch.uniform(d, 8, 2, 1)
+        B = gradient_norm_constant_B(arch, init_betas("lecun", arch))
+        want = [kl_bound_linearized(B, 0.01 * k, n, 0.01, KLConstant.PAPER) if k else 0.0
+                for k in range(steps + 1)]
+        return got, want
+
+    def test_analytic_rows_bound_the_synthetic_data_trained_on(self, tmp_path, capsys):
+        argv = ["sweep", "--metric", "both", "--data", "synth:32", "--widths", "8",
+                "--depths", "2", "--steps", "1", "--runs", "1"]
+        # a bound for 100 records would read below the estimate on 32
+        assert main([*argv, "--n", "100"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --n 100 differs from the 32 records the sweep trains on" in captured.err
+        assert captured.out == ""
+        for extra in ([], ["--n", "32"]):
+            out = tmp_path / "s.csv"
+            assert main([*argv, *extra, "--out", str(out)]) == 0
+            got, want = self._bounds(out, 16, 32, 1)
+            assert got == want
+
+    @pytest.mark.parametrize("neighbor, n", [("remove", 12), ("replace", 9)])
+    def test_analytic_rows_bound_the_csv_data_trained_on(self, tmp_path, neighbor, n):
+        # 5 features under the default --d 16; replace-one holds out a pool of 3
+        path = tmp_path / "five.csv"
+        save_csv(synth_sphere(12, 5, RngStream(3)), path)
+        argv = ["sweep", "--metric", "both", "--data", f"csv:{path}", "--widths", "8",
+                "--depths", "2", "--steps", "2", "--runs", "1", "--neighbor", neighbor,
+                "--pool-size", "3"]
+        for extra in ([], ["--n", str(n)]):
+            out = tmp_path / "s.csv"
+            assert main([*argv, *extra, "--out", str(out)]) == 0
+            got, want = self._bounds(out, 5, n, 2)
+            assert got == want
+        assert main([*argv, "--n", "12" if n != 12 else "9"]) == 2
 
     def test_bad_grid_exits_2(self):
         assert main(["sweep", "--widths", "a,b", "--n", "8"]) == 2

@@ -425,18 +425,27 @@ class TestRunKlEstimation:
             assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
             assert trace.cumulative_worst[-1] == pytest.approx(want.max(), rel=1e-15)
 
-    def test_single_step_linearized_manual(self):
-        data, neighbors, _ = _setup_estimation()
-        arch = NetArch.uniform(4, 8, 2, 1)
+    @pytest.mark.parametrize("o", [1, 3])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_single_step_linearized_manual(self, notion, o):
+        # every run's first step is at the expansion point, against the explicit reference
+        data, neighbors, _ = _setup_outputs(notion, o)
+        arch = NetArch.uniform(4, 8, 2, o)
         W0 = sample_init(arch, init_betas("ntk", arch), RngStream(55))
-        feats = build_features(W0, data.X)
-        model = LinearizedModel(features=feats)
-        cfg = TrainConfig(eta=0.1, steps=1, sigma2=0.05, runs=1, seed=4)
-        res = run_kl_estimation(model, data, neighbors, cfg)
-        G = lin_per_example_grads(feats, W0, data.Y, LossKind.LOGISTIC_SINGLE)
-        diffs = neighbor_grad_diffs(G, notion=Neighbor.REMOVE_ONE)
+        cfg = TrainConfig(eta=0.1, steps=1, sigma2=0.05, runs=2, seed=4)
+        res = run_kl_estimation(LinearizedModel(W0), data, neighbors, cfg)
+        loss = LossKind.LOGISTIC_SINGLE if o == 1 else LossKind.CROSS_ENTROPY_MULTI
+        G = lin_per_example_grads(build_features(W0, data.X), W0, data.Y, loss)
+        Gp = None
+        if neighbors.pool is not None:
+            Gp = lin_per_example_grads(build_features(W0, neighbors.pool.X), W0,
+                                       neighbors.pool.Y, loss)
+        pairs = neighbors.indices if notion is Neighbor.REPLACE_ONE else None
+        diffs = neighbor_grad_diffs(G, Gp, notion, pairs=pairs)
         want = cfg.eta * diffs / (2.0 * cfg.sigma2)
-        assert np.allclose(res.traces[0].cumulative_per_neighbor, want, rtol=1e-12)
+        for trace in res.traces:
+            assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
+            assert trace.cumulative_worst[-1] == pytest.approx(want.max(), rel=1e-15)
 
     def test_cumulative_worst_non_decreasing(self):
         data, neighbors, model = _setup_estimation()
@@ -562,29 +571,16 @@ class TestRunKlEstimation:
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
 
-    def test_linearized_features_must_come_from_the_data(self):
-        # a dataset of the same size with other inputs would train against
-        # the wrong Jacobian rows and return a wrong KL
-        data = synth_sphere(8, 4, RngStream(2))
-        neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
-        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
-        with pytest.raises(ValueError, match="other inputs"):
-            run_kl_estimation(_linearized_model(synth_sphere(8, 4, RngStream(1))),
-                              data, neighbors, cfg)
-        res = run_kl_estimation(_linearized_model(data), data, neighbors, cfg)
-        assert np.all(np.isfinite(res.worst_mean))
-
     def test_linearized_expansion_point_stack_rejected(self):
         data = synth_sphere(8, 4, RngStream(2))
         neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
         cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
-        features = _linearized_model(data).features
-        W0 = features.W0.flat
-        stacked = dataclasses.replace(features, W0=ParamVector(features.arch, np.stack([W0, W0])))
+        W0 = _linearized_model(data).W0
+        stacked = ParamVector(W0.arch, np.stack([W0.flat, W0.flat]))
         with pytest.raises(ValueError, match="expansion point must be one parameter vector"):
-            run_kl_estimation(LinearizedModel(features=stacked), data, neighbors, cfg)
+            run_kl_estimation(LinearizedModel(stacked), data, neighbors, cfg)
         with pytest.raises(ValueError, match="stack"):
-            build_features(stacked.W0, data.X)
+            build_features(stacked, data.X)
 
 
 class TestMeanStdOverRuns:
@@ -620,8 +616,7 @@ class TestMeanStdOverRuns:
 
 def _linearized_model(data):
     arch = NetArch.uniform(data.d, 8, 2, 1)
-    W0 = sample_init(arch, init_betas("ntk", arch), RngStream(55))
-    return LinearizedModel(features=build_features(W0, data.X))
+    return LinearizedModel(sample_init(arch, init_betas("ntk", arch), RngStream(55)))
 
 
 # the smallest and a gate no model reaches: overlapped and inline noise draws
@@ -816,7 +811,7 @@ class TestStackedRuns:
         Ws[1].layer(model.arch.L)[:] *= 1e150      # data outputs finite, pool outputs inf
         Ws[3].layer(model.arch.L)[:] = np.inf      # data outputs non-finite
         monkeypatch.setattr(estimator, "_init_stack",
-                            lambda model, betas, seed, runs: _stack(*[Ws[r] for r in runs]))
+                            lambda model, seed, runs: _stack(*[Ws[r] for r in runs]))
         # no threshold: run 1 can leave by its pool outputs only
         cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=4, seed=2,
                           divergence_threshold=math.inf)
@@ -854,7 +849,7 @@ class TestStackedRuns:
         data, neighbors, model = _setup_estimation()
         betas = init_betas("lecun", model.arch)
         runs = np.arange(3, 6)
-        W = estimator._init_stack(model, betas, 11, runs)
+        W = estimator._init_stack(model, 11, runs)
         assert W.flat.shape == (runs.size, model.arch.num_params)
         for row, r in zip(W.flat, runs.tolist()):
             want = sample_init(model.arch, betas, run_streams(11, r)[0])
@@ -874,22 +869,20 @@ class TestStackedRuns:
         assert estimator._stack_size(dnn(8, 32, 4), 1) == 1     # one run
         # the estimate-linearized shape: a network would stack, a linearized model does not
         assert estimator._stack_size(dnn(32, 128, 3), 2) == 2
-        data = synth_sphere(64, 32, RngStream(1))
         W0 = sample_init(NetArch.uniform(32, 128, 3, 1), init_betas("lecun", dnn(32, 128, 3).arch),
                          RngStream(2))
-        assert estimator._stack_size(LinearizedModel(build_features(W0, data.X)), 2) == 1
+        assert estimator._stack_size(LinearizedModel(W0), 2) == 1
 
 
 def _lin_step_setup(notion, o, n=6, width=6):
-    """A linearized model with o outputs, its data and neighbors, loss and two stacks of one."""
+    """An expansion point W0 with o outputs, data and neighbors, loss and two stacks of one."""
     data, neighbors, _ = _setup_outputs(notion, o, n)
     arch = NetArch.uniform(data.d, width, 3, o)
     W0 = sample_init(arch, init_betas("he", arch), RngStream(56))
-    model = LinearizedModel(features=build_features(W0, data.X))
     loss = LossKind.LOGISTIC_SINGLE if o == 1 else LossKind.CROSS_ENTROPY_MULTI
     shift = 0.3 * RngStream(57).generator().standard_normal(arch.num_params)
     stacks = [ParamVector(arch, W.flat[None]) for W in (W0, ParamVector(arch, W0.flat + shift))]
-    return model, data, neighbors, loss, stacks
+    return W0, data, neighbors, loss, stacks
 
 
 class TestLinStepStats:
@@ -898,24 +891,24 @@ class TestLinStepStats:
     @pytest.mark.parametrize("o", [1, 3])
     @pytest.mark.parametrize("notion", list(Neighbor))
     def test_reused_buffers_equal_fresh_steps(self, notion, o):
-        model, data, neighbors, loss, stacks = _lin_step_setup(notion, o)
-        stats = estimator._LinStepStats(model, data, neighbors, loss)
+        W0, data, neighbors, loss, stacks = _lin_step_setup(notion, o)
+        stats = estimator._LinStepStats(W0, data, neighbors, loss)
         reused = [stats(W) for W in stacks]
         assert not _same_bytes(reused[0][3], reused[1][3])
         for got, W in zip(reused, stacks):
-            fresh = estimator._LinStepStats(model, data, neighbors, loss)(W)
+            fresh = estimator._LinStepStats(W0, data, neighbors, loss)(W)
             assert len(got) == len(fresh) == 4
             assert all(_same_bytes(a, b) for a, b in zip(got, fresh))
 
     def test_add_one_step_allocates_less_than_a_data_gradient_matrix(self):
-        model, data, neighbors, loss, stacks = _lin_step_setup(Neighbor.ADD_ONE, 1, n=32,
-                                                                width=32)
-        matrix_bytes = 8 * data.n * model.arch.num_params
-        stats = estimator._LinStepStats(model, data, neighbors, loss)
+        W0, data, neighbors, loss, stacks = _lin_step_setup(Neighbor.ADD_ONE, 1, n=32,
+                                                             width=32)
+        matrix_bytes = 8 * data.n * W0.arch.num_params
+        stats = estimator._LinStepStats(W0, data, neighbors, loss)
         stats(stacks[0])
         # the tracer sees numpy's buffers: the explicit rows count in full
-        W = ParamVector(model.arch, stacks[1].flat[0])
-        assert _peak_bytes(lambda: lin_per_example_grads(model.features, W, data.Y, loss)) \
+        W = ParamVector(W0.arch, stacks[1].flat[0])
+        assert _peak_bytes(lambda: lin_per_example_grads(stats.features, W, data.Y, loss)) \
             >= matrix_bytes
         assert _peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
 

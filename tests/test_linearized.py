@@ -35,7 +35,6 @@ def _toy_features(n=1, P=2, f0=0.5, jac_row=(1.0, 2.0)):
     return NtkFeatures(
         arch=arch,
         W0=ParamVector.zeros(arch),
-        X=np.zeros((n, 1)),
         f0=np.full((n, 1), f0),
         jac=np.array([jac_row], dtype=float),
     )
@@ -47,8 +46,7 @@ def _orthonormal_features(n, scale=1.0, f0=None):
     jac = scale * np.eye(n, arch.num_params)
     if f0 is None:
         f0 = np.zeros((n, 1))
-    return NtkFeatures(arch=arch, W0=ParamVector.zeros(arch),
-                       X=np.zeros((n, 1)), f0=f0, jac=jac)
+    return NtkFeatures(arch=arch, W0=ParamVector.zeros(arch), f0=f0, jac=jac)
 
 
 class TestBuildFeatures:
@@ -158,8 +156,7 @@ class TestLinGradSum:
         jac[:, gens[1].random(arch.num_params) < dead] = 0.0
         preds = 3.0 * gens[2].standard_normal((n, o))
         # at W = W0 the model predicts f0
-        feats = NtkFeatures(arch=arch, W0=ParamVector.zeros(arch), X=np.zeros((n, 2)),
-                            f0=preds, jac=jac)
+        feats = NtkFeatures(arch=arch, W0=ParamVector.zeros(arch), f0=preds, jac=jac)
         if o == 1:
             Y, loss = np.where(gens[3].random(n) < 0.5, -1.0, 1.0), LossKind.LOGISTIC_SINGLE
         else:
@@ -188,8 +185,7 @@ class TestGramAnalysis:
         feats = _orthonormal_features(3)
         jac = feats.jac.copy()
         jac[2] = jac[0]
-        dup = NtkFeatures(arch=feats.arch, W0=feats.W0, X=feats.X,
-                          f0=feats.f0, jac=jac)
+        dup = NtkFeatures(arch=feats.arch, W0=feats.W0, f0=feats.f0, jac=jac)
         ga = gram_analysis(dup)
         assert ga.rank == 2
 
@@ -245,8 +241,7 @@ class TestLazySolution:
         feats = _orthonormal_features(3)
         jac = feats.jac.copy()
         jac[1] = jac[0]
-        dup = NtkFeatures(arch=feats.arch, W0=feats.W0, X=feats.X,
-                          f0=feats.f0, jac=jac)
+        dup = NtkFeatures(arch=feats.arch, W0=feats.W0, f0=feats.f0, jac=jac)
         with pytest.raises(RankDeficiencyError):
             lazy_solution(dup, np.array([1.0, -1.0, 1.0]), ridge=0.0)
 

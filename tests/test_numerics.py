@@ -108,9 +108,13 @@ class TestPhiloxKeys:
         expected = np.array([_seed_sequence_key(int(a), int(b)) for a, b in zip(seeds, streams)])
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
-        # one pair of Python ints goes through numpy's SeedSequence itself
-        for j in [*range(0, 4 * n, 97), *range(4 * n, seeds.size)]:
-            assert np.array_equal(numerics._philox_keys(int(seeds[j]), int(streams[j])), expected[j])
+        # one pair of Python ints goes through the same port, as one stream
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in [*range(0, 4 * n, 97), *range(4 * n, seeds.size)]:
+                key = numerics._philox_keys(int(seeds[j]), int(streams[j]))
+                assert key.shape == (2,) and key.dtype == np.uint64
+                assert np.array_equal(key, expected[j])
 
     def test_one_seed_many_streams_match_seed_sequence(self):
         # a lone seed is mixed into the pool as a Python int, the streams as arrays
