@@ -7,6 +7,7 @@ from .accountant import (
     DnnBoundInputs,
     KLConstant,
     TradeoffSchedule,
+    averaged_iterate_risk_bound,
     dnn_drift_bound,
     expected_grad_norm_init,
     expected_output_sqnorm_init,
@@ -34,6 +35,7 @@ from .estimator import (
     LinearizedModel,
     McReport,
     TrainConfig,
+    lin_averaged_iterate,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,

@@ -214,6 +214,22 @@ def lazy_R_bound(arch: NetArch, betas, n: int) -> float:
     return max(1.0 / prod, 1.0) * n / inv_sum
 
 
+def averaged_iterate_risk_bound(loss_star: float, R: float, T: float, sigma2: float,
+                                rank: int) -> float:
+    """Risk bound loss* + R / (2 T) + sigma^2 rank / 2 on the averaged iterate.
+
+    Noisy GD for time T on the linearized model, against a reference point
+    at squared distance R from the start with loss ``loss_star``: the
+    optimization term is R / (2 T), and the noise adds sigma^2 / 2 along each
+    of the ``rank`` directions of the Gram matrix.
+    """
+    if T <= 0:
+        raise ValueError("horizon T must be positive")
+    if min(R, sigma2) < 0 or rank < 0:
+        raise ValueError("R, sigma^2 and the rank must be non-negative")
+    return loss_star + R / (2.0 * T) + sigma2 * rank / 2.0
+
+
 @dataclass(frozen=True)
 class TradeoffSchedule:
     """Noise level and horizon balancing privacy against excess risk."""
@@ -226,9 +242,10 @@ class TradeoffSchedule:
 def tradeoff_schedule(B: float, R: float, eps: float, n: int) -> TradeoffSchedule:
     """Pick (T, sigma^2) so the KL bound equals eps with the best risk bound.
 
-    T = sqrt(eps n R / (2 B)) equalizes the optimization term R / (2 T) and
-    the privacy-noise term B T / (eps n); the resulting risk bound is
-    1 / n^2 + sqrt(2 B R / (eps n)).
+    The risk bound is :func:`averaged_iterate_risk_bound` at loss* = 1 / n^2
+    and rank n.  T = sqrt(eps n R / (2 B)) equalizes its optimization term
+    R / (2 T) and its privacy-noise term B T / (eps n); the resulting risk
+    bound is 1 / n^2 + sqrt(2 B R / (eps n)).
     """
     if min(B, R, eps) <= 0 or n < 1:
         raise ValueError("B, R, eps must be positive and n >= 1")

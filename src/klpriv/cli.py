@@ -20,6 +20,7 @@ from . import __version__
 from .accountant import (
     DnnBoundInputs,
     KLConstant,
+    averaged_iterate_risk_bound,
     dnn_drift_bound,
     expected_grad_norm_init,
     expected_output_sqnorm_init,
@@ -35,8 +36,8 @@ from .estimator import (
     LinearizedModel,
     TrainConfig,
     _mean_std_over_runs,
-    _noisy_gd,
     _recorded_steps,
+    lin_averaged_iterate,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
@@ -48,10 +49,8 @@ from .linearized import (
     build_features,
     lazy_solution,
     lin_empirical_loss,
-    lin_forward,
-    lin_grad_sum,
 )
-from .network import SCHEME_NAMES, LossKind, NetArch, ParamVector, init_betas, sample_init
+from .network import SCHEME_NAMES, LossKind, NetArch, init_betas, sample_init
 from .numerics import RngStream
 
 SCHEMES = SCHEME_NAMES
@@ -465,21 +464,11 @@ def cmd_lazy(cfg: RunConfig) -> int:
     if cfg.steps > 0:
         # averaged-iterate excess risk of noisy GD on the linearized model,
         # measured against the near-optimal interpolator
-        T = cfg.eta * cfg.steps
-        _, noise_stream = run_streams(cfg.seed, 0)
-        live = np.ones(1, dtype=bool)
-
-        def step(W: ParamVector):
-            preds = lin_forward(features, ParamVector(arch, W.flat[0]))
-            S = lin_grad_sum(features, preds, data.Y, LossKind.LOGISTIC_SINGLE)
-            return live, (S / data.n)[None], None
-
-        # a stack of one run
-        iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, cfg.eta,
-                             cfg.sigma2, noise_stream.keys(np.arange(cfg.steps))[None])
-        W_avg = ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / cfg.steps)
+        W_avg = lin_averaged_iterate(features, data.Y, cfg.eta, cfg.sigma2, cfg.steps,
+                                     run_streams(cfg.seed, 0)[1])
         avg_loss = lin_empirical_loss(features, W_avg, data.Y, LossKind.LOGISTIC_SINGLE)
-        bound = sol.achieved_loss + sol.R / (2.0 * T) + cfg.sigma2 * sol.gram.rank / 2.0
+        bound = averaged_iterate_risk_bound(sol.achieved_loss, sol.R, cfg.eta * cfg.steps,
+                                            cfg.sigma2, sol.gram.rank)
         rows.append(("averaged_iterate_loss", avg_loss))
         rows.append(("excess_vs_interpolator", avg_loss - sol.achieved_loss))
         rows.append(("risk_bound", bound))

@@ -168,6 +168,8 @@ def enumerate_neighbors(data: Dataset, notion: Neighbor, pool: Dataset | None = 
     replace-one the full n x pool grid, subsampled to ``cap`` pairs with a
     seeded stream when the grid is larger.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     if notion is Neighbor.REMOVE_ONE:
         if data.n < 2:
             raise ValueError("remove-one needs at least two records")

@@ -25,6 +25,7 @@ from .accountant import (
 )
 from .data import Dataset, Neighbor, NeighborSet
 from .linearized import (
+    NtkFeatures,
     build_features,
     lin_forward,
     lin_grad_sum,
@@ -49,11 +50,12 @@ from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 # OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
 # trainer (_noisy_gd), so each (R, P) array of a stack holds at most 2^17
 # parameters (1 MiB).  Linearized runs, whose step statistics take one
-# parameter vector at a time, and lazy's one run train as stacks of one.  On a
-# 2-core host with numpy's OpenBLAS, a CLI run training two runs of P = 3,104
-# (d=32, width 32, depth 4, replace-one) as one stack took 0.70x the wall time
-# of one run at a time (median of 8 alternating pairs): at that size a step is
-# mostly per-call overhead, which a stack pays once for all its runs.
+# parameter vector at a time, and lin_averaged_iterate's one run train as
+# stacks of one.  On a 2-core host with numpy's OpenBLAS, a CLI run training
+# two runs of P = 3,104 (d=32, width 32, depth 4, replace-one) as one stack
+# took 0.70x the wall time of one run at a time (median of 8 alternating
+# pairs): at that size a step is mostly per-call overhead, which a stack pays
+# once for all its runs.
 # A stack of OVERLAP_MIN_PARAMS parameters or more (in practice one run with
 # P >= 2^17) draws each step's noise on one helper thread while the step's
 # gradient statistics are computed; BLAS runs on one thread, as for all
@@ -100,6 +102,9 @@ class TrainConfig:
             raise ValueError("need at least one run")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
+        # a NaN threshold would let every norm pass; inf turns the rule off
+        if not self.divergence_threshold > 0:
+            raise ValueError("divergence threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,8 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
               step_keys: np.ndarray) -> Iterator[tuple[np.ndarray, ParamVector, object]]:
     """Noisy GD from the (R, P) stack ``W``, one row per run.
 
+    The one trainer: :func:`run_kl_estimation` and
+    :func:`lin_averaged_iterate` differ only in their ``step``.
     ``step(W)`` returns ``(live, mean_grad, payload)`` at the current stack:
     ``live`` flags the rows that take the step and ``mean_grad`` holds their
     mean gradients, one row each, in an array the update consumes; the other
@@ -402,10 +409,12 @@ class _StepStats:
     neighbor candidates and the loss.
 
     A producer maps an (R, P) stack of runs to ``(finite, S_sq, mean_grad,
-    diffs)``, one row per run: whether the run's outputs on data and pool
-    are all finite, ||S||^2 of its gradient sum, its mean gradient (in a
-    fresh array, which the update consumes) and its :func:`_sq_diffs`.  Rows of runs that are not finite may hold anything;
-    the caller sees that they leave the stack.
+    diffs)``, one row per run: whether the outputs it checks are all finite
+    (the network's on data and pool, the linearized model's on the data
+    only), ||S||^2 of its gradient sum, its mean gradient (in a fresh array,
+    which the update consumes) and its :func:`_sq_diffs`.  Rows of runs
+    that are not finite may hold anything; the caller sees that they leave
+    the stack, and a non-finite pool statistic shows in ``diffs``.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -558,6 +567,35 @@ def _init_stack(model, seed: int, runs: np.ndarray) -> ParamVector:
     return sample_inits(model.arch, model.scheme, init_keys(model.arch, RngStream(seed), runs, 0))
 
 
+def _check_neighbors(data: Dataset, neighbors: NeighborSet) -> None:
+    """Reject a neighbor set that does not enumerate the neighbors of ``data``."""
+    notion, count = neighbors.notion, neighbors.count
+    if notion is Neighbor.REMOVE_ONE:
+        if data.n < 2:
+            raise ValueError("remove-one estimation needs at least two records")
+        if count != data.n:
+            raise ValueError(f"remove-one set has {count} candidates for {data.n} records")
+        return
+    pool = neighbors.pool
+    if pool is None:
+        raise ValueError(f"{notion.value} neighbors need a candidate pool")
+    if pool.d != data.d or pool.num_outputs != data.num_outputs:
+        raise ValueError("pool records must match the dataset shape")
+    if notion is Neighbor.ADD_ONE:
+        if count != pool.n:
+            raise ValueError(f"add-one set has {count} candidates for {pool.n} pool records")
+        return
+    if not count:
+        raise ValueError("replace-one set has no pairs")
+    if not all(0 <= i < data.n and 0 <= j < pool.n for i, j in neighbors.indices):
+        raise ValueError(f"replace-one pairs out of range for {data.n} records "
+                         f"and {pool.n} pool records")
+    # only a capped set may leave pairs out
+    if not neighbors.capped and count != data.n * pool.n:
+        raise ValueError(f"uncapped replace-one set has {count} pairs for {data.n} records "
+                         f"and {pool.n} pool records")
+
+
 def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                       cfg: TrainConfig) -> KLEstimationResult:
     """Estimate the KL privacy loss of noisy GD against worst-case neighbors.
@@ -582,8 +620,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     if data.num_outputs != arch.o:
         raise ValueError("label width does not match the architecture")
     loss = LossKind.LOGISTIC_SINGLE if arch.o == 1 else LossKind.CROSS_ENTROPY_MULTI
-    if neighbors.notion is Neighbor.REMOVE_ONE and data.n < 2:
-        raise ValueError("remove-one estimation needs at least two records")
+    _check_neighbors(data, neighbors)
     if isinstance(model, DnnModel):
         make_stats = _DnnStepStats(data, neighbors, loss)
     else:
@@ -592,16 +629,18 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
     def step(W: ParamVector):
-        # the one leave rule: a run leaves at the step whose outputs or S^2
-        # are not finite, or whose mean-gradient norm passes the threshold;
-        # its statistics at that step are computed with the others' and
-        # dropped, so their non-finite arithmetic must not warn
+        # the one leave rule: a run leaves at the step whose outputs, S^2 or
+        # neighbor differences are not finite, or whose mean-gradient norm
+        # passes the threshold; its statistics at that step are computed with
+        # the others' and dropped, so their non-finite arithmetic must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             finite, S_sq, mean_grad, diffs = make_stats(W)
             # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit
             norms = np.sqrt((mean_grad[:, None, :] @ mean_grad[:, :, None]).reshape(-1))
-            # a NaN statistic makes S^2 NaN, while a NaN norm passes the threshold
-            live = finite & np.isfinite(S_sq) & ~(norms > cfg.divergence_threshold)
+            # a NaN data statistic makes S^2 NaN, while a NaN norm passes the
+            # threshold; pool statistics reach the differences only
+            live = (finite & np.isfinite(S_sq) & np.isfinite(diffs).all(axis=-1)
+                    & ~(norms > cfg.divergence_threshold))
         if not live.all():
             mean_grad, diffs = mean_grad[live], diffs[live]
         return live, mean_grad, diffs
@@ -651,6 +690,34 @@ def replay_worst(trace: KLTrace, sigma2: float | None = None,
         raise ValueError("noise variance must be positive")
     scale = trace.eta / (convention.denominator_factor * sigma2)
     return _accumulate(trace.per_step_sq_diffs, scale, trace.recorded_steps)[1]
+
+
+def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: float,
+                         steps: int, noise: RngStream) -> ParamVector:
+    """Mean of the iterates W_1..W_steps of noisy GD on the linearized model.
+
+    Training minimizes the single-output logistic loss on the examples of
+    ``features`` with ``labels`` (+-1, one per example), starts at the
+    expansion point ``features.W0`` and draws the noise of step k (from 0)
+    from ``noise.child(k)``.  The averaged iterate is the point that
+    :func:`~klpriv.accountant.averaged_iterate_risk_bound` bounds.
+    """
+    if features.arch.o != 1:
+        raise ValueError("the averaged iterate is defined for single-output models")
+    if steps < 1:
+        raise ValueError("need at least one step")
+    arch, n = features.arch, features.n
+    live = np.ones(1, dtype=bool)
+
+    def step(W: ParamVector):
+        preds = lin_forward(features, ParamVector(arch, W.flat[0]))
+        S = lin_grad_sum(features, preds, labels, LossKind.LOGISTIC_SINGLE)
+        return live, (S / n)[None], None
+
+    # a stack of one run
+    iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, eta, sigma2,
+                         noise.keys(np.arange(steps))[None])
+    return ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / steps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from klpriv import (
     ParamVector,
     RngStream,
     TrainConfig,
+    averaged_iterate_risk_bound,
     build_features,
     dnn_drift_bound,
     enumerate_neighbors,
@@ -30,6 +31,7 @@ from klpriv import (
     init_betas,
     kl_bound_linearized,
     lazy_solution,
+    lin_averaged_iterate,
     lin_empirical_loss,
     lin_forward,
     mc_grad_norm_at_init,
@@ -44,8 +46,6 @@ from klpriv import (
     table_closed_form_B,
     tradeoff_schedule,
 )
-from klpriv.estimator import _noisy_gd
-from klpriv.linearized import lin_grad_sum
 from klpriv.network import loss_batch
 
 SCHEMES = ("lecun", "he", "ntk", "xavier")
@@ -222,20 +222,12 @@ def test_c08_averaged_iterate_risk_bound():
         W0 = sample_init(arch, betas, init_stream)
         features = build_features(W0, data.X)
         sol = lazy_solution(features, data.Y, ridge=0.0)
-
-        def step(W):
-            preds = lin_forward(features, ParamVector(arch, W.flat[0]))
-            S = lin_grad_sum(features, preds, data.Y, LossKind.LOGISTIC_SINGLE)
-            return np.ones(1, dtype=bool), (S / n)[None], None
-
-        iterates = _noisy_gd(ParamVector(arch, W0.flat[None]), step, eta, sigma2,
-                             noise_stream.keys(np.arange(K))[None])
-        W_avg = ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / K)
+        W_avg = lin_averaged_iterate(features, data.Y, eta, sigma2, K, noise_stream)
         avg_loss = lin_empirical_loss(features, W_avg, data.Y,
                                       LossKind.LOGISTIC_SINGLE)
         excesses.append(avg_loss - sol.achieved_loss)
-        bounds.append(sol.achieved_loss + sol.R / (2.0 * T)
-                      + sigma2 * sol.gram.rank / 2.0)
+        bounds.append(averaged_iterate_risk_bound(sol.achieved_loss, sol.R, T, sigma2,
+                                                  sol.gram.rank))
     mean_excess = float(np.mean(excesses))
     mean_bound = float(np.mean(bounds))
     _verdict(8, "averaged-iterate risk bound", t0, 300.0,
@@ -290,6 +282,9 @@ def test_c10_tradeoff_schedule_identities():
         worst = max(worst, abs(opt_term - B * sched.T / (eps * n)) / opt_term)
         want_risk = 1.0 / n ** 2 + math.sqrt(2.0 * B * R / (eps * n))
         worst = max(worst, abs(sched.risk_bound - want_risk) / want_risk)
+        # the schedule is the averaged-iterate bound's optimum at rank n
+        at_rank_n = averaged_iterate_risk_bound(1.0 / n ** 2, R, sched.T, sched.sigma2, n)
+        worst = max(worst, abs(sched.risk_bound - at_rank_n) / at_rank_n)
     _verdict(10, "trade-off schedule identities", t0, 1.0, worst <= 1e-12,
              f"max rel err {worst:.2e} over 100 draws")
 

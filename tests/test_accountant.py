@@ -8,6 +8,7 @@ import pytest
 from klpriv.accountant import (
     DnnBoundInputs,
     KLConstant,
+    averaged_iterate_risk_bound,
     dnn_drift_bound,
     expected_grad_norm_init,
     expected_output_sqnorm_init,
@@ -233,6 +234,19 @@ class TestLazyRBound:
             lazy_R_bound(multi, init_betas("he", multi), 4)
         with pytest.raises(ValueError):
             lazy_R_bound(ARCH, init_betas("he", ARCH), -1)
+
+
+class TestAveragedIterateRiskBound:
+    # its value is checked against tradeoff_schedule in test_c10
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            averaged_iterate_risk_bound(0.1, 1.0, 0.0, 0.1, 1)
+        with pytest.raises(ValueError):
+            averaged_iterate_risk_bound(0.1, -1.0, 1.0, 0.1, 1)
+        with pytest.raises(ValueError):
+            averaged_iterate_risk_bound(0.1, 1.0, 1.0, -0.1, 1)
+        with pytest.raises(ValueError):
+            averaged_iterate_risk_bound(0.1, 1.0, 1.0, 0.1, -1)
 
 
 class TestTradeoffSchedule:

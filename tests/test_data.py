@@ -216,3 +216,7 @@ class TestEnumerateNeighbors:
         with pytest.raises(ValueError):
             enumerate_neighbors(self._data(4, d=3), Neighbor.ADD_ONE,
                                 pool=self._data(3, d=4, seed=15))
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="cap"):
+                enumerate_neighbors(self._data(4), Neighbor.REPLACE_ONE,
+                                    pool=self._data(3, seed=16), cap=cap)

@@ -12,7 +12,7 @@ import pytest
 
 from klpriv import estimator, numerics
 from klpriv.accountant import KLConstant, gradient_norm_constant_B
-from klpriv.data import Neighbor, enumerate_neighbors, synth_sphere
+from klpriv.data import Neighbor, NeighborSet, enumerate_neighbors, synth_sphere
 from klpriv.estimator import (
     DnnModel,
     LinearizedModel,
@@ -61,6 +61,10 @@ class TestTrainConfig:
             TrainConfig(eta=0.1, steps=1, sigma2=1.0, runs=0)
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, steps=1, sigma2=1.0, record_every=0)
+        for threshold in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                TrainConfig(eta=0.1, steps=1, sigma2=1.0, divergence_threshold=threshold)
+        TrainConfig(eta=0.1, steps=1, sigma2=1.0, divergence_threshold=math.inf)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["eta", "sigma2"])
@@ -571,6 +575,29 @@ class TestRunKlEstimation:
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
 
+    def test_neighbor_set_must_fit_the_data(self):
+        data, _, model = _setup_estimation(n=8)
+        six = synth_sphere(6, data.d, RngStream(102))
+        pool = synth_sphere(4, data.d, RngStream(101))
+        cfg = TrainConfig(eta=0.1, steps=1, sigma2=0.01, runs=1)
+        replace = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
+        bad = {
+            "remove-one set has 6 candidates for 8 records":
+                enumerate_neighbors(six, Neighbor.REMOVE_ONE),
+            "add-one set has 2 candidates for 4 pool records":
+                NeighborSet(Neighbor.ADD_ONE, pool, (0, 1)),
+            "replace-one set has no pairs":
+                NeighborSet(Neighbor.REPLACE_ONE, pool, (), capped=True),
+            "out of range":
+                NeighborSet(Neighbor.REPLACE_ONE, pool, ((8, 0),), capped=True),
+            "uncapped replace-one set has 24 pairs for 8 records":
+                enumerate_neighbors(six, Neighbor.REPLACE_ONE, pool=pool),
+        }
+        for message, neighbors in bad.items():
+            with pytest.raises(ValueError, match=message):
+                run_kl_estimation(model, data, neighbors, cfg)
+        run_kl_estimation(model, data, replace, cfg)
+
     def test_linearized_expansion_point_stack_rejected(self):
         data = synth_sphere(8, 4, RngStream(2))
         neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
@@ -802,13 +829,14 @@ class TestStackedRuns:
 
     def test_non_finite_outputs_leave_at_that_step(self, monkeypatch):
         data, neighbors, model = _setup_estimation(notion=Neighbor.REPLACE_ONE)
-        # a pool record far out: outputs overflow for the run with a huge last layer only
+        # a pool record far out: outputs overflow for the run with a huge last
+        # layer only, and its squared norm stays finite
         pool = dataclasses.replace(neighbors.pool, X=neighbors.pool.X * np.array(
-            [[1.0], [1e160], [1.0], [1.0]]))
+            [[1.0], [1e100], [1.0], [1.0]]))
         neighbors = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
         betas = init_betas("lecun", model.arch)
         Ws = [sample_init(model.arch, betas, RngStream(s)) for s in range(4)]
-        Ws[1].layer(model.arch.L)[:] *= 1e150      # data outputs finite, pool outputs inf
+        Ws[1].layer(model.arch.L)[:] *= 1e250      # data outputs finite, pool outputs inf
         Ws[3].layer(model.arch.L)[:] = np.inf      # data outputs non-finite
         monkeypatch.setattr(estimator, "_init_stack",
                             lambda model, seed, runs: _stack(*[Ws[r] for r in runs]))
@@ -822,7 +850,26 @@ class TestStackedRuns:
         single = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == [3, 0, 3, 0]
         assert [t.diverged for t in single.traces] == [False, True, False, True]
+        for t in single.traces:
+            assert t.diverged or np.isfinite(t.per_step_sq_diffs).all()
         _assert_same_bits(stacked, single)
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    def test_non_finite_differences_leave_at_that_step(self, linearized):
+        data, neighbors, model = _setup_estimation(notion=Neighbor.REPLACE_ONE)
+        # the pool record's squared norm overflows, its outputs do not
+        pool = dataclasses.replace(neighbors.pool, X=neighbors.pool.X * np.array(
+            [[1.0], [1e160], [1.0], [1.0]]))
+        neighbors = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
+        if linearized:
+            betas = init_betas("lecun", model.arch)
+            model = LinearizedModel(sample_init(model.arch, betas, RngStream(5)))
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=3, seed=2,
+                          divergence_threshold=math.inf)
+        res = run_kl_estimation(model, data, neighbors, cfg)
+        assert [t.per_step_sq_diffs.shape[0] for t in res.traces] == [0, 0, 0]
+        assert all(t.diverged for t in res.traces)
+        assert not np.isnan(res.worst_mean).any()
 
     def test_noise_keys_are_the_run_streams(self, monkeypatch):
         data, neighbors, model = _setup_estimation()
@@ -968,6 +1015,45 @@ class TestRunStreams:
         assert a_init != b_init
         again_init, again_noise = run_streams(3, 0)
         assert a_init == again_init and a_noise == again_noise
+
+
+class TestLinAveragedIterate:
+    def _setup(self, o=1):
+        data = synth_sphere(5, 4, RngStream(60))
+        arch = NetArch.uniform(4, 6, 2, o)
+        W0 = sample_init(arch, init_betas("lecun", arch), RngStream(61))
+        return build_features(W0, data.X), data.Y
+
+    def _step(self, features, Y, W, eta, sigma2, stream):
+        """W - eta S / n + sqrt(2 eta sigma2) z, with z from ``stream``."""
+        S = lin_per_example_grads(features, W, Y, LossKind.LOGISTIC_SINGLE).sum(axis=0)
+        z = keyed_generator(stream.keys()).standard_normal(W.flat.size)
+        return ParamVector(W.arch, W.flat - eta * S / features.n
+                           + math.sqrt(2.0 * eta * sigma2) * z)
+
+    def test_one_step(self):
+        features, Y = self._setup()
+        noise = RngStream(62)
+        got = estimator.lin_averaged_iterate(features, Y, 0.1, 0.01, 1, noise)
+        want = self._step(features, Y, features.W0, 0.1, 0.01, noise.child(0))
+        assert np.allclose(got.flat, want.flat, rtol=1e-15, atol=0.0)
+
+    def test_mean_of_the_iterates(self):
+        features, Y = self._setup()
+        noise, W, iterates = RngStream(63), features.W0, []
+        for k in range(4):
+            W = self._step(features, Y, W, 0.1, 0.01, noise.child(k))
+            iterates.append(W.flat)
+        got = estimator.lin_averaged_iterate(features, Y, 0.1, 0.01, 4, noise)
+        assert np.allclose(got.flat, np.mean(iterates, axis=0), rtol=1e-12, atol=0.0)
+
+    def test_validation(self):
+        features, Y = self._setup()
+        with pytest.raises(ValueError, match="step"):
+            estimator.lin_averaged_iterate(features, Y, 0.1, 0.01, 0, RngStream(0))
+        features, _ = self._setup(o=3)
+        with pytest.raises(ValueError, match="single-output"):
+            estimator.lin_averaged_iterate(features, Y, 0.1, 0.01, 1, RngStream(0))
 
 
 class TestMonteCarlo:

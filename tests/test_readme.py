@@ -53,6 +53,9 @@ def test_library_session_runs_and_its_stated_values_hold():
     assert checked == {
         "kp.kl_bound_linearized(B, T=1.0, n=100, sigma2=0.01)": 1.05,
         "kp.init_betas('he', arch)": (0.2, 0.02, 0.02),
+        "kp.lin_empirical_loss(features, W_avg, data.Y, kp.LossKind.LOGISTIC_SINGLE)": 0.256,
+        "kp.averaged_iterate_risk_bound(sol.achieved_loss, sol.R, T=0.05 * 200, "
+        "sigma2=0.0001, rank=sol.gram.rank)": 4.01,
     }
     for result in ("result", "linearized"):
         assert 0 < namespace[result].worst_mean[-1] < math.inf
