@@ -361,6 +361,11 @@ def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset |
     arch = NetArch.uniform(data.d, cfg.width, cfg.depth, cfg.outputs)
     neighbors = enumerate_neighbors(data, Neighbor(cfg.neighbor), pool=pool,
                                     cap=cfg.cap, seed=cfg.seed)
+    if neighbors.capped:
+        # the worst case is over a subsample: say so, outside the csv
+        print(f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}: "
+              f"kept {neighbors.count} of {data.n * pool.n} replace-one pairs "
+              f"(cap {cfg.cap}, cap seed {cfg.seed})", file=sys.stderr)
     if cfg.linearize:
         model = LinearizedModel(sample_init(arch, scheme, RngStream(cfg.seed).child(_INIT_CHILD)))
     else:

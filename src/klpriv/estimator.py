@@ -26,6 +26,7 @@ from .accountant import (
 from .data import Dataset, Neighbor, NeighborSet
 from .linearized import (
     NtkFeatures,
+    _grad_blocks,
     build_features,
     lin_forward,
     lin_grad_sum,
@@ -310,6 +311,29 @@ class _ExplicitGrads:
         return self.G @ pool.G.T
 
 
+class _BlockGrads:
+    """Norms and dots with S of per-example gradients met only as blocks of rows.
+
+    ``blocks`` yields ``(a, G)`` pairs, as :func:`~klpriv.linearized._grad_blocks`
+    does, covering n rows; both statistics are read from each block while
+    it is in cache, with the calls of :class:`_ExplicitGrads` and, over
+    those blocks, its bits.  The dots are taken with the S given here, which
+    is the S that :func:`_sq_diffs` passes back.
+    """
+
+    def __init__(self, n: int, blocks, S: np.ndarray):
+        self._norms, self._dots = np.empty(n), np.empty(n)
+        for a, G in blocks:
+            np.einsum("ip,ip->i", G, G, out=self._norms[a:a + len(G)])
+            np.matmul(G, S, out=self._dots[a:a + len(G)])
+
+    def norms_sq(self) -> np.ndarray:
+        return self._norms
+
+    def dots(self, S: np.ndarray) -> np.ndarray:
+        return self._dots
+
+
 def _row_norms_sq(A: np.ndarray) -> np.ndarray:
     return np.einsum("...nb,...nb->...n", A, A)
 
@@ -470,36 +494,49 @@ class _LinStepStats(_StepStats):
 
     Jacobian rows are frozen at W0, so the features of the data and of the
     pool are built once, both with :func:`build_features`, which rejects a
-    stacked W0.  Each step forms the gradient sum S and the data's
-    per-example gradients from cached rows with :func:`lin_grad_sum`, and the
-    pool's with :func:`lin_per_example_grads`, which forms no sum.  Only
-    the per-example rows that the notion's formula reads are kept, as
-    :class:`_ExplicitGrads` over (n, P) buffers allocated once and refilled
-    every step: add-one reads the data only through S, so its data rows are
-    never formed.  Runs are not stacked: ``W`` is a stack of one.
+    stacked expansion point.  Each step forms the gradient sum S with
+    :func:`lin_grad_sum`, and the norms and dots a notion reads from its
+    per-example gradients, which are rebuilt from the cached Jacobian rows
+    in blocks of four (see :func:`~klpriv.linearized._block_bounds`).  What
+    each notion holds besides the two Jacobians:
+
+    - add-one reads the data only through S and the pool's rows as
+      :class:`_BlockGrads`, so it holds a scratch of at most five rows;
+    - remove-one needs S before any dot, so it passes the data twice: once
+      for S, once more for :class:`_BlockGrads`, with the same scratch;
+    - replace-one keeps the (n, P) data rows and the (m, P) pool rows as
+      :class:`_ExplicitGrads`, in buffers allocated once per estimate: its
+      cross term is one GEMM, and GEMMs over blocks change its bits.
+
+    Runs are not stacked: ``W`` is a stack of one.
     """
 
     def __init__(self, W0: ParamVector, data: Dataset, neighbors: NeighborSet,
                  loss: LossKind):
         super().__init__(data, neighbors, loss)
         self.features = build_features(W0, data.X)
-        P = W0.arch.num_params
-        self.rows = None if self.notion is Neighbor.ADD_ONE else np.empty((data.n, P))
-        self.pool_features = self.pool_rows = None
-        if self.pool is not None:
-            self.pool_features = build_features(W0, self.pool.X)
-            self.pool_rows = np.empty((self.pool.n, P))
+        self.pool_features = None if self.pool is None else build_features(W0, self.pool.X)
+        self.rows = self.pool_rows = None
+        if self.notion is Neighbor.REPLACE_ONE:
+            P = W0.arch.num_params
+            self.rows, self.pool_rows = np.empty((data.n, P)), np.empty((self.pool.n, P))
 
     def __call__(self, W: ParamVector) -> tuple:
         W = ParamVector(W.arch, W.flat[0])
         preds = lin_forward(self.features, W)
         finite = np.isfinite(preds).all()
         S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, self.rows)
-        grads = None if self.rows is None else _ExplicitGrads(self.rows)
-        pool_grads = None
-        if self.pool is not None:
+        grads = pool_grads = None
+        if self.notion is Neighbor.REPLACE_ONE:
             lin_per_example_grads(self.pool_features, W, self.pool.Y, self.loss, self.pool_rows)
-            pool_grads = _ExplicitGrads(self.pool_rows)
+            grads, pool_grads = _ExplicitGrads(self.rows), _ExplicitGrads(self.pool_rows)
+        elif self.notion is Neighbor.REMOVE_ONE:
+            grads = _BlockGrads(self.data.n, _grad_blocks(
+                self.features, preds, self.data.Y, self.loss), S)
+        else:
+            pool_grads = _BlockGrads(self.pool.n, _grad_blocks(
+                self.pool_features, lin_forward(self.pool_features, W), self.pool.Y,
+                self.loss), S)
         S_sq = S @ S
         diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, grads, pool_grads, self.pairs)
         return np.array([finite]), S_sq[None], (S / self.data.n)[None], diffs[None]

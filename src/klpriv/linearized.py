@@ -67,27 +67,49 @@ def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
     return features.f0 + shift.reshape(features.f0.shape)
 
 
-def _grad_rows(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
-               rows: np.ndarray | None) -> Iterator[np.ndarray]:
-    """Yield example i's loss gradient, i = 0..n-1, given the predictions (n, o).
+# Per-example gradients are built _BLOCK_ROWS rows at a time, so a caller
+# can read a block's statistics while it is in cache and hold no (n, P)
+# matrix.  With numpy 2.4's bundled OpenBLAS on a 2-core x86 host, a GEMV
+# and the einsum row norms over four-row blocks gave the bits of the same
+# calls on the whole (n, P) matrix, for n = 1..18 and P from 7 to 20,608,
+# but a lone (1, P) block did not match the matrix's last row: a one-row
+# tail joins the block before it, and only a one-example set, whose full
+# matrix is that row, has a lone row.
+_BLOCK_ROWS = 4
 
-    The gradient is sum_j r_ij J_ij over its Jacobian rows, with r the loss
-    residual: J_i0 r_i0 plus the terms j = 1..o-1 in order.  It is written to
-    row i of ``rows``, an (n, P) buffer, or with None to one scratch row that
-    the next example overwrites.
+
+def _block_bounds(n: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) of the gradient blocks of n examples, in order."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if n % _BLOCK_ROWS == 1 and len(starts) > 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _grad_blocks(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
+                 rows: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(a, G)``: the loss gradients of examples a, a+1, ... as the rows of G.
+
+    Example i's gradient, given the predictions (n, o), is sum_j r_ij J_ij
+    over its Jacobian rows, with r the loss residual: J_i0 r_i0 plus the
+    terms j = 1..o-1 in order, elementwise.  The blocks follow
+    :func:`_block_bounds`.  G is a view of ``rows``, an (n, P) buffer, or
+    with None of one scratch of at most five rows that the next block
+    overwrites.
     """
     R = residual_batch(preds, Y, loss)
     n, o = preds.shape
     J = features.jac.reshape(n, o, -1)
-    # the row scratch and the term scratch stay apart: a row adds its terms
-    row = np.empty(J.shape[-1]) if rows is None else None
-    term = np.empty(J.shape[-1]) if o > 1 else None
-    for i in range(n):
-        g = row if rows is None else rows[i]
-        np.multiply(J[i, 0], R[i, 0], out=g)
+    # the block scratch and the term scratch stay apart: a block adds its terms
+    size = (min(n, _BLOCK_ROWS + 1), J.shape[-1])
+    scratch = np.empty(size) if rows is None else None
+    term = np.empty(size) if o > 1 else None
+    for a, b in _block_bounds(n):
+        G = scratch[:b - a] if rows is None else rows[a:b]
+        np.multiply(J[a:b, 0], R[a:b, 0, None], out=G)
         for j in range(1, o):
-            g += np.multiply(J[i, j], R[i, j], out=term)
-        yield g
+            G += np.multiply(J[a:b, j], R[a:b, j, None], out=term[:b - a])
+        yield a, G
 
 
 def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
@@ -95,13 +117,15 @@ def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
     """Sum S (P,) of the per-example loss gradients given the model's predictions (n, o).
 
     Example i's gradient is written to row i of ``rows`` when an (n, P)
-    buffer is given.  S starts from zeros and adds the rows in order: the
+    buffer is given; otherwise the gradients pass through a scratch of at
+    most five rows.  S starts from zeros and adds the rows in order: the
     bits of ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P)
     matrix unless the caller keeps the rows.
     """
     S = np.zeros(features.jac.shape[-1])
-    for g in _grad_rows(features, preds, Y, loss, rows):
-        S += g
+    for _, G in _grad_blocks(features, preds, Y, loss, rows):
+        for g in G:
+            S += g
     return S
 
 
@@ -109,13 +133,13 @@ def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKi
                           rows: np.ndarray | None = None) -> np.ndarray:
     """Per-example loss gradients of the linearized model, shape (n, P).
 
-    They are written into ``rows``, an (n, P) buffer, when one is given; no
-    gradient sum is formed.
+    They are written block by block into ``rows``, an (n, P) buffer, when
+    one is given, else into a fresh one; no gradient sum is formed.
     """
     preds = lin_forward(features, W)
     if rows is None:
         rows = np.empty((preds.shape[0], features.arch.num_params))
-    for _ in _grad_rows(features, preds, Y, loss, rows):
+    for _ in _grad_blocks(features, preds, Y, loss, rows):
         pass
     return rows
 

@@ -238,6 +238,27 @@ class TestEstimate:
         assert len(rows) == 2 * 3
 
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_capped_neighbor_set_is_reported(self, tmp_path, capsys, command):
+        # 6 records x 3 pool records: a cap of 10 keeps 10 of the 18 pairs
+        argv = [command, "--data", "synth:6", "--d", "4", "--scheme", "he",
+                "--steps", "1", "--runs", "1", "--neighbor", "replace", "--pool-size", "3",
+                "--seed", "5"]
+        argv += (["--width", "6", "--depth", "2"] if command == "estimate"
+                 else ["--metric", "empirical", "--widths", "6,8", "--depths", "2"])
+        capped = [line for line in self._stderr_lines(capsys, [*argv, "--cap", "10"], tmp_path)
+                  if "replace-one pairs" in line]
+        cells = [6] if command == "estimate" else [6, 8]
+        assert capped == [f"[{command}] scheme=he width={m} depth=2: kept 10 of 18 "
+                          f"replace-one pairs (cap 10, cap seed 5)" for m in cells]
+        uncapped = self._stderr_lines(capsys, [*argv, "--cap", "18"], tmp_path)
+        assert not any("replace-one pairs" in line for line in uncapped)
+
+    @staticmethod
+    def _stderr_lines(capsys, argv, tmp_path):
+        assert main([*argv, "--out", str(tmp_path / "e.csv")]) == 0
+        return capsys.readouterr().err.splitlines()
+
 class TestMcVerify:
     def test_small_reference_passes(self, tmp_path, capsys):
         out = tmp_path / "m.csv"

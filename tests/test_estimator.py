@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from klpriv import estimator, numerics
 from klpriv.accountant import KLConstant, gradient_norm_constant_B
@@ -26,7 +28,12 @@ from klpriv.estimator import (
     run_kl_estimation,
     run_streams,
 )
-from klpriv.linearized import build_features, lin_per_example_grads
+from klpriv.linearized import (
+    _grad_blocks,
+    build_features,
+    lin_forward,
+    lin_per_example_grads,
+)
 from klpriv.network import (
     SCHEME_NAMES,
     LossKind,
@@ -958,6 +965,93 @@ class TestLinStepStats:
         assert _peak_bytes(lambda: lin_per_example_grads(stats.features, W, data.Y, loss)) \
             >= matrix_bytes
         assert _peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
+
+
+def _block_setup(n, m, o, wide, seed):
+    """Data of n records, a pool of m, o outputs; a narrow or a P >= 20,000 model."""
+    d = 32 if wide else 3
+    arch = NetArch.uniform(d, 128, 3, o) if wide else NetArch.uniform(d, 4, 2, o)
+    gen = RngStream(seed).generator()
+
+    def dataset(k, child):
+        ds = synth_sphere(k, d, RngStream(seed).child(child))
+        return ds if o == 1 else dataclasses.replace(ds, Y=np.eye(o)[gen.integers(0, o, k)])
+
+    data, pool = dataset(n, 0), dataset(m, 1)
+    W0 = sample_init(arch, init_betas("he", arch), RngStream(seed).child(2))
+    W = ParamVector(arch, W0.flat + 0.3 * gen.standard_normal(arch.num_params))
+    loss = LossKind.LOGISTIC_SINGLE if o == 1 else LossKind.CROSS_ENTROPY_MULTI
+    return W0, W, data, pool, loss
+
+
+class TestLinBlockStats:
+    """Statistics read from four-row gradient blocks equal the full-matrix
+    reference byte for byte, whatever n is modulo four."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 13), m=st.integers(1, 9), o=st.sampled_from([1, 3]),
+           wide=st.booleans(), seed=st.integers(0, 10_000))
+    @example(n=1, m=1, o=1, wide=True, seed=0)
+    @example(n=5, m=5, o=3, wide=True, seed=1)
+    @example(n=6, m=7, o=1, wide=True, seed=2)
+    @example(n=7, m=2, o=3, wide=True, seed=3)
+    @example(n=8, m=3, o=3, wide=False, seed=4)
+    def test_equal_full_matrix_reference(self, n, m, o, wide, seed):
+        W0, W, data, pool, loss = _block_setup(n, m, o, wide, seed)
+        # training reads its statistics with BLAS on one thread
+        with numerics.blas_threads(1):
+            for notion in (Neighbor.ADD_ONE, Neighbor.REMOVE_ONE):
+                if notion is Neighbor.REMOVE_ONE and n < 2:
+                    continue
+                neighbors = enumerate_neighbors(data, notion, pool=pool)
+                stats = estimator._LinStepStats(W0, data, neighbors, loss)
+                _, S_sq, mean_grad, diffs = stats(ParamVector(W.arch, W.flat[None]))
+                G = lin_per_example_grads(stats.features, W, data.Y, loss)
+                Gp = None
+                if notion is Neighbor.ADD_ONE:
+                    Gp = lin_per_example_grads(stats.pool_features, W, pool.Y, loss)
+                S = G.sum(axis=0)
+                assert _same_bytes(mean_grad[0], S / n)
+                assert _same_bytes(S_sq[0], S @ S)
+                assert _same_bytes(diffs[0], neighbor_grad_diffs(G, Gp, notion))
+                # the norms and dots of the notion's blocks, against the full matrix
+                features, Y, rows = ((stats.pool_features, pool.Y, Gp) if Gp is not None
+                                     else (stats.features, data.Y, G))
+                blocks = estimator._BlockGrads(len(rows), _grad_blocks(
+                    features, lin_forward(features, W), Y, loss), S)
+                assert _same_bytes(blocks.norms_sq(), np.einsum("ip,ip->i", rows, rows))
+                assert _same_bytes(blocks.dots(S), rows @ S)
+
+
+class TestLinearizedMemory:
+    """Besides its two feature Jacobians, a linearized estimate holds a few
+    parameter-sized vectors: add-one and remove-one allocate no (n, P) or
+    (pool, P) gradient matrix.  Replace-one is the one exception: it holds
+    its (n, P) and (m, P) gradient matrices, and nothing larger."""
+
+    N, M = 40, 24
+    SMALL = 16          # parameter-sized vectors allowed besides the matrices
+
+    def _peak_over_jacobians(self, notion):
+        arch = NetArch.uniform(8, 64, 3, 1)
+        data = synth_sphere(self.N, 8, RngStream(1))
+        pool = None if notion is Neighbor.REMOVE_ONE else synth_sphere(self.M, 8, RngStream(2))
+        neighbors = enumerate_neighbors(data, notion, pool=pool, cap=self.N * self.M)
+        model = LinearizedModel(sample_init(arch, init_betas("he", arch), RngStream(3)))
+        cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=2)
+        run_kl_estimation(model, data, neighbors, cfg)         # caches filled
+        peak = _peak_bytes(lambda: run_kl_estimation(model, data, neighbors, cfg))
+        records = self.N + (0 if pool is None else self.M)
+        vector = 8 * arch.num_params
+        return (peak - records * vector) / vector
+
+    @pytest.mark.parametrize("notion", [Neighbor.ADD_ONE, Neighbor.REMOVE_ONE])
+    def test_no_gradient_matrix(self, notion):
+        assert self._peak_over_jacobians(notion) < self.SMALL
+
+    def test_replace_one_holds_its_two_matrices(self):
+        over = self._peak_over_jacobians(Neighbor.REPLACE_ONE) - (self.N + self.M)
+        assert 0 <= over < self.SMALL
 
 
 def _peak_bytes(fn):
