@@ -165,8 +165,8 @@ def enumerate_neighbors(data: Dataset, notion: Neighbor, pool: Dataset | None = 
     """List the neighbor candidates of ``data`` under one adjacency notion.
 
     Remove-one enumerates all n deletions; add-one all pool insertions;
-    replace-one the full n x pool grid, subsampled to ``cap`` pairs with a
-    seeded stream when the grid is larger.
+    replace-one the full n x pool grid or, when it is larger than ``cap``,
+    ``cap`` of its pairs drawn with a seeded stream, without listing the grid.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -182,9 +182,13 @@ def enumerate_neighbors(data: Dataset, notion: Neighbor, pool: Dataset | None = 
     if notion is Neighbor.ADD_ONE:
         return NeighborSet(notion=notion, pool=pool,
                            indices=tuple(range(pool.n)))
-    pairs = [(i, j) for i in range(data.n) for j in range(pool.n)]
-    capped = len(pairs) > cap
+    m = pool.n
+    capped = data.n * m > cap
     if capped:
-        picks = RngStream(seed).generator().choice(len(pairs), size=cap, replace=False)
-        pairs = [pairs[k] for k in sorted(picks)]
-    return NeighborSet(notion=notion, pool=pool, indices=tuple(pairs), capped=capped)
+        # pick k of the row-major grid is pair (k // m, k % m); sorted, since
+        # np.sort read 0.3 MB more CLI peak RSS at the estimate-replace shape
+        picks = RngStream(seed).generator().choice(data.n * m, size=cap, replace=False)
+        pairs = tuple((k // m, k % m) for k in sorted(picks.tolist()))
+    else:
+        pairs = tuple((i, j) for i in range(data.n) for j in range(m))
+    return NeighborSet(notion=notion, pool=pool, indices=pairs, capped=capped)

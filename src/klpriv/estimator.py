@@ -222,31 +222,31 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     """Noisy GD from the (R, P) stack ``W``, one row per run.
 
     The one trainer: :func:`run_kl_estimation` and
-    :func:`lin_averaged_iterate` differ only in their ``step``.
-    ``step(W)`` returns ``(live, mean_grad, payload)`` at the current stack:
-    ``live`` flags the rows that take the step and ``mean_grad`` holds their
-    mean gradients, one row each, in an array the update consumes; the other
-    rows leave the stack for good.  Row r draws the noise of step k (from 0)
-    with the Philox key ``step_keys[r, k]`` into its row of one reused
-    buffer.  Each step yields the indices into ``W`` of the rows that took
-    it, their updated iterates and the payload; training ends after
-    ``step_keys.shape[1]`` steps or when no row is left.  Training runs with
-    BLAS on one thread, and a stack of OVERLAP_MIN_PARAMS parameters or more
-    draws on a helper thread while ``step`` runs; with no steps neither
-    happens.
+    :func:`lin_averaged_iterate` differ only in their ``step``.  The trainer
+    owns three stack-sized arrays: the iterate, the noise and the gradient
+    buffer ``G``.  ``step(W, G)`` writes the mean gradient of each row of
+    the current stack into ``G`` and returns ``(live, payload)``: ``live``
+    flags the rows that take the step, and the other rows leave the stack
+    for good.  Row r draws the noise of step k (from 0) with the Philox key
+    ``step_keys[r, k]`` into its row of the noise buffer.  Each step yields
+    the indices into ``W`` of the rows that took it, their updated iterates
+    and the payload; training ends after ``step_keys.shape[1]`` steps or
+    when no row is left.  Training runs with BLAS on one thread, and a stack
+    of OVERLAP_MIN_PARAMS parameters or more draws on a helper thread while
+    ``step`` runs; with no steps neither happens.
 
     ``W`` is copied once and never written, so a caller may pass a view of
     weights it keeps, such as a linearized model's expansion point.
     :func:`noisy_gd_step` updates the copy in place, so every step yields
-    the same stack until rows leave and the survivors form a new one: copy
-    an iterate to keep it.  A step's
-    gradient is dropped before the next step runs, so training holds three
-    stack-sized arrays: the iterate, the noise and one gradient.
+    the same stack, and passes ``step`` the same ``G``, until rows leave:
+    then the survivors' rows of all three arrays form new ones.  Copy an
+    iterate to keep it.
     """
     steps = step_keys.shape[1]
     if steps == 0:
         return
     W = ParamVector(W.arch, W.flat.copy())
+    G = ParamVector(W.arch, np.empty(W.flat.shape))
     rows = np.arange(W.flat.shape[0])
     noise = np.empty(W.flat.shape)
     with ExitStack() as stack:
@@ -267,28 +267,23 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
                 # profiling hook on it, stays on this thread
                 draws = [helper.submit(g.at(key).standard_normal, out=row)
                          for g, key, row in zip(helper_rngs, step_keys[:, k], noise)]
-            live, mean_grad, payload = step(W)
+            live, payload = step(W, G)
             for draw in draws or ():
                 draw.result()
             if not live.all():
                 if not live.any():
                     return
                 rows, step_keys, noise = rows[live], step_keys[live], noise[live]
-                W = ParamVector(W.arch, W.flat[live])
+                W, G = (ParamVector(W.arch, X.flat[live]) for X in (W, G))
             if draws is None:
                 for key, row in zip(step_keys[:, k], noise):
                     keyed_generator(key).standard_normal(out=row)
-            noisy_gd_step(W, ParamVector(W.arch, mean_grad), eta, sigma2, noise)
-            del mean_grad   # consumed: not held through the next step
+            noisy_gd_step(W, G, eta, sigma2, noise)
             yield rows, W, payload
 
 
 def _as_matrix(grads) -> np.ndarray:
-    if isinstance(grads, np.ndarray):
-        G = np.atleast_2d(np.asarray(grads, dtype=float))
-    else:
-        G = np.stack([g.flat if isinstance(g, ParamVector) else np.asarray(g, dtype=float)
-                      for g in grads])
+    G = np.atleast_2d(np.asarray(grads, dtype=float))
     if G.ndim != 2:
         raise ValueError(f"gradients must form an (n, P) matrix, got shape {G.shape}")
     return G
@@ -407,9 +402,9 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
     """Squared gradient differences against every neighbor candidate.
 
     Args:
-        per_example_grads: per-example loss gradients on D (stacked array or
-            list of parameter vectors).
-        pool_grads: gradients of the candidate records (add / replace only).
+        per_example_grads: per-example loss gradients on D, an (n, P) array.
+        pool_grads: gradients of the candidate records, an (m, P) array (add /
+            replace only).
         notion: adjacency notion; determines the enumeration.
         pairs: optional (record, pool) index pairs restricting replace-one,
             as a sequence of pairs or an integer (K, 2) array.
@@ -432,13 +427,14 @@ class _StepStats:
     """What the two producers of step statistics share: the data, the
     neighbor candidates and the loss.
 
-    A producer maps an (R, P) stack of runs to ``(finite, S_sq, mean_grad,
-    diffs)``, one row per run: whether the outputs it checks are all finite
-    (the network's on data and pool, the linearized model's on the data
-    only), ||S||^2 of its gradient sum, its mean gradient (in a fresh array,
-    which the update consumes) and its :func:`_sq_diffs`.  Rows of runs
-    that are not finite may hold anything; the caller sees that they leave
-    the stack, and a non-finite pool statistic shows in ``diffs``.
+    A producer takes an (R, P) stack of runs ``W`` and the trainer's gradient
+    buffer ``G`` of the same shape, writes each run's mean gradient into
+    ``G`` and returns ``(finite, S_sq, diffs)``, one row per run: whether the
+    outputs it checks are all finite (the network's on data and pool, the
+    linearized model's on the data only), ||S||^2 of its gradient sum and
+    its :func:`_sq_diffs`.  Rows of runs that are not finite may hold
+    anything; the caller sees that they leave the stack, and a non-finite
+    pool statistic shows in ``diffs``.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -460,7 +456,9 @@ class _DnnStepStats(_StepStats):
     summation order changes the last bits of the pool statistics.  Run r's
     row equals its statistics alone bit for bit, whatever the other rows
     hold: the stacked products run the same GEMMs and reductions per run.
-    The squared norms of the input rows are computed once per estimate.
+    The squared norms of the input rows are computed once per estimate.  The
+    gradient sum's layer blocks go straight into the layer views of ``G``;
+    S^2 and the differences read them before they are divided by n in place.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -470,7 +468,7 @@ class _DnnStepStats(_StepStats):
         if self.pool is not None:
             self.pool_input_sq = _row_norms_sq(np.asarray(self.pool.X, dtype=float))
 
-    def __call__(self, W: ParamVector) -> tuple:
+    def __call__(self, W: ParamVector, G: ParamVector) -> tuple:
         F, *factors = loss_backprop(W, self.data.X, self.data.Y, self.loss)
         finite = np.isfinite(F).all(axis=(-2, -1))
         grads, pool_grads = _FactoredGrads(*factors, self.input_sq), None
@@ -478,15 +476,12 @@ class _DnnStepStats(_StepStats):
             F, *factors = loss_backprop(W, self.pool.X, self.pool.Y, self.loss)
             finite &= np.isfinite(F).all(axis=(-2, -1))
             pool_grads = _FactoredGrads(*factors, self.pool_input_sq)
-        # the gradient sum's layer blocks go straight into the mean-gradient
-        # buffer; S^2 and the differences read them before the division by n
-        mean_grad = ParamVector(W.arch, np.empty(W.flat.shape))
-        blocks = [np.matmul(D.swapaxes(-1, -2), H, out=mean_grad.layer(l))
+        blocks = [np.matmul(D.swapaxes(-1, -2), H, out=G.layer(l))
                   for l, (D, H) in enumerate(zip(grads.deltas, grads.acts), start=1)]
         S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
         diffs = _sq_diffs(self.data.n, self.notion, blocks, S_sq, grads, pool_grads, self.pairs)
-        np.divide(mean_grad.flat, self.data.n, out=mean_grad.flat)
-        return finite, S_sq, mean_grad.flat, diffs
+        np.divide(G.flat, self.data.n, out=G.flat)
+        return finite, S_sq, diffs
 
 
 class _LinStepStats(_StepStats):
@@ -521,7 +516,7 @@ class _LinStepStats(_StepStats):
             P = W0.arch.num_params
             self.rows, self.pool_rows = np.empty((data.n, P)), np.empty((self.pool.n, P))
 
-    def __call__(self, W: ParamVector) -> tuple:
+    def __call__(self, W: ParamVector, G: ParamVector) -> tuple:
         W = ParamVector(W.arch, W.flat[0])
         preds = lin_forward(self.features, W)
         finite = np.isfinite(preds).all()
@@ -539,7 +534,8 @@ class _LinStepStats(_StepStats):
                 self.loss), S)
         S_sq = S @ S
         diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, grads, pool_grads, self.pairs)
-        return np.array([finite]), S_sq[None], (S / self.data.n)[None], diffs[None]
+        np.divide(S, self.data.n, out=G.flat[0])
+        return np.array([finite]), S_sq[None], diffs[None]
 
 
 def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
@@ -665,22 +661,20 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
-    def step(W: ParamVector):
+    def step(W: ParamVector, G: ParamVector):
         # the one leave rule: a run leaves at the step whose outputs, S^2 or
         # neighbor differences are not finite, or whose mean-gradient norm
         # passes the threshold; its statistics at that step are computed with
         # the others' and dropped, so their non-finite arithmetic must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            finite, S_sq, mean_grad, diffs = make_stats(W)
+            finite, S_sq, diffs = make_stats(W, G)
             # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit
-            norms = np.sqrt((mean_grad[:, None, :] @ mean_grad[:, :, None]).reshape(-1))
+            norms = np.sqrt((G.flat[:, None, :] @ G.flat[:, :, None]).reshape(-1))
             # a NaN data statistic makes S^2 NaN, while a NaN norm passes the
             # threshold; pool statistics reach the differences only
             live = (finite & np.isfinite(S_sq) & np.isfinite(diffs).all(axis=-1)
                     & ~(norms > cfg.divergence_threshold))
-        if not live.all():
-            mean_grad, diffs = mean_grad[live], diffs[live]
-        return live, mean_grad, diffs
+        return live, diffs[live]
 
     traces: list[KLTrace] = []
     size = _stack_size(model, cfg.runs)
@@ -746,10 +740,11 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
     arch, n = features.arch, features.n
     live = np.ones(1, dtype=bool)
 
-    def step(W: ParamVector):
+    def step(W: ParamVector, G: ParamVector):
         preds = lin_forward(features, ParamVector(arch, W.flat[0]))
         S = lin_grad_sum(features, preds, labels, LossKind.LOGISTIC_SINGLE)
-        return live, (S / n)[None], None
+        np.divide(S, n, out=G.flat[0])
+        return live, None
 
     # a stack of one run
     iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, eta, sigma2,

@@ -1,5 +1,7 @@
 """Tests for dataset construction, normalization, CSV IO and neighbor sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,33 @@ class TestEnumerateNeighbors:
         assert len(set(a.indices)) == 100
         c = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=100, seed=6)
         assert c.indices != a.indices
+
+    @pytest.mark.parametrize("n, m, cap, seed", [
+        (64, 8, 256, 0), (64, 8, 256, 7), (5, 3, 4, 0), (100, 17, 99, 3), (6, 3, 256, 0),
+        (2000, 50, 256, 1), (5, 3, 14, 2), (5, 3, 15, 2), (5, 3, 16, 2)])
+    def test_replace_pairs_equal_the_listed_grid(self, n, m, cap, seed):
+        # the reference lists the whole grid and subsamples the list
+        pairs = [(i, j) for i in range(n) for j in range(m)]
+        if len(pairs) > cap:
+            picks = RngStream(seed).generator().choice(len(pairs), size=cap, replace=False)
+            pairs = [pairs[k] for k in sorted(picks)]
+        ns = enumerate_neighbors(self._data(n, d=2), Neighbor.REPLACE_ONE,
+                                 pool=self._data(m, d=2, seed=17), cap=cap, seed=seed)
+        assert ns.indices == tuple(pairs)
+        assert all(type(k) is int for pair in ns.indices for k in pair)
+        assert ns.capped == (n * m > cap)
+
+    def test_capped_replace_pairs_take_memory_of_the_cap(self):
+        # a grid of 10^6 pairs, listed in full, traces tens of MB
+        data, pool = self._data(20_000, d=2), self._data(50, d=2, seed=18)
+        tracemalloc.start()
+        try:
+            ns = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ns.capped and ns.count == 256
+        assert peak < 256 * 1024
 
     def test_validation(self):
         one = self._data(2).X[:1]

@@ -116,9 +116,12 @@ class TestNoisyGdStep:
         # the noise of a training run is a function of its stream alone
         def iterates(stream):
             # the trainer yields one stack updated in place: copy each iterate
+            def step(W, G):
+                np.multiply(W.flat, 0.5, out=G.flat)
+                return ONE_ROW, None
+
             return [W.flat.copy() for _, W, _ in estimator._noisy_gd(
-                _stack(_weights(0)), lambda W: (ONE_ROW, 0.5 * W.flat, None), 0.1, 0.5,
-                stream.keys(np.arange(3))[None])]
+                _stack(_weights(0)), step, 0.1, 0.5, stream.keys(np.arange(3))[None])]
 
         a, b, other = iterates(RngStream(5)), iterates(RngStream(5)), iterates(RngStream(6))
         assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
@@ -220,10 +223,10 @@ class TestNoisyGdTrainer:
     def test_yields_completed_iterates_until_step_stops(self):
         seen = []
 
-        def step(W):
+        def step(W, G):
             seen.append(W.flat.copy())
-            live = np.array([len(seen) < 3])
-            return live, _linear_grad(W)[live], len(seen)
+            G.flat[:] = _linear_grad(W)
+            return np.array([len(seen) < 3]), len(seen)
 
         W0 = _stack(_weights(0))
         before = W0.flat.copy()
@@ -251,9 +254,10 @@ class TestNoisyGdTrainer:
                                 runs * ARCH.num_params + above)
             helpers = []
 
-            def step(W):
+            def step(W, G):
                 helpers.append(len(set(threading.enumerate()) - before))
-                return np.ones(len(W.flat), dtype=bool), _linear_grad(W), None
+                G.flat[:] = _linear_grad(W)
+                return np.ones(len(W.flat), dtype=bool), None
 
             streams = [RngStream(4).child(r) for r in range(runs)]
             keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
@@ -278,14 +282,16 @@ class TestNoisyGdTrainer:
         # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
         monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 4 * ARCH.num_params + above)
         stops = {1: 2, 3: 4}
-        calls = []
+        calls, buffers = [], []
 
-        def step(W):
+        def step(W, G):
             k = len(calls)
             calls.append(len(W.flat))
+            buffers.append((G, W))
+            assert G.flat.shape == W.flat.shape and not np.shares_memory(G.flat, W.flat)
+            G.flat[:] = _linear_grad(W)
             rows = [r for r in range(4) if stops.get(r, 99) > k - 1]
-            live = np.array([stops.get(r, 99) > k for r in rows])
-            return live, _linear_grad(W)[live], k
+            return np.array([stops.get(r, 99) > k for r in rows]), k
 
         eta, sigma2, steps = 0.05, 0.2, 6
         streams = [RngStream(7).child(r) for r in range(4)]
@@ -293,6 +299,12 @@ class TestNoisyGdTrainer:
         out = [(rows.tolist(), W.flat.copy(), k) for rows, W, k in estimator._noisy_gd(
             _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
         assert calls == [4, 4, 4, 3, 3, 2]
+        # one gradient buffer per stack: the same object until a row leaves,
+        # then the survivors' compacted rows, next to a compacted iterate
+        Gs = [G for G, _ in buffers]
+        assert Gs[0] is Gs[1] is Gs[2] and Gs[3] is Gs[4]
+        assert len({id(G) for G in Gs}) == 3
+        assert len({id(W) for _, W in buffers}) == 3
         assert [rows for rows, _, _ in out] == [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
         assert [k for _, _, k in out] == list(range(steps))
         for r, stream in enumerate(streams):
@@ -360,14 +372,6 @@ class TestNeighborGradDiffs:
                                   pairs=[(1, 0)])
         assert sub.shape == (1,)
         assert sub[0] == pytest.approx(full[2])
-
-    def test_param_vector_input_matches_array(self):
-        gen = RngStream(8).generator()
-        arr = gen.standard_normal((3, ARCH.num_params))
-        pvs = [ParamVector(ARCH, row.copy()) for row in arr]
-        a = neighbor_grad_diffs(arr, notion=Neighbor.REMOVE_ONE)
-        b = neighbor_grad_diffs(pvs, notion=Neighbor.REMOVE_ONE)
-        assert np.allclose(a, b, rtol=1e-15)
 
     @pytest.mark.parametrize("notion", [Neighbor.REMOVE_ONE, Neighbor.ADD_ONE,
                                         Neighbor.REPLACE_ONE])
@@ -761,7 +765,7 @@ class TestOverlappedNoise:
         before = set(threading.enumerate())
         helpers_seen = []
 
-        def failing_stats(self, W):
+        def failing_stats(self, W, G):
             helpers_seen.append(len(set(threading.enumerate()) - before))
             raise RuntimeError("statistics failed")
 
@@ -928,6 +932,17 @@ class TestStackedRuns:
         assert estimator._stack_size(LinearizedModel(W0), 2) == 1
 
 
+def _grad_buffer(W):
+    """A gradient buffer for the stack ``W``, as the trainer allocates it."""
+    return ParamVector(W.arch, np.empty(W.flat.shape))
+
+
+def _lin_stats(stats, W, G):
+    """``(finite, S_sq, diffs)`` of the step statistics at ``W`` and a copy of
+    the mean gradient they wrote into ``G``."""
+    return (*stats(W, G), G.flat.copy())
+
+
 def _lin_step_setup(notion, o, n=6, width=6):
     """An expansion point W0 with o outputs, data and neighbors, loss and two stacks of one."""
     data, neighbors, _ = _setup_outputs(notion, o, n)
@@ -947,10 +962,14 @@ class TestLinStepStats:
     def test_reused_buffers_equal_fresh_steps(self, notion, o):
         W0, data, neighbors, loss, stacks = _lin_step_setup(notion, o)
         stats = estimator._LinStepStats(W0, data, neighbors, loss)
-        reused = [stats(W) for W in stacks]
+        G = _grad_buffer(stacks[0])
+        # the same statistics and gradient buffer at both steps, as in training
+        reused = [_lin_stats(stats, W, G) for W in stacks]
+        assert not _same_bytes(reused[0][2], reused[1][2])
         assert not _same_bytes(reused[0][3], reused[1][3])
         for got, W in zip(reused, stacks):
-            fresh = estimator._LinStepStats(W0, data, neighbors, loss)(W)
+            fresh = _lin_stats(estimator._LinStepStats(W0, data, neighbors, loss), W,
+                               _grad_buffer(W))
             assert len(got) == len(fresh) == 4
             assert all(_same_bytes(a, b) for a, b in zip(got, fresh))
 
@@ -959,12 +978,13 @@ class TestLinStepStats:
                                                              width=32)
         matrix_bytes = 8 * data.n * W0.arch.num_params
         stats = estimator._LinStepStats(W0, data, neighbors, loss)
-        stats(stacks[0])
+        G = _grad_buffer(stacks[0])
+        stats(stacks[0], G)
         # the tracer sees numpy's buffers: the explicit rows count in full
         W = ParamVector(W0.arch, stacks[1].flat[0])
         assert _peak_bytes(lambda: lin_per_example_grads(stats.features, W, data.Y, loss)) \
             >= matrix_bytes
-        assert _peak_bytes(lambda: stats(stacks[1])) < matrix_bytes
+        assert _peak_bytes(lambda: stats(stacks[1], G)) < matrix_bytes
 
 
 def _block_setup(n, m, o, wide, seed):
@@ -1005,13 +1025,15 @@ class TestLinBlockStats:
                     continue
                 neighbors = enumerate_neighbors(data, notion, pool=pool)
                 stats = estimator._LinStepStats(W0, data, neighbors, loss)
-                _, S_sq, mean_grad, diffs = stats(ParamVector(W.arch, W.flat[None]))
+                stack = ParamVector(W.arch, W.flat[None])
+                mean_grad = _grad_buffer(stack)
+                _, S_sq, diffs = stats(stack, mean_grad)
                 G = lin_per_example_grads(stats.features, W, data.Y, loss)
                 Gp = None
                 if notion is Neighbor.ADD_ONE:
                     Gp = lin_per_example_grads(stats.pool_features, W, pool.Y, loss)
                 S = G.sum(axis=0)
-                assert _same_bytes(mean_grad[0], S / n)
+                assert _same_bytes(mean_grad.flat[0], S / n)
                 assert _same_bytes(S_sq[0], S @ S)
                 assert _same_bytes(diffs[0], neighbor_grad_diffs(G, Gp, notion))
                 # the norms and dots of the notion's blocks, against the full matrix
@@ -1085,6 +1107,27 @@ class TestTrainingMemory:
         # array would pass 4
         peak = _peak_bytes(lambda: run_kl_estimation(model, data, neighbors, cfg))
         assert peak < 3.5 * stack_bytes
+
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_parameter_vectors_do_not_grow_with_the_steps(self, monkeypatch, notion):
+        # a step writes its mean gradient into the trainer's buffer: no step
+        # builds a ParamVector, so 3 and 30 steps build the same number
+        data, neighbors, model = _setup_estimation(notion=notion)
+        built = []
+        post_init = ParamVector.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(ParamVector, "__post_init__", counting)
+        counts = []
+        for steps in (3, 30):
+            built.clear()
+            cfg = TrainConfig(eta=0.01, steps=steps, sigma2=0.01, runs=2, seed=4)
+            assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")
