@@ -61,8 +61,8 @@ _POOL_CHILD = _DATA_CHILD + 1
 _INIT_CHILD = _DATA_CHILD + 2
 
 
-def _flag(default, commands: tuple[str, ...] | None = None, **argparse_kwargs):
-    """A RunConfig field that is a flag of ``commands`` (None: of every command).
+def _flag(default, commands: tuple[str, ...], **argparse_kwargs):
+    """A RunConfig field that is a flag of ``commands``, the commands that read it.
 
     The flag is ``--`` plus the field name with hyphens; its type and default
     come from the field, extra argparse keywords (``choices``, ``help``) from
@@ -75,24 +75,27 @@ def _flag(default, commands: tuple[str, ...] | None = None, **argparse_kwargs):
 class RunConfig:
     """Resolved options of one CLI invocation; serialized into every output.
 
-    Every field but ``command`` is a command line flag and a config-file key.
+    Every field but ``command`` is a config-file key and a flag of the commands
+    that read it; other commands keep it at its default and ignore its key.
     """
 
     command: str = ""
-    scheme: str = _flag("lecun", choices=SCHEMES + ("all",))
-    d: int = _flag(16)
-    width: int = _flag(64)
-    depth: int = _flag(3)
-    outputs: int = _flag(1)
-    eta: float = _flag(0.01)
-    steps: int = _flag(100)
-    sigma2: float = _flag(0.01)
-    runs: int = _flag(6)
-    seed: int = _flag(0)
-    neighbor: str = _flag("remove", choices=("replace", "remove", "add"))
-    kl_constant: str = _flag("paper", choices=("paper", "exact"))
-    data: str = _flag("synth:32", help="synth:<n> or csv:<path>")
-    out: str | None = _flag(None)
+    scheme: str = _flag("lecun", ("bound", "estimate", "mc-verify", "lazy", "sweep"),
+                        choices=SCHEMES + ("all",))
+    d: int = _flag(16, ("bound", "estimate", "mc-verify", "lazy", "sweep"))
+    width: int = _flag(64, ("bound", "estimate", "mc-verify", "lazy"))
+    depth: int = _flag(3, ("bound", "estimate", "mc-verify", "lazy"))
+    outputs: int = _flag(1, ("bound", "estimate", "mc-verify", "lazy", "sweep"))
+    eta: float = _flag(0.01, ("bound", "estimate", "lazy", "sweep"))
+    steps: int = _flag(100, ("bound", "estimate", "lazy", "sweep"))
+    sigma2: float = _flag(0.01, ("bound", "estimate", "lazy", "sweep"))
+    runs: int = _flag(6, ("estimate", "sweep"))
+    seed: int = _flag(0, ("estimate", "mc-verify", "lazy", "sweep"))
+    neighbor: str = _flag("remove", ("estimate", "sweep"), choices=("replace", "remove", "add"))
+    kl_constant: str = _flag("paper", ("bound", "estimate", "sweep"), choices=("paper", "exact"))
+    data: str = _flag("synth:32", ("bound", "estimate", "lazy", "sweep"),
+                      help="synth:<n> or csv:<path>")
+    out: str | None = _flag(None, ("bound", "estimate", "mc-verify", "lazy", "sweep"))
     time: float | None = _flag(None, ("bound",))
     n: int | None = _flag(None, ("bound", "sweep"))
     x_sqnorm: float | None = _flag(None, ("bound",))
@@ -104,11 +107,11 @@ class RunConfig:
     samples: int = _flag(4000, ("mc-verify",))
     mc_n: int = _flag(32, ("mc-verify",))
     ridge: float | None = _flag(None, ("lazy",))
-    pool_size: int = _flag(8)
-    record_every: int = _flag(1)
-    cap: int = _flag(256)
+    pool_size: int = _flag(8, ("estimate", "sweep"))
+    record_every: int = _flag(1, ("estimate", "sweep"))
+    cap: int = _flag(256, ("estimate", "sweep"))
     replay_sigma2: float | None = _flag(None, ("estimate",))
-    label_column: str = _flag("label")
+    label_column: str = _flag("label", ("estimate", "lazy", "sweep"))
     widths: str = _flag("16,64,256", ("sweep",))
     depths: str = _flag("3", ("sweep",))
     metric: str = _flag("analytic", ("sweep",), choices=("analytic", "empirical", "both"))
@@ -258,28 +261,27 @@ def _schemes(cfg: RunConfig, allow_all: bool = True) -> list[str]:
     return [cfg.scheme]
 
 
-def _resolve_data(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
-    """Dataset and (when the notion needs one) a held-out candidate pool."""
-    notion = Neighbor(cfg.neighbor)
-    need_pool = notion is not Neighbor.REMOVE_ONE
+def _load_data(cfg: RunConfig) -> Dataset:
+    """The records of the ``--data`` spec: a synthetic sample or every csv row."""
     n = _synth_size(cfg.data)
-    if n is not None:
-        if cfg.outputs != 1:
-            raise ValueError("synthetic data is binary; multi-output runs need csv data")
-        data = synth_sphere(n, cfg.d, RngStream(cfg.seed).child(_DATA_CHILD))
-        pool = None
-        if need_pool:
-            pool = synth_sphere(cfg.pool_size, cfg.d,
-                                RngStream(cfg.seed).child(_POOL_CHILD))
-        return data, pool
-    full = load_csv(cfg.data.split(":", 1)[1], cfg.label_column)
-    if not need_pool:
+    if n is None:
+        return load_csv(cfg.data.split(":", 1)[1], cfg.label_column)
+    if cfg.outputs != 1:
+        raise ValueError("synthetic data is binary; multi-output runs need csv data")
+    return synth_sphere(n, cfg.d, RngStream(cfg.seed).child(_DATA_CHILD))
+
+
+def _resolve_data(cfg: RunConfig) -> tuple[Dataset, Dataset | None]:
+    """Dataset and (when the notion needs one) a candidate pool, drawn or the csv's last rows."""
+    full = _load_data(cfg)
+    if Neighbor(cfg.neighbor) is Neighbor.REMOVE_ONE:
         return full, None
+    if _synth_size(cfg.data) is not None:
+        return full, synth_sphere(cfg.pool_size, cfg.d, RngStream(cfg.seed).child(_POOL_CHILD))
     if full.n <= cfg.pool_size:
         raise ValueError("dataset too small to hold out a candidate pool")
-    data = Dataset(X=full.X[:-cfg.pool_size], Y=full.Y[:-cfg.pool_size])
-    pool = Dataset(X=full.X[-cfg.pool_size:], Y=full.Y[-cfg.pool_size:])
-    return data, pool
+    k = cfg.pool_size
+    return Dataset(X=full.X[:-k], Y=full.Y[:-k]), Dataset(X=full.X[-k:], Y=full.Y[-k:])
 
 
 def _synth_size(spec: str) -> int | None:
@@ -448,7 +450,7 @@ def cmd_lazy(cfg: RunConfig) -> int:
     scheme = _schemes(cfg, allow_all=False)[0]
     if cfg.outputs != 1:
         raise ValueError("the lazy construction needs a single output")
-    data, _ = _resolve_data(cfg)
+    data = _load_data(cfg)
     arch = NetArch.uniform(data.d, cfg.width, cfg.depth, cfg.outputs)
     betas = init_betas(scheme, arch)
     W0 = sample_init(arch, betas, RngStream(cfg.seed).child(_INIT_CHILD))
@@ -545,23 +547,22 @@ _COMMANDS = {
 
 
 def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
-    """Parser with one subcommand per command and one flag per RunConfig field.
+    """Parser with one subcommand per command, each with the flags of its RunConfig fields.
 
-    ``overrides`` (from ``--config``) replace the field defaults.
+    ``overrides`` (from ``--config``) replace the field defaults.  Flags
+    are not abbreviated: ``sweep --width`` must not pass for ``--widths``.
     """
     overrides = overrides or {}
     parser = argparse.ArgumentParser(prog="klpriv", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value file with defaults")
         for f in fields(RunConfig):
-            if not f.metadata:          # ``command`` is the subcommand itself
-                continue
             kwargs = dict(f.metadata)
-            commands = kwargs.pop("commands")
-            if commands is not None and command not in commands:
+            # ``command``, the subcommand itself, has no metadata
+            if command not in kwargs.pop("commands", ()):
                 continue
             default = overrides.get(f.name, f.default)
             if _FIELD_TYPES[f.name] is bool:

@@ -30,7 +30,6 @@ from .linearized import (
     build_features,
     lin_forward,
     lin_grad_sum,
-    lin_per_example_grads,
 )
 from .network import (
     LossKind,
@@ -489,11 +488,11 @@ class _LinStepStats(_StepStats):
 
     Jacobian rows are frozen at W0, so the features of the data and of the
     pool are built once, both with :func:`build_features`, which rejects a
-    stacked expansion point.  Each step forms the gradient sum S with
-    :func:`lin_grad_sum`, and the norms and dots a notion reads from its
-    per-example gradients, which are rebuilt from the cached Jacobian rows
-    in blocks of four (see :func:`~klpriv.linearized._block_bounds`).  What
-    each notion holds besides the two Jacobians:
+    stacked expansion point.  Each step sums S straight into ``G`` with
+    :func:`lin_grad_sum`, reads the norms and dots a notion needs from
+    per-example gradients rebuilt from the cached Jacobian rows in blocks of
+    four (see :func:`~klpriv.linearized._block_bounds`), and then divides S
+    by n in place.  What each notion holds besides the two Jacobians:
 
     - add-one reads the data only through S and the pool's rows as
       :class:`_BlockGrads`, so it holds a scratch of at most five rows;
@@ -517,24 +516,25 @@ class _LinStepStats(_StepStats):
             self.rows, self.pool_rows = np.empty((data.n, P)), np.empty((self.pool.n, P))
 
     def __call__(self, W: ParamVector, G: ParamVector) -> tuple:
-        W = ParamVector(W.arch, W.flat[0])
-        preds = lin_forward(self.features, W)
+        preds = lin_forward(self.features, W)[0]
         finite = np.isfinite(preds).all()
-        S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, self.rows)
+        S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, G.flat[0], self.rows)
         grads = pool_grads = None
-        if self.notion is Neighbor.REPLACE_ONE:
-            lin_per_example_grads(self.pool_features, W, self.pool.Y, self.loss, self.pool_rows)
-            grads, pool_grads = _ExplicitGrads(self.rows), _ExplicitGrads(self.pool_rows)
-        elif self.notion is Neighbor.REMOVE_ONE:
+        if self.notion is Neighbor.REMOVE_ONE:
             grads = _BlockGrads(self.data.n, _grad_blocks(
                 self.features, preds, self.data.Y, self.loss), S)
         else:
-            pool_grads = _BlockGrads(self.pool.n, _grad_blocks(
-                self.pool_features, lin_forward(self.pool_features, W), self.pool.Y,
-                self.loss), S)
+            pool_blocks = _grad_blocks(self.pool_features, lin_forward(self.pool_features, W)[0],
+                                       self.pool.Y, self.loss, self.pool_rows)
+            if self.notion is Neighbor.ADD_ONE:
+                pool_grads = _BlockGrads(self.pool.n, pool_blocks, S)
+            else:
+                for _ in pool_blocks:
+                    pass
+                grads, pool_grads = _ExplicitGrads(self.rows), _ExplicitGrads(self.pool_rows)
         S_sq = S @ S
         diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, grads, pool_grads, self.pairs)
-        np.divide(S, self.data.n, out=G.flat[0])
+        np.divide(S, self.data.n, out=S)
         return np.array([finite]), S_sq[None], diffs[None]
 
 
@@ -741,9 +741,9 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
     live = np.ones(1, dtype=bool)
 
     def step(W: ParamVector, G: ParamVector):
-        preds = lin_forward(features, ParamVector(arch, W.flat[0]))
-        S = lin_grad_sum(features, preds, labels, LossKind.LOGISTIC_SINGLE)
-        np.divide(S, n, out=G.flat[0])
+        S = lin_grad_sum(features, lin_forward(features, W)[0], labels,
+                         LossKind.LOGISTIC_SINGLE, G.flat[0])
+        np.divide(S, n, out=S)
         return live, None
 
     # a stack of one run

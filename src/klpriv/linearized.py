@@ -61,10 +61,13 @@ def build_features(params: ParamVector, X: np.ndarray) -> NtkFeatures:
 
 
 def lin_forward(features: NtkFeatures, W: ParamVector) -> np.ndarray:
-    """Predictions (n, o) of the linearized model at weights W."""
-    W.expect_single("W")
-    shift = features.jac @ (W.flat - features.W0.flat)
-    return features.f0 + shift.reshape(features.f0.shape)
+    """Predictions of the linearized model at W: (n, o), or (R, n, o) for an (R, P) stack.
+
+    A product with a trailing unit axis gave each run the bits of the GEMV
+    ``jac @ (w - W0)`` at every shape checked; ``(W - W0) @ jac.T`` did not.
+    """
+    shift = np.matmul(features.jac, (W.flat - features.W0.flat)[..., None])
+    return features.f0 + shift.reshape(W.flat.shape[:-1] + features.f0.shape)
 
 
 # Per-example gradients are built _BLOCK_ROWS rows at a time, so a caller
@@ -113,16 +116,16 @@ def _grad_blocks(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
 
 
 def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    """Sum S (P,) of the per-example loss gradients given the model's predictions (n, o).
+                 S: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Sum into S, the caller's (P,) vector, the loss gradients at predictions (n, o).
 
     Example i's gradient is written to row i of ``rows`` when an (n, P)
     buffer is given; otherwise the gradients pass through a scratch of at
-    most five rows.  S starts from zeros and adds the rows in order: the
-    bits of ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P)
+    most five rows.  S is zeroed, adds the rows in order and is returned:
+    the bits of ``einsum("nop,no->np", J, r).sum(axis=0)``, with no (n, P)
     matrix unless the caller keeps the rows.
     """
-    S = np.zeros(features.jac.shape[-1])
+    S.fill(0.0)
     for _, G in _grad_blocks(features, preds, Y, loss, rows):
         for g in G:
             S += g
@@ -136,7 +139,7 @@ def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKi
     They are written block by block into ``rows``, an (n, P) buffer, when
     one is given, else into a fresh one; no gradient sum is formed.
     """
-    preds = lin_forward(features, W)
+    preds = lin_forward(features, W.expect_single("W"))
     if rows is None:
         rows = np.empty((preds.shape[0], features.arch.num_params))
     for _ in _grad_blocks(features, preds, Y, loss, rows):
@@ -146,7 +149,7 @@ def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKi
 
 def lin_empirical_loss(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> float:
     """Mean per-example loss of the linearized model at weights W."""
-    return float(np.mean(loss_batch(lin_forward(features, W), Y, loss)))
+    return float(np.mean(loss_batch(lin_forward(features, W.expect_single("W")), Y, loss)))
 
 
 @dataclass(frozen=True)

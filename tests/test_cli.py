@@ -328,6 +328,19 @@ class TestLazy:
     def test_multi_output_rejected(self):
         assert main(["lazy", "--data", "synth:8", "--outputs", "2"]) == 2
 
+    @pytest.mark.parametrize("config", ["", "neighbor=add\npool_size=3\n"])
+    def test_csv_trains_on_every_record(self, tmp_path, config):
+        # lazy has no neighbors: no notion or pool size holds records out
+        path, cfg, out = tmp_path / "d.csv", tmp_path / "c.cfg", tmp_path / "l.csv"
+        save_csv(synth_sphere(6, 3, RngStream(2)), path)
+        cfg.write_text(config)
+        assert main(["lazy", "--config", str(cfg), "--data", f"csv:{path}", "--width", "16",
+                     "--depth", "2", "--steps", "0", "--out", str(out)]) == 0
+        header, _, rows = _read_table(out)
+        assert _metric_map(rows)["loss_target"] == 1 / 6 ** 2
+        # keys of fields lazy does not take are ignored; the header lists them at their defaults
+        assert (header["neighbor"], header["pool_size"]) == ("remove", "8")
+
     # lazy builds the data's features; estimate builds the data's and the pool's
     @pytest.mark.parametrize("argv, builder, builds", [
         (["lazy", "--ridge", "0"], cli, 1),
@@ -589,6 +602,86 @@ class TestRunConfig:
     def test_empty_synthetic_data_exits_2(self, capsys, command):
         assert main([command, "--data", "synth:0", "--steps", "0"]) == 2
         assert "synthetic dataset size must be positive" in capsys.readouterr().err
+
+
+# the fields each command does not read, which are therefore not its flags
+UNREAD_FLAGS = [
+    *(("bound", flag) for flag in ("seed", "runs", "neighbor", "pool-size", "record-every",
+                                   "cap", "label-column")),
+    *(("mc-verify", flag) for flag in ("eta", "steps", "sigma2", "runs", "neighbor",
+                                       "kl-constant", "data", "pool-size", "record-every",
+                                       "cap", "label-column")),
+    *(("lazy", flag) for flag in ("runs", "kl-constant", "record-every", "cap", "neighbor",
+                                  "pool-size")),
+    # not abbreviations of --widths and --depths either
+    *(("sweep", flag) for flag in ("width", "depth")),
+]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_flag_of_an_unread_field_exits_2(self, capsys, command, flag):
+        assert main([command, f"--{flag}", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: --{flag} 1" in captured.err
+        assert captured.out == ""
+
+    def test_every_accepted_flag_is_read(self, tmp_path, monkeypatch):
+        """Each command reads every flag it accepts, outside ``validate`` and
+        ``header_items``, on invocations that reach its conditional reads."""
+        path = tmp_path / "d.csv"
+        save_csv(synth_sphere(12, 3, RngStream(3)), path)
+        csv, small = f"csv:{path}", ["--steps", "1", "--runs", "1", "--width", "4"]
+        invocations = {
+            "bound": [["--data", "synth:8"],
+                      ["--n", "8", "--time", "1", "--x-sqnorm", "3", "--beta-smooth", "0.1",
+                       "--c-grad", "1", "--rank-mt", "2", "--e-delta0", "1", "--e-grad0", "1"]],
+            "estimate": [["--data", csv, "--linearize", *small],
+                         ["--data", "synth:6", "--neighbor", "replace", "--pool-size", "2",
+                          "--replay-sigma2", "0.04", *small]],
+            "mc-verify": [["--samples", "2"]],
+            "lazy": [["--data", csv, "--steps", "2"], ["--data", "synth:6", "--steps", "0"]],
+            "sweep": [["--data", csv, "--metric", "both", "--neighbor", "replace",
+                       "--pool-size", "3", "--widths", "4", "--depths", "2", "--steps", "1",
+                       "--runs", "1"], ["--n", "8"]],
+        }
+        names = {f.name for f in fields(RunConfig)} - {"command"}
+        built, reads = [], []
+
+        class Recording(RunConfig):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(self)
+
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.append((self, name))
+                return super().__getattribute__(name)
+
+            def validate(self):
+                mark = len(reads)
+                super().validate()
+                del reads[mark:]
+
+            def header_items(self):
+                mark = len(reads)
+                items = super().header_items()
+                del reads[mark:]
+                return items
+
+        monkeypatch.setattr(cli, "RunConfig", Recording)
+        for command, argvs in invocations.items():
+            read = set()
+            for argv in argvs:
+                built.clear()
+                reads.clear()
+                assert main([command, *argv, "--out", str(tmp_path / "o.csv")]) == 0
+                root = vars(built[0])
+                # a sweep cell copies the command's config but for its scheme,
+                # width and depth: reading a copied value reads the flag
+                read |= {name for cfg, name in reads if vars(cfg)[name] == root[name]}
+            accepted = set(vars(cli.build_parser().parse_args([command]))) - {"command", "config"}
+            assert accepted <= read, (command, sorted(accepted - read))
 
 
 class TestTopLevel:

@@ -1110,9 +1110,10 @@ class TestTrainingMemory:
 
     @pytest.mark.parametrize("notion", list(Neighbor))
     def test_parameter_vectors_do_not_grow_with_the_steps(self, monkeypatch, notion):
-        # a step writes its mean gradient into the trainer's buffer: no step
-        # builds a ParamVector, so 3 and 30 steps build the same number
-        data, neighbors, model = _setup_estimation(notion=notion)
+        # a step writes its mean gradient into the trainer's buffer and reads
+        # a linearized stack as it is: no step builds a ParamVector, so 3 and
+        # 30 steps build the same number, for the network and its linearization
+        data, neighbors, dnn = _setup_estimation(notion=notion)
         built = []
         post_init = ParamVector.__post_init__
 
@@ -1120,14 +1121,16 @@ class TestTrainingMemory:
             built.append(1)
             post_init(self)
 
+        linearized = LinearizedModel(sample_init(dnn.arch, "lecun", RngStream(7)))
         monkeypatch.setattr(ParamVector, "__post_init__", counting)
-        counts = []
-        for steps in (3, 30):
-            built.clear()
-            cfg = TrainConfig(eta=0.01, steps=steps, sigma2=0.01, runs=2, seed=4)
-            assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
-            counts.append(len(built))
-        assert counts[0] == counts[1]
+        for model in (dnn, linearized):
+            counts = []
+            for steps in (3, 30):
+                built.clear()
+                cfg = TrainConfig(eta=0.01, steps=steps, sigma2=0.01, runs=2, seed=4)
+                assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
+                counts.append(len(built))
+            assert counts[0] == counts[1], model
 
 
 @pytest.mark.skipif(numerics._openblas() is None, reason="numpy has no bundled OpenBLAS")

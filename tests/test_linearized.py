@@ -101,6 +101,27 @@ class TestLinForward:
         rhs = 0.5 * (lin_forward(feats, Wa) + lin_forward(feats, Wb))
         assert np.allclose(lhs, rhs)
 
+    @pytest.mark.parametrize("n, o", [(1, 1), (9, 1), (5, 3)])
+    def test_stack_rows_equal_single_calls(self, n, o):
+        # row r of a stacked call is the call on run r alone, in raw bytes
+        arch = NetArch.uniform(5, 16, 3, o)
+        W0 = sample_init(arch, init_betas("lecun", arch), RngStream(11))
+        feats = build_features(W0, RngStream(12).generator().standard_normal((n, 5)))
+        shifts = RngStream(13).generator().standard_normal((3, arch.num_params))
+        stack = ParamVector(arch, W0.flat + 0.1 * shifts)
+        preds = lin_forward(feats, stack)
+        assert preds.shape == (3, n, o)
+        for r in range(3):
+            assert _same_bytes(preds[r], lin_forward(feats, ParamVector(arch, stack.flat[r])))
+
+    def test_losses_and_gradients_take_one_vector(self):
+        feats = _toy_features()
+        stack = ParamVector(feats.arch, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="one parameter vector"):
+            lin_empirical_loss(feats, stack, np.array([1.0]), LossKind.LOGISTIC_SINGLE)
+        with pytest.raises(ValueError, match="one parameter vector"):
+            lin_per_example_grads(feats, stack, np.array([1.0]), LossKind.LOGISTIC_SINGLE)
+
 
 class TestLinGradients:
     def test_single_example_zero_pred(self):
@@ -165,10 +186,13 @@ class TestLinGradSum:
         ref = np.einsum("nop,no->np", jac.reshape(n, o, -1), R)
 
         rows = np.full((n, arch.num_params), np.nan)
-        S = lin_grad_sum(feats, preds, Y, loss, rows)
+        # the kernel zeroes the caller's vector before it sums into it
+        S = np.full(arch.num_params, np.nan)
+        assert lin_grad_sum(feats, preds, Y, loss, S, rows) is S
         assert np.array_equal(rows, ref)
         assert _same_bytes(S, ref.sum(axis=0))
-        assert _same_bytes(lin_grad_sum(feats, preds, Y, loss), S)
+        # through the scratch of at most five rows: the same sum
+        assert _same_bytes(lin_grad_sum(feats, preds, Y, loss, np.full_like(S, np.nan)), S)
         assert np.array_equal(lin_per_example_grads(feats, ParamVector.zeros(arch), Y, loss),
                               ref)
 

@@ -1,10 +1,13 @@
-"""The README's library session runs, and the values its comments state hold."""
+"""The README's library session runs, the values its comments state hold, and
+its flag table lists the flags of each command."""
 
 import ast
 import io
 import math
 import tokenize
 from pathlib import Path
+
+from klpriv.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +62,18 @@ def test_library_session_runs_and_its_stated_values_hold():
     }
     for result in ("result", "linearized"):
         assert 0 < namespace[result].worst_mean[-1] < math.inf
+
+
+def test_flag_table_lists_the_flags_of_each_command():
+    lines = README.read_text().splitlines()
+    commands = [c.strip() for c in next(l for l in lines if l.startswith("| flag |"))
+                .strip("|").split("|")[1:]]
+    table = {command: set() for command in commands}
+    for line in (l for l in lines if l.startswith("| `--")):
+        flags, *marks = (cell.strip() for cell in line.strip("|").split("|"))
+        for command, mark in zip(commands, marks, strict=True):
+            if mark == "x":
+                table[command] |= {flag.strip(" `") for flag in flags.split(",")}
+    for command in commands:
+        names = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
+        assert table[command] == {"--" + name.replace("_", "-") for name in names}, command
