@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -375,7 +375,13 @@ def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset |
     tc = TrainConfig(eta=cfg.eta, steps=cfg.steps, sigma2=cfg.sigma2, runs=cfg.runs,
                      seed=cfg.seed, kl_constant=cfg.convention,
                      record_every=cfg.record_every)
-    return run_kl_estimation(model, data, neighbors, tc)
+    result = run_kl_estimation(model, data, neighbors, tc)
+    for r, trace in enumerate(result.traces):
+        if trace.left_by is not None:
+            print(f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}: "
+                  f"run {r} left at step {trace.per_step_sq_diffs.shape[0] + 1} "
+                  f"({trace.left_by})", file=sys.stderr)
+    return result
 
 
 def _trace_rows(result, worst: np.ndarray | None = None) -> list[tuple]:
@@ -398,7 +404,10 @@ def _trace_rows(result, worst: np.ndarray | None = None) -> list[tuple]:
 def cmd_estimate(cfg: RunConfig) -> int:
     """Empirical worst-case KL trace for one scheme."""
     scheme = _schemes(cfg, allow_all=False)[0]
-    result = _estimate_result(cfg, scheme, *_resolve_data(cfg))
+    data, pool = _resolve_data(cfg)
+    # the header records the d trained on, which a csv fixes
+    cfg = replace(cfg, d=data.d)
+    result = _estimate_result(cfg, scheme, data, pool)
     _write_table(cfg, ["epochs", "kl_means", "kl_stds", "diverged"],
                  _trace_rows(result), cfg.out)
     if cfg.out is not None:
@@ -451,6 +460,7 @@ def cmd_lazy(cfg: RunConfig) -> int:
     if cfg.outputs != 1:
         raise ValueError("the lazy construction needs a single output")
     data = _load_data(cfg)
+    cfg = replace(cfg, d=data.d)
     arch = NetArch.uniform(data.d, cfg.width, cfg.depth, cfg.outputs)
     betas = init_betas(scheme, arch)
     W0 = sample_init(arch, betas, RngStream(cfg.seed).child(_INIT_CHILD))
@@ -499,6 +509,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         d, n = resolved[0].d, resolved[0].n
         if cfg.n is not None and cfg.n != n:
             raise ValueError(f"--n {cfg.n} differs from the {n} records the sweep trains on")
+        cfg = replace(cfg, d=d)
     else:
         d, n = cfg.d, _dataset_size(cfg)
     rows = []

@@ -48,14 +48,15 @@ from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 # One constant sizes the training stacks and gates the noise overlap.
 # run_kl_estimation trains the runs of a network max(1, min(runs,
 # OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
-# trainer (_noisy_gd), so each (R, P) array of a stack holds at most 2^17
-# parameters (1 MiB).  Linearized runs, whose step statistics take one
-# parameter vector at a time, and lin_averaged_iterate's one run train as
-# stacks of one.  On a 2-core host with numpy's OpenBLAS, a CLI run training
-# two runs of P = 3,104 (d=32, width 32, depth 4, replace-one) as one stack
-# took 0.70x the wall time of one run at a time (median of 8 alternating
-# pairs): at that size a step is mostly per-call overhead, which a stack pays
-# once for all its runs.
+# trainer (_noisy_gd), so each of the stack's two (R, P) arrays, the iterate
+# and the noise, holds at most 2^17 parameters (1 MiB); a network step adds
+# one scratch of its largest layer block per run, not a third (R, P) array.
+# Linearized runs, whose step statistics take one parameter vector at a time,
+# and lin_averaged_iterate's one run train as stacks of one.  On a 2-core host
+# with numpy's OpenBLAS, a CLI run training two runs of P = 3,104 (d=32, width
+# 32, depth 4, replace-one) as one stack took 0.70x the wall time of one run at
+# a time (median of 8 alternating pairs): at that size a step is mostly
+# per-call overhead, which a stack pays once for all its runs.
 # A stack of OVERLAP_MIN_PARAMS parameters or more (in practice one run with
 # P >= 2^17) draws each step's noise on one helper thread while the step's
 # gradient statistics are computed; BLAS runs on one thread, as for all
@@ -76,6 +77,12 @@ OVERLAP_MIN_PARAMS = 1 << 17
 # other; in a version that held four arrays, chunks of 8 and 16 read 0.3 and
 # 0.8 MB above chunk 7.
 MC_STACK_BYTES = 1 << 17
+
+# The rules by which a run leaves training at a step, in the order they are
+# checked: its outputs, its ||S||^2 or its neighbor differences are not
+# finite, or its mean-gradient norm ||S|| / n passes the divergence threshold.
+_LEAVE_RULES = ("non-finite outputs", "non-finite S^2", "non-finite differences",
+                "gradient norm above the threshold")
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,10 @@ class KLTrace:
     ``per_step_sq_diffs`` has one row per completed step and one column per
     neighbor; replaying it with another sigma^2 or constant convention only
     rescales the accumulation.  After a divergence abort the remaining
-    recorded entries are infinite.
+    recorded entries are infinite.  ``left_by`` names the first of the
+    _LEAVE_RULES that fired at the step the run left, the step after its last
+    completed one; it is None for a run that completed every step, and a
+    run ``diverged`` exactly when it left.
     """
 
     eta: float
@@ -150,7 +160,11 @@ class KLTrace:
     per_step_sq_diffs: np.ndarray
     cumulative_per_neighbor: np.ndarray
     cumulative_worst: np.ndarray
-    diverged: bool
+    left_by: str | None
+
+    @property
+    def diverged(self) -> bool:
+        return self.left_by is not None
 
 
 @dataclass
@@ -193,6 +207,10 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
     scaled by eta and ``noise`` by sqrt(2 eta sigma2).  These are the
     operations of the pure update, in its order, so the bits are the same.
     ``grad`` and ``noise`` may share no memory with ``W`` or each other.
+
+    The one-step reference of training: the noisy-GD trainer takes the same
+    two halves, :func:`_descend` inside its step statistics and
+    :func:`_diffuse` itself, so a chain of these calls gives its iterates.
     """
     if W.arch != grad.arch:
         raise ValueError("weights and gradient must share an architecture")
@@ -207,13 +225,28 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
     if (np.may_share_memory(W.flat, grad.flat) or np.may_share_memory(W.flat, noise)
             or np.may_share_memory(grad.flat, noise)):
         raise ValueError("weights, gradient and noise must not share memory")
-    w, g = W.flat, grad.flat
-    g *= eta
-    np.subtract(w, g, out=w)
+    _descend(W.flat, grad.flat, 1, eta)
+    _diffuse(W.flat, noise, eta, sigma2)
+    return W
+
+
+def _descend(w: np.ndarray, S: np.ndarray, n: int, eta: float) -> None:
+    """The gradient half of a step: w <- w - eta * S / n in place, consuming S.
+
+    ``S`` is a gradient sum over n records (n = 1 for a mean gradient),
+    shaped like ``w`` or like any block of it; it ends up holding
+    eta * S / n.
+    """
+    S /= n
+    S *= eta
+    np.subtract(w, S, out=w)
+
+
+def _diffuse(w: np.ndarray, noise: np.ndarray, eta: float, sigma2: float) -> None:
+    """The noise half of a step: w += sqrt(2 eta sigma2) * noise in place, consuming noise."""
     if sigma2 > 0 and eta > 0:
         noise *= math.sqrt(2.0 * eta * sigma2)
         w += noise
-    return W
 
 
 def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
@@ -222,30 +255,29 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
 
     The one trainer: :func:`run_kl_estimation` and
     :func:`lin_averaged_iterate` differ only in their ``step``.  The trainer
-    owns three stack-sized arrays: the iterate, the noise and the gradient
-    buffer ``G``.  ``step(W, G)`` writes the mean gradient of each row of
-    the current stack into ``G`` and returns ``(live, payload)``: ``live``
-    flags the rows that take the step, and the other rows leave the stack
-    for good.  Row r draws the noise of step k (from 0) with the Philox key
-    ``step_keys[r, k]`` into its row of the noise buffer.  Each step yields
-    the indices into ``W`` of the rows that took it, their updated iterates
-    and the payload; training ends after ``step_keys.shape[1]`` steps or
-    when no row is left.  Training runs with BLAS on one thread, and a stack
-    of OVERLAP_MIN_PARAMS parameters or more draws on a helper thread while
-    ``step`` runs; with no steps neither happens.
+    owns two stack-sized arrays: the iterate and the noise.  ``step(W,
+    eta)`` takes the gradient half of the update of each row of the current
+    stack in place, with :func:`_descend`, and returns ``(live, payload)``:
+    ``live`` flags the rows that take the step, and the other rows leave the
+    stack for good.  Row r draws the noise of step k (from 0) with the
+    Philox key ``step_keys[r, k]`` into its row of the noise buffer, which
+    :func:`_diffuse` then adds.  Each step yields the indices into ``W`` of
+    the rows that took it, their updated iterates and the payload; training
+    ends after ``step_keys.shape[1]`` steps or when no row is left.
+    Training runs with BLAS on one thread, and a stack of OVERLAP_MIN_PARAMS
+    parameters or more draws on a helper thread while ``step`` runs; with
+    no steps neither happens.
 
     ``W`` is copied once and never written, so a caller may pass a view of
-    weights it keeps, such as a linearized model's expansion point.
-    :func:`noisy_gd_step` updates the copy in place, so every step yields
-    the same stack, and passes ``step`` the same ``G``, until rows leave:
-    then the survivors' rows of all three arrays form new ones.  Copy an
-    iterate to keep it.
+    weights it keeps, such as a linearized model's expansion point.  The
+    copy is updated in place, so every step yields the same stack until
+    rows leave: then the survivors' rows of the iterate and the noise form
+    new ones.  Copy an iterate to keep it.
     """
     steps = step_keys.shape[1]
     if steps == 0:
         return
     W = ParamVector(W.arch, W.flat.copy())
-    G = ParamVector(W.arch, np.empty(W.flat.shape))
     rows = np.arange(W.flat.shape[0])
     noise = np.empty(W.flat.shape)
     with ExitStack() as stack:
@@ -266,18 +298,18 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
                 # profiling hook on it, stays on this thread
                 draws = [helper.submit(g.at(key).standard_normal, out=row)
                          for g, key, row in zip(helper_rngs, step_keys[:, k], noise)]
-            live, payload = step(W, G)
+            live, payload = step(W, eta)
             for draw in draws or ():
                 draw.result()
             if not live.all():
                 if not live.any():
                     return
                 rows, step_keys, noise = rows[live], step_keys[live], noise[live]
-                W, G = (ParamVector(W.arch, X.flat[live]) for X in (W, G))
+                W = ParamVector(W.arch, W.flat[live])
             if draws is None:
                 for key, row in zip(step_keys[:, k], noise):
                     keyed_generator(key).standard_normal(out=row)
-            noisy_gd_step(W, G, eta, sigma2, noise)
+            _diffuse(W.flat, noise, eta, sigma2)
             yield rows, W, payload
 
 
@@ -297,10 +329,6 @@ class _ExplicitGrads:
     def norms_sq(self) -> np.ndarray:
         return np.einsum("ip,ip->i", self.G, self.G)
 
-    def dots(self, S: np.ndarray) -> np.ndarray:
-        """Dots with the gradient sum S, a (P,) vector."""
-        return self.G @ S
-
     def cross(self, pool: "_ExplicitGrads") -> np.ndarray:
         return self.G @ pool.G.T
 
@@ -310,22 +338,18 @@ class _BlockGrads:
 
     ``blocks`` yields ``(a, G)`` pairs, as :func:`~klpriv.linearized._grad_blocks`
     does, covering n rows; both statistics are read from each block while
-    it is in cache, with the calls of :class:`_ExplicitGrads` and, over
-    those blocks, its bits.  The dots are taken with the S given here, which
-    is the S that :func:`_sq_diffs` passes back.
+    it is in cache, with the calls of :class:`_ExplicitGrads` and ``G @ S``
+    and, over those blocks, their bits.  ``dots`` holds the dots with S.
     """
 
     def __init__(self, n: int, blocks, S: np.ndarray):
-        self._norms, self._dots = np.empty(n), np.empty(n)
+        self._norms, self.dots = np.empty(n), np.empty(n)
         for a, G in blocks:
             np.einsum("ip,ip->i", G, G, out=self._norms[a:a + len(G)])
-            np.matmul(G, S, out=self._dots[a:a + len(G)])
+            np.matmul(G, S, out=self.dots[a:a + len(G)])
 
     def norms_sq(self) -> np.ndarray:
         return self._norms
-
-    def dots(self, S: np.ndarray) -> np.ndarray:
-        return self._dots
 
 
 def _row_norms_sq(A: np.ndarray) -> np.ndarray:
@@ -341,7 +365,9 @@ class _FactoredGrads:
     Goodfellow's 2015 per-example-gradient trick); the parameter-sized
     per-example matrix is never materialized.  Every result carries the
     stack's leading run axis.  ``input_sq`` holds |h_0|^2, the squared norms
-    of the input rows ``acts[0]``, which stay fixed through training.
+    of the input rows ``acts[0]``, which stay fixed through training.  The
+    dots with the gradient sum S are taken one layer block of S at a time
+    with :meth:`layer_dots`, so S need never exist whole.
     """
 
     def __init__(self, deltas, acts, input_sq):
@@ -352,38 +378,40 @@ class _FactoredGrads:
         acts_sq = [self.input_sq, *(_row_norms_sq(H) for H in self.acts[1:])]
         return sum(_row_norms_sq(D) * H_sq for D, H_sq in zip(self.deltas, acts_sq))
 
-    def dots(self, S) -> np.ndarray:
-        """Dots with the gradient sum S, given as its layer blocks S_l: layer l
-        adds delta_l . (S_l h_{l-1})."""
-        return sum(np.einsum("...na,...na->...n", D, H @ B.swapaxes(-1, -2))
-                   for D, H, B in zip(self.deltas, self.acts, S))
+    def layer_dots(self, l: int, B: np.ndarray) -> np.ndarray:
+        """Layer l's terms delta_l . (B h_{l-1}) of the dots with S, whose
+        layer-l block is B; the dots are their sum over the layers."""
+        D, H = self.deltas[l - 1], self.acts[l - 1]
+        return np.einsum("...na,...na->...n", D, H @ B.swapaxes(-1, -2))
 
     def cross(self, pool: "_FactoredGrads") -> np.ndarray:
         return sum((D @ Dp.swapaxes(-1, -2)) * (H @ Hp.swapaxes(-1, -2))
                    for D, Dp, H, Hp in zip(self.deltas, pool.deltas, self.acts, pool.acts))
 
 
-def _sq_diffs(n: int, notion: Neighbor, S, S_sq, data, pool, pairs) -> np.ndarray:
+def _sq_diffs(n: int, notion: Neighbor, dots, S_sq, data, pool, pairs) -> np.ndarray:
     """Squared empirical-gradient differences against every neighbor candidate.
 
     The one formula per neighbor notion.  Through the gradient sum S of the
     n records (``S_sq`` is ||S||^2) all three notions reduce to per-example
     norms and inner products, which it asks of the per-example gradients of
     the records, ``data``, and of the candidates, ``pool`` (None for
-    remove-one): an :class:`_ExplicitGrads` or a :class:`_FactoredGrads`,
-    with S in the form their ``dots`` takes.  Each notion asks only for what
-    it reads.  ``pairs`` restricts replace-one to (record, pool) index pairs,
-    all of them when None.  Statistics with a leading run axis (``S_sq`` of
-    shape (R,)) give one row per run.
+    remove-one): an :class:`_ExplicitGrads`, :class:`_BlockGrads` or
+    :class:`_FactoredGrads`.  ``dots`` holds the dots with S of the rows
+    the notion reads, the records' for remove-one and the candidates' for
+    add-one; replace-one reads none (None).  Each notion asks only for what
+    it reads.  ``pairs`` restricts replace-one to (record, pool) index
+    pairs, all of them when None.  Statistics with a leading run axis
+    (``S_sq`` of shape (R,)) give one row per run.
     """
     S_sq = np.asarray(S_sq)[..., None]
     if notion is Neighbor.REMOVE_ONE:
         if n < 2:
             raise ValueError("remove-one needs at least two records")
-        num = n * n * data.norms_sq() - 2.0 * n * data.dots(S) + S_sq
+        num = n * n * data.norms_sq() - 2.0 * n * dots + S_sq
         return num / (n * n * (n - 1) * (n - 1))
     if notion is Neighbor.ADD_ONE:
-        num = S_sq - 2.0 * n * pool.dots(S) + n * n * pool.norms_sq()
+        num = S_sq - 2.0 * n * dots + n * n * pool.norms_sq()
         return num / (n * n * (n + 1) * (n + 1))
     # replace-one: ||g_i - g'_j||^2 / n^2 over the requested pairs
     cross = data.cross(pool)
@@ -419,21 +447,28 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
             raise ValueError(f"{notion.value} needs pool gradients")
         pool = _ExplicitGrads(_as_matrix(pool_grads))
     S = G.sum(axis=0)
-    return _sq_diffs(G.shape[0], notion, S, S @ S, _ExplicitGrads(G), pool, pairs)
+    dots = None
+    if notion is Neighbor.REMOVE_ONE:
+        dots = G @ S
+    elif notion is Neighbor.ADD_ONE:
+        dots = pool.G @ S
+    return _sq_diffs(G.shape[0], notion, dots, S @ S, _ExplicitGrads(G), pool, pairs)
 
 
 class _StepStats:
     """What the two producers of step statistics share: the data, the
     neighbor candidates and the loss.
 
-    A producer takes an (R, P) stack of runs ``W`` and the trainer's gradient
-    buffer ``G`` of the same shape, writes each run's mean gradient into
-    ``G`` and returns ``(finite, S_sq, diffs)``, one row per run: whether the
-    outputs it checks are all finite (the network's on data and pool, the
-    linearized model's on the data only), ||S||^2 of its gradient sum and
-    its :func:`_sq_diffs`.  Rows of runs that are not finite may hold
-    anything; the caller sees that they leave the stack, and a non-finite
-    pool statistic shows in ``diffs``.
+    A producer takes an (R, P) stack of runs ``W`` and the step size
+    ``eta``, reads its statistics at ``W`` and then takes each run's
+    gradient half of the update in place with :func:`_descend`, W <- W -
+    eta * S / n for the run's gradient sum S.  It returns ``(finite, S_sq,
+    diffs)``, one row per run: whether the outputs it checks are all finite
+    (the network's on data and pool, the linearized model's on the data
+    only), ||S||^2 and its :func:`_sq_diffs`.  Rows of runs that are not
+    finite may hold anything, in the statistics and in ``W``; the caller
+    sees that they leave the stack, and a non-finite pool statistic shows in
+    ``diffs``.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -455,9 +490,13 @@ class _DnnStepStats(_StepStats):
     summation order changes the last bits of the pool statistics.  Run r's
     row equals its statistics alone bit for bit, whatever the other rows
     hold: the stacked products run the same GEMMs and reductions per run.
-    The squared norms of the input rows are computed once per estimate.  The
-    gradient sum's layer blocks go straight into the layer views of ``G``;
-    S^2 and the differences read them before they are divided by n in place.
+    The squared norms of the input rows are computed once per estimate.
+
+    The gradient sum S exists one layer block at a time, in one (R, largest
+    layer block) scratch that all layers and steps reuse: once the forward
+    and backward passes are done, layer l's block is written into the
+    scratch, added to S^2 and to the dots the notion reads, and then
+    descended into layer l of ``W``.  So a step allocates no (R, P) array.
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
@@ -466,8 +505,9 @@ class _DnnStepStats(_StepStats):
         self.pool_input_sq = None
         if self.pool is not None:
             self.pool_input_sq = _row_norms_sq(np.asarray(self.pool.X, dtype=float))
+        self.scratch = np.empty(0)
 
-    def __call__(self, W: ParamVector, G: ParamVector) -> tuple:
+    def __call__(self, W: ParamVector, eta: float) -> tuple:
         F, *factors = loss_backprop(W, self.data.X, self.data.Y, self.loss)
         finite = np.isfinite(F).all(axis=(-2, -1))
         grads, pool_grads = _FactoredGrads(*factors, self.input_sq), None
@@ -475,11 +515,22 @@ class _DnnStepStats(_StepStats):
             F, *factors = loss_backprop(W, self.pool.X, self.pool.Y, self.loss)
             finite &= np.isfinite(F).all(axis=(-2, -1))
             pool_grads = _FactoredGrads(*factors, self.pool_input_sq)
-        blocks = [np.matmul(D.swapaxes(-1, -2), H, out=G.layer(l))
-                  for l, (D, H) in enumerate(zip(grads.deltas, grads.acts), start=1)]
-        S_sq = sum(np.sum(B * B, axis=(-2, -1)) for B in blocks)
-        diffs = _sq_diffs(self.data.n, self.notion, blocks, S_sq, grads, pool_grads, self.pairs)
-        np.divide(G.flat, self.data.n, out=G.flat)
+        # remove-one reads the dots of the data with S, add-one those of the pool
+        reader = {Neighbor.REMOVE_ONE: grads, Neighbor.ADD_ONE: pool_grads}.get(self.notion)
+        R, shapes = W.flat.shape[0], W.arch.layer_shapes
+        size = R * max(rows * cols for rows, cols in shapes)
+        if self.scratch.size < size:
+            self.scratch = np.empty(size)
+        # both sums start from 0 and add the layers in order, as ``sum`` does
+        S_sq = dots = 0
+        for l, (D, H, shape) in enumerate(zip(grads.deltas, grads.acts, shapes), start=1):
+            B = self.scratch[:R * shape[0] * shape[1]].reshape(R, *shape)
+            np.matmul(D.swapaxes(-1, -2), H, out=B)
+            S_sq = S_sq + np.sum(B * B, axis=(-2, -1))
+            if reader is not None:
+                dots = dots + reader.layer_dots(l, B)
+            _descend(W.layer(l), B, self.data.n, eta)
+        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads, self.pairs)
         return finite, S_sq, diffs
 
 
@@ -488,11 +539,12 @@ class _LinStepStats(_StepStats):
 
     Jacobian rows are frozen at W0, so the features of the data and of the
     pool are built once, both with :func:`build_features`, which rejects a
-    stacked expansion point.  Each step sums S straight into ``G`` with
-    :func:`lin_grad_sum`, reads the norms and dots a notion needs from
-    per-example gradients rebuilt from the cached Jacobian rows in blocks of
-    four (see :func:`~klpriv.linearized._block_bounds`), and then divides S
-    by n in place.  What each notion holds besides the two Jacobians:
+    stacked expansion point.  Each step sums S into its own (P,) buffer
+    ``S`` with :func:`lin_grad_sum`, reads the norms and dots a notion needs
+    from per-example gradients rebuilt from the cached Jacobian rows in
+    blocks of four (see :func:`~klpriv.linearized._block_bounds`), and then
+    descends from S in place, which leaves eta * S / n in the buffer.  What
+    each notion holds besides the two Jacobians:
 
     - add-one reads the data only through S and the pool's rows as
       :class:`_BlockGrads`, so it holds a scratch of at most five rows;
@@ -510,31 +562,34 @@ class _LinStepStats(_StepStats):
         super().__init__(data, neighbors, loss)
         self.features = build_features(W0, data.X)
         self.pool_features = None if self.pool is None else build_features(W0, self.pool.X)
+        P = W0.arch.num_params
+        self.S = np.empty(P)
         self.rows = self.pool_rows = None
         if self.notion is Neighbor.REPLACE_ONE:
-            P = W0.arch.num_params
             self.rows, self.pool_rows = np.empty((data.n, P)), np.empty((self.pool.n, P))
 
-    def __call__(self, W: ParamVector, G: ParamVector) -> tuple:
+    def __call__(self, W: ParamVector, eta: float) -> tuple:
         preds = lin_forward(self.features, W)[0]
         finite = np.isfinite(preds).all()
-        S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, G.flat[0], self.rows)
-        grads = pool_grads = None
+        S = lin_grad_sum(self.features, preds, self.data.Y, self.loss, self.S, self.rows)
+        grads = pool_grads = dots = None
         if self.notion is Neighbor.REMOVE_ONE:
             grads = _BlockGrads(self.data.n, _grad_blocks(
                 self.features, preds, self.data.Y, self.loss), S)
+            dots = grads.dots
         else:
             pool_blocks = _grad_blocks(self.pool_features, lin_forward(self.pool_features, W)[0],
                                        self.pool.Y, self.loss, self.pool_rows)
             if self.notion is Neighbor.ADD_ONE:
                 pool_grads = _BlockGrads(self.pool.n, pool_blocks, S)
+                dots = pool_grads.dots
             else:
                 for _ in pool_blocks:
                     pass
                 grads, pool_grads = _ExplicitGrads(self.rows), _ExplicitGrads(self.pool_rows)
         S_sq = S @ S
-        diffs = _sq_diffs(self.data.n, self.notion, S, S_sq, grads, pool_grads, self.pairs)
-        np.divide(S, self.data.n, out=S)
+        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads, self.pairs)
+        _descend(W.flat[0], S, self.data.n, eta)
         return np.array([finite]), S_sq[None], diffs[None]
 
 
@@ -661,19 +716,25 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
 
-    def step(W: ParamVector, G: ParamVector):
-        # the one leave rule: a run leaves at the step whose outputs, S^2 or
-        # neighbor differences are not finite, or whose mean-gradient norm
-        # passes the threshold; its statistics at that step are computed with
+    left_by = [None] * cfg.runs
+
+    def step(W: ParamVector, eta: float):
+        # the one leave rule: a run leaves at the step where one of the
+        # _LEAVE_RULES fires; its statistics at that step are computed with
         # the others' and dropped, so their non-finite arithmetic must not warn
         with np.errstate(over="ignore", invalid="ignore"):
-            finite, S_sq, diffs = make_stats(W, G)
-            # each row's norm is the x.dot(x) of np.linalg.norm, bit for bit
-            norms = np.sqrt((G.flat[:, None, :] @ G.flat[:, :, None]).reshape(-1))
-            # a NaN data statistic makes S^2 NaN, while a NaN norm passes the
-            # threshold; pool statistics reach the differences only
-            live = (finite & np.isfinite(S_sq) & np.isfinite(diffs).all(axis=-1)
-                    & ~(norms > cfg.divergence_threshold))
+            finite, S_sq, diffs = make_stats(W, eta)
+            # a NaN data statistic makes S^2 NaN, which the second rule
+            # catches; the norm is sqrt(||S||^2) / n, so it is NaN only with
+            # S^2 (and then not above the threshold); pool statistics reach
+            # the differences only
+            fired = (~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
+                     np.sqrt(S_sq) / data.n > cfg.divergence_threshold)
+        live = ~(fired[0] | fired[1] | fired[2] | fired[3])
+        if not live.all():
+            first = np.argmax(fired, axis=0)[~live]
+            for run, rule in zip(in_stack[~live].tolist(), first.tolist()):
+                left_by[run] = _LEAVE_RULES[rule]
         return live, diffs[live]
 
     traces: list[KLTrace] = []
@@ -684,6 +745,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
         sq_diffs = np.empty((runs.size, cfg.steps, neighbors.count))
         completed = np.zeros(runs.size, dtype=int)
+        # the runs that step sees, in the row order of the trainer's stack
+        in_stack = runs
         # no name here holds an iterate: the first stack goes straight in,
         # where the trainer's copy replaces it, and only the rows come out
         stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
@@ -691,16 +754,16 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         for k, (rows, diffs) in enumerate(stepped, start=1):
             sq_diffs[rows, k - 1] = diffs
             completed[rows] = k
-        for run_diffs, done in zip(sq_diffs, completed.tolist()):
+            in_stack = runs[rows]
+        for run, run_diffs, done in zip(runs.tolist(), sq_diffs, completed.tolist()):
             run_diffs = run_diffs[:done]
             cum, worst = _accumulate(run_diffs, scale, recorded)
-            diverged = done < cfg.steps
-            if diverged:
+            if left_by[run] is not None:
                 cum = np.full(neighbors.count, math.inf)
             traces.append(KLTrace(
                 eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
                 recorded_steps=recorded.copy(), per_step_sq_diffs=run_diffs,
-                cumulative_per_neighbor=cum, cumulative_worst=worst, diverged=diverged))
+                cumulative_per_neighbor=cum, cumulative_worst=worst, left_by=left_by[run]))
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,
@@ -739,11 +802,11 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
         raise ValueError("need at least one step")
     arch, n = features.arch, features.n
     live = np.ones(1, dtype=bool)
+    S = np.empty(arch.num_params)
 
-    def step(W: ParamVector, G: ParamVector):
-        S = lin_grad_sum(features, lin_forward(features, W)[0], labels,
-                         LossKind.LOGISTIC_SINGLE, G.flat[0])
-        np.divide(S, n, out=S)
+    def step(W: ParamVector, eta: float):
+        lin_grad_sum(features, lin_forward(features, W)[0], labels, LossKind.LOGISTIC_SINGLE, S)
+        _descend(W.flat[0], S, n, eta)
         return live, None
 
     # a stack of one run

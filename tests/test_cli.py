@@ -254,9 +254,28 @@ class TestEstimate:
         uncapped = self._stderr_lines(capsys, [*argv, "--cap", "18"], tmp_path)
         assert not any("replace-one pairs" in line for line in uncapped)
 
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_each_run_that_left_is_reported(self, tmp_path, capsys, command):
+        # the golden estimate-diverged-mixed and sweep-diverged cases: in the
+        # first, run 0 completes 5 of 8 steps and run 1 only 2; in the second,
+        # both runs of the width-32 cell complete 3 of 5 steps
+        common = ["--data", "synth:6", "--d", "4", "--runs", "2", "--record-every", "2"]
+        if command == "estimate":
+            argv = ["estimate", *common, "--width", "6", "--depth", "4", "--steps", "8",
+                    "--eta", "1e3", "--sigma2", "1"]
+            cell, left = "scheme=lecun width=6 depth=4", [(0, 6), (1, 3)]
+        else:
+            argv = ["sweep", *common, "--metric", "both", "--scheme", "he", "--widths", "4,32",
+                    "--depths", "3", "--steps", "5", "--eta", "100", "--sigma2", "1"]
+            cell, left = "scheme=he width=32 depth=3", [(0, 4), (1, 4)]
+        lines = self._stderr_lines(capsys, argv, tmp_path, exit_code=3)
+        assert [line for line in lines if " left at step " in line] == [
+            f"[{command}] {cell}: run {r} left at step {k} (gradient norm above the threshold)"
+            for r, k in left]
+
     @staticmethod
-    def _stderr_lines(capsys, argv, tmp_path):
-        assert main([*argv, "--out", str(tmp_path / "e.csv")]) == 0
+    def _stderr_lines(capsys, argv, tmp_path, exit_code=0):
+        assert main([*argv, "--out", str(tmp_path / "e.csv")]) == exit_code
         return capsys.readouterr().err.splitlines()
 
 class TestMcVerify:
@@ -459,6 +478,25 @@ class TestSweep:
             assert main([*argv, *extra, "--out", str(out)]) == 0
             got, want = self._bounds(out, 16, 32, 1)
             assert got == want
+
+    @pytest.mark.parametrize("command", ["estimate", "lazy", "sweep"])
+    def test_header_records_the_d_of_the_csv_trained_on(self, tmp_path, command):
+        # 5 features under --d 16: the header says d=5, and a rerun from it
+        # writes the same bytes
+        path = tmp_path / "five.csv"
+        save_csv(synth_sphere(12, 5, RngStream(3)), path)
+        argv = {"estimate": ["--width", "4", "--depth", "2", "--runs", "1"],
+                "lazy": ["--width", "16", "--depth", "2"],
+                "sweep": ["--metric", "empirical", "--widths", "4", "--depths", "2",
+                          "--runs", "1"]}[command]
+        out = tmp_path / "o.csv"
+        assert main([command, "--data", f"csv:{path}", "--d", "16", "--steps", "2", *argv,
+                     "--out", str(out)]) == 0
+        header, _, _ = _read_table(out)
+        assert header["d"] == "5"
+        original = out.read_bytes()
+        assert main([command, "--config", str(out)]) == 0
+        assert out.read_bytes() == original
 
     @pytest.mark.parametrize("neighbor, n", [("remove", 12), ("replace", 9)])
     def test_analytic_rows_bound_the_csv_data_trained_on(self, tmp_path, neighbor, n):

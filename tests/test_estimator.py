@@ -42,6 +42,7 @@ from klpriv.network import (
     forward_batch,
     init_betas,
     jacobian_batch,
+    loss_backprop,
     per_example_grad_batch,
     sample_init,
 )
@@ -116,8 +117,8 @@ class TestNoisyGdStep:
         # the noise of a training run is a function of its stream alone
         def iterates(stream):
             # the trainer yields one stack updated in place: copy each iterate
-            def step(W, G):
-                np.multiply(W.flat, 0.5, out=G.flat)
+            def step(W, eta):
+                estimator._descend(W.flat, 0.5 * W.flat, 1, eta)
                 return ONE_ROW, None
 
             return [W.flat.copy() for _, W, _ in estimator._noisy_gd(
@@ -208,6 +209,12 @@ def _linear_grad(W):
     return 0.3 * W.flat - 0.1
 
 
+def _linear_step(W, eta):
+    """The gradient half of a step with _linear_grad, taken in place as the
+    step statistics take theirs."""
+    estimator._descend(W.flat, _linear_grad(W), 1, eta)
+
+
 def _hand_written_chain(W, eta, sigma2, stream, steps):
     """Iterates of noisy GD with _linear_grad on one vector, step k drawing from
     ``stream.child(k)``."""
@@ -221,11 +228,12 @@ def _hand_written_chain(W, eta, sigma2, stream, steps):
 
 class TestNoisyGdTrainer:
     def test_yields_completed_iterates_until_step_stops(self):
-        seen = []
+        seen, etas = [], []
 
-        def step(W, G):
+        def step(W, eta):
             seen.append(W.flat.copy())
-            G.flat[:] = _linear_grad(W)
+            etas.append(eta)
+            _linear_step(W, eta)
             return np.array([len(seen) < 3]), len(seen)
 
         W0 = _stack(_weights(0))
@@ -236,7 +244,8 @@ class TestNoisyGdTrainer:
         assert [payload for _, _, _, payload in out] == [1, 2]
         assert all(rows.tolist() == [0] for rows, _, _, _ in out)
         assert out[0][1] is out[1][1] and not np.shares_memory(out[0][1].flat, W0.flat)
-        # step k saw the iterate step k-1 yielded; the stopping step updates nothing
+        assert etas == [0.05] * 3
+        # step k saw the iterate step k-1 yielded; the stopping step yields nothing
         assert seen[0].tobytes() == before.tobytes()
         assert [flat.tobytes() for _, _, flat, _ in out] == [x.tobytes() for x in seen[1:]]
         # the caller's stack is never written
@@ -254,9 +263,9 @@ class TestNoisyGdTrainer:
                                 runs * ARCH.num_params + above)
             helpers = []
 
-            def step(W, G):
+            def step(W, eta):
                 helpers.append(len(set(threading.enumerate()) - before))
-                G.flat[:] = _linear_grad(W)
+                _linear_step(W, eta)
                 return np.ones(len(W.flat), dtype=bool), None
 
             streams = [RngStream(4).child(r) for r in range(runs)]
@@ -282,14 +291,14 @@ class TestNoisyGdTrainer:
         # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
         monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 4 * ARCH.num_params + above)
         stops = {1: 2, 3: 4}
-        calls, buffers = [], []
+        calls, stacks, etas = [], [], []
 
-        def step(W, G):
+        def step(W, eta):
             k = len(calls)
             calls.append(len(W.flat))
-            buffers.append((G, W))
-            assert G.flat.shape == W.flat.shape and not np.shares_memory(G.flat, W.flat)
-            G.flat[:] = _linear_grad(W)
+            stacks.append(W)
+            etas.append(eta)
+            _linear_step(W, eta)
             rows = [r for r in range(4) if stops.get(r, 99) > k - 1]
             return np.array([stops.get(r, 99) > k for r in rows]), k
 
@@ -299,12 +308,11 @@ class TestNoisyGdTrainer:
         out = [(rows.tolist(), W.flat.copy(), k) for rows, W, k in estimator._noisy_gd(
             _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
         assert calls == [4, 4, 4, 3, 3, 2]
-        # one gradient buffer per stack: the same object until a row leaves,
-        # then the survivors' compacted rows, next to a compacted iterate
-        Gs = [G for G, _ in buffers]
-        assert Gs[0] is Gs[1] is Gs[2] and Gs[3] is Gs[4]
-        assert len({id(G) for G in Gs}) == 3
-        assert len({id(W) for _, W in buffers}) == 3
+        assert etas == [eta] * steps
+        # one iterate per stack: the same object until a row leaves, then the
+        # survivors' compacted rows
+        assert stacks[0] is stacks[1] is stacks[2] and stacks[3] is stacks[4]
+        assert len({id(W) for W in stacks}) == 3
         assert [rows for rows, _, _ in out] == [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
         assert [k for _, _, k in out] == list(range(steps))
         for r, stream in enumerate(streams):
@@ -525,6 +533,8 @@ class TestRunKlEstimation:
         assert res.diverged_any
         for t in res.traces:
             assert t.diverged
+            assert t.left_by == "gradient norm above the threshold"
+            assert t.per_step_sq_diffs.shape[0] == 0        # left at step 1
             assert np.all(np.isinf(t.cumulative_worst))
             assert np.all(np.isinf(t.cumulative_per_neighbor))
         assert np.all(np.isinf(replay_worst(res.traces[0])))
@@ -557,7 +567,7 @@ class TestRunKlEstimation:
         trace = estimator.KLTrace(eta=0.3, sigma2=0.7, convention=KLConstant.PAPER,
                                   recorded_steps=recorded, per_step_sq_diffs=sq,
                                   cumulative_per_neighbor=None, cumulative_worst=None,
-                                  diverged=completed < steps)
+                                  left_by="non-finite outputs" if completed < steps else None)
         # a cumulative sum over steps is the reference the running sum must match
         cum = np.cumsum(0.3 / (2.0 * 0.7) * sq, axis=0)
         want = [cum[k - 1].max() if k <= completed else math.inf for k in recorded]
@@ -691,6 +701,7 @@ def _assert_same_bits(a, b):
     assert _same_bytes(a.worst_std, b.worst_std)
     for ta, tb in zip(a.traces, b.traces, strict=True):
         assert ta.diverged is tb.diverged
+        assert ta.left_by == tb.left_by
         assert _same_bytes(ta.per_step_sq_diffs, tb.per_step_sq_diffs)
         assert _same_bytes(ta.cumulative_per_neighbor, tb.cumulative_per_neighbor)
         assert _same_bytes(ta.cumulative_worst, tb.cumulative_worst)
@@ -765,7 +776,7 @@ class TestOverlappedNoise:
         before = set(threading.enumerate())
         helpers_seen = []
 
-        def failing_stats(self, W, G):
+        def failing_stats(self, W, eta):
             helpers_seen.append(len(set(threading.enumerate()) - before))
             raise RuntimeError("statistics failed")
 
@@ -836,6 +847,11 @@ class TestStackedRuns:
             single = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == completed
         assert [t.diverged for t in single.traces] == [c < steps for c in completed]
+        # each run that left did so at step completed + 1, by the rule the case is for
+        rule = ("gradient norm above the threshold" if threshold < math.inf
+                else "non-finite S^2")
+        assert [t.left_by for t in single.traces] == [rule if c < steps else None
+                                                      for c in completed]
         _assert_same_bits(stacked, single)
 
     def test_non_finite_outputs_leave_at_that_step(self, monkeypatch):
@@ -861,6 +877,8 @@ class TestStackedRuns:
         single = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == [3, 0, 3, 0]
         assert [t.diverged for t in single.traces] == [False, True, False, True]
+        assert [t.left_by for t in single.traces] == [None, "non-finite outputs",
+                                                      None, "non-finite outputs"]
         for t in single.traces:
             assert t.diverged or np.isfinite(t.per_step_sq_diffs).all()
         _assert_same_bits(stacked, single)
@@ -880,6 +898,7 @@ class TestStackedRuns:
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.per_step_sq_diffs.shape[0] for t in res.traces] == [0, 0, 0]
         assert all(t.diverged for t in res.traces)
+        assert [t.left_by for t in res.traces] == ["non-finite differences"] * 3
         assert not np.isnan(res.worst_mean).any()
 
     def test_noise_keys_are_the_run_streams(self, monkeypatch):
@@ -932,15 +951,12 @@ class TestStackedRuns:
         assert estimator._stack_size(LinearizedModel(W0), 2) == 1
 
 
-def _grad_buffer(W):
-    """A gradient buffer for the stack ``W``, as the trainer allocates it."""
-    return ParamVector(W.arch, np.empty(W.flat.shape))
-
-
-def _lin_stats(stats, W, G):
-    """``(finite, S_sq, diffs)`` of the step statistics at ``W`` and a copy of
-    the mean gradient they wrote into ``G``."""
-    return (*stats(W, G), G.flat.copy())
+def _lin_stats(stats, W, eta=0.5):
+    """``(finite, S_sq, diffs)`` of the step statistics at ``W``, the iterate
+    they descend to from a copy of ``W`` and a copy of their S buffer, which
+    they leave holding eta * S / n."""
+    W = W.copy()
+    return (*stats(W, eta), W.flat.copy(), stats.S.copy())
 
 
 def _lin_step_setup(notion, o, n=6, width=6):
@@ -962,15 +978,14 @@ class TestLinStepStats:
     def test_reused_buffers_equal_fresh_steps(self, notion, o):
         W0, data, neighbors, loss, stacks = _lin_step_setup(notion, o)
         stats = estimator._LinStepStats(W0, data, neighbors, loss)
-        G = _grad_buffer(stacks[0])
-        # the same statistics and gradient buffer at both steps, as in training
-        reused = [_lin_stats(stats, W, G) for W in stacks]
+        # the same statistics and S buffer at both steps, as in training
+        reused = [_lin_stats(stats, W) for W in stacks]
         assert not _same_bytes(reused[0][2], reused[1][2])
         assert not _same_bytes(reused[0][3], reused[1][3])
+        assert not _same_bytes(reused[0][4], reused[1][4])
         for got, W in zip(reused, stacks):
-            fresh = _lin_stats(estimator._LinStepStats(W0, data, neighbors, loss), W,
-                               _grad_buffer(W))
-            assert len(got) == len(fresh) == 4
+            fresh = _lin_stats(estimator._LinStepStats(W0, data, neighbors, loss), W)
+            assert len(got) == len(fresh) == 5
             assert all(_same_bytes(a, b) for a, b in zip(got, fresh))
 
     def test_add_one_step_allocates_less_than_a_data_gradient_matrix(self):
@@ -978,13 +993,14 @@ class TestLinStepStats:
                                                              width=32)
         matrix_bytes = 8 * data.n * W0.arch.num_params
         stats = estimator._LinStepStats(W0, data, neighbors, loss)
-        G = _grad_buffer(stacks[0])
-        stats(stacks[0], G)
+        # the steps descend copies: stacks[0] is a view of W0
+        stats(stacks[0].copy(), 0.5)
         # the tracer sees numpy's buffers: the explicit rows count in full
         W = ParamVector(W0.arch, stacks[1].flat[0])
         assert _peak_bytes(lambda: lin_per_example_grads(stats.features, W, data.Y, loss)) \
             >= matrix_bytes
-        assert _peak_bytes(lambda: stats(stacks[1], G)) < matrix_bytes
+        stack = stacks[1].copy()
+        assert _peak_bytes(lambda: stats(stack, 0.5)) < matrix_bytes
 
 
 def _block_setup(n, m, o, wide, seed):
@@ -1025,15 +1041,17 @@ class TestLinBlockStats:
                     continue
                 neighbors = enumerate_neighbors(data, notion, pool=pool)
                 stats = estimator._LinStepStats(W0, data, neighbors, loss)
-                stack = ParamVector(W.arch, W.flat[None])
-                mean_grad = _grad_buffer(stack)
-                _, S_sq, diffs = stats(stack, mean_grad)
+                # a copy: the step descends its stack in place
+                stack = ParamVector(W.arch, W.flat[None].copy())
+                _, S_sq, diffs = stats(stack, 1.0)
                 G = lin_per_example_grads(stats.features, W, data.Y, loss)
                 Gp = None
                 if notion is Neighbor.ADD_ONE:
                     Gp = lin_per_example_grads(stats.pool_features, W, pool.Y, loss)
                 S = G.sum(axis=0)
-                assert _same_bytes(mean_grad.flat[0], S / n)
+                # with eta = 1 the step leaves S / n in its buffer and descends by it
+                assert _same_bytes(stats.S, S / n)
+                assert _same_bytes(stack.flat[0], W.flat - S / n)
                 assert _same_bytes(S_sq[0], S @ S)
                 assert _same_bytes(diffs[0], neighbor_grad_diffs(G, Gp, notion))
                 # the norms and dots of the notion's blocks, against the full matrix
@@ -1042,7 +1060,7 @@ class TestLinBlockStats:
                 blocks = estimator._BlockGrads(len(rows), _grad_blocks(
                     features, lin_forward(features, W), Y, loss), S)
                 assert _same_bytes(blocks.norms_sq(), np.einsum("ip,ip->i", rows, rows))
-                assert _same_bytes(blocks.dots(S), rows @ S)
+                assert _same_bytes(blocks.dots, rows @ S)
 
 
 class TestLinearizedMemory:
@@ -1087,13 +1105,17 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-class TestTrainingMemory:
-    """Noisy GD holds three stack-sized arrays."""
+# deep and narrow, few records: the stack-sized arrays dominate the step's
+# other buffers (the largest layer is 0.16 P, activations n x 96)
+_MEMORY_ARCH = NetArch.uniform(8, 96, 8, 1)
 
-    def test_dnn_steps_hold_three_stack_sized_arrays(self):
-        # deep and narrow, few records: the stack-sized arrays dominate the
-        # step's other buffers (the largest layer is 0.16 P, activations n x 96)
-        arch = NetArch.uniform(8, 96, 8, 1)
+
+class TestTrainingMemory:
+    """Noisy GD holds two stack-sized arrays, the iterate and the noise; a
+    network step adds one layer-block scratch, never a gradient stack."""
+
+    def test_dnn_steps_hold_two_stack_sized_arrays(self):
+        arch = _MEMORY_ARCH
         data = synth_sphere(4, 8, RngStream(1))
         neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
         model = DnnModel(arch, "lecun")
@@ -1102,11 +1124,53 @@ class TestTrainingMemory:
         cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=runs)
         run_kl_estimation(model, data, neighbors, cfg)         # caches filled
         stack_bytes = 8 * runs * arch.num_params
-        # three stacks (the iterate, the noise and one gradient) and the
-        # step's smaller buffers read 3.3 stacks here; one more stack-sized
-        # array would pass 4
+        # two stacks (the iterate and the noise) and the step's smaller
+        # buffers read 2.44 stacks here; one more stack-sized array would
+        # pass 3.4
         peak = _peak_bytes(lambda: run_kl_estimation(model, data, neighbors, cfg))
-        assert peak < 3.5 * stack_bytes
+        assert peak < 2.75 * stack_bytes
+
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_trainer_allocates_two_stacks_and_a_step_one_block(self, monkeypatch, notion):
+        arch, R = _MEMORY_ARCH, 2
+        data = synth_sphere(4, 8, RngStream(1))
+        pool = synth_sphere(3, 8, RngStream(2))
+        neighbors = enumerate_neighbors(data, notion, pool=pool)
+        model = DnnModel(arch, "lecun")
+        assert estimator._stack_size(model, R) == R
+        stack_bytes = 8 * R * arch.num_params
+        block = R * max(rows * cols for rows, cols in arch.layer_shapes)
+        # what a step holds of its forward and backward passes, at their peak
+        W = estimator._init_stack(model, 0, np.arange(R))
+        batches = [data] if notion is Neighbor.REMOVE_ONE else [data, pool]
+        passes = _peak_bytes(lambda: [loss_backprop(W, ds.X, ds.Y, LossKind.LOGISTIC_SINGLE)
+                                      for ds in batches])
+        stacks, peaks, scratch = [], [], []
+        call = estimator._DnnStepStats.__call__
+
+        def traced(self, W, eta):
+            stacks.append(sum(t.size == stack_bytes for t in tracemalloc.take_snapshot().traces))
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call(self, W, eta)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base - passes) / (8 * block))
+            scratch.append(self.scratch.size)
+            return out
+
+        monkeypatch.setattr(estimator._DnnStepStats, "__call__", traced)
+        cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=R)
+        tracemalloc.start()
+        try:
+            assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
+        finally:
+            tracemalloc.stop()
+        # at every step the trainer holds two (R, P) arrays: the iterate and the noise
+        assert stacks == [2] * cfg.steps
+        # the first step allocates the (R, largest block) scratch that later
+        # steps reuse; each step also holds the S^2 temporary B * B of one
+        # block.  Here they read 1.94 and 0.93 blocks; an (R, P) array is 6.1
+        assert scratch == [block] * cfg.steps
+        assert peaks[0] < 2.25 and max(peaks[1:]) < 1.25
 
     @pytest.mark.parametrize("notion", list(Neighbor))
     def test_parameter_vectors_do_not_grow_with_the_steps(self, monkeypatch, notion):

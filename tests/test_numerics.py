@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from klpriv import cli, numerics
 from klpriv.estimator import run_streams
@@ -130,6 +132,17 @@ class TestPhiloxKeys:
                 assert np.array_equal(got, expected)
             assert np.array_equal(numerics._philox_keys(seed, streams[:1].reshape(())),
                                   expected[0])
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(seed=st.one_of(*(st.integers(0, 2**b - 1) for b in (8, 32, 64))),
+           stream=st.one_of(*(st.integers(0, 2**b - 1) for b in (8, 32, 64))))
+    def test_one_key_on_python_ints_matches_seed_sequence(self, seed, stream):
+        # a stream's own key, from Python ints of every width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            key = RngStream(seed, stream).keys()
+        assert key.shape == (2,) and key.dtype == np.uint64
+        assert key.tobytes() == _seed_sequence_key(seed, stream).tobytes()
 
     def test_broadcast_shapes(self):
         keys = numerics._philox_keys(np.arange(3, dtype=np.uint64)[:, None], [5, 2**40])
