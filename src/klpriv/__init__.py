@@ -41,7 +41,6 @@ from .estimator import (
     mc_output_sqnorm,
     neighbor_grad_diffs,
     noisy_gd_step,
-    replay_worst,
     run_kl_estimation,
     run_streams,
 )

@@ -35,13 +35,11 @@ from .estimator import (
     DnnModel,
     LinearizedModel,
     TrainConfig,
-    _mean_std_over_runs,
     _recorded_steps,
     lin_averaged_iterate,
     mc_grad_norm_at_init,
     mc_linearized_grad_diff,
     mc_output_sqnorm,
-    replay_worst,
     run_kl_estimation,
     run_streams,
 )
@@ -110,7 +108,8 @@ class RunConfig:
     pool_size: int = _flag(8, ("estimate", "sweep"))
     record_every: int = _flag(1, ("estimate", "sweep"))
     cap: int = _flag(256, ("estimate", "sweep"))
-    replay_sigma2: float | None = _flag(None, ("estimate",))
+    # a flag of no command: its header line stays until the headers are trimmed
+    replay_sigma2: float | None = _flag(None, ())
     label_column: str = _flag("label", ("estimate", "lazy", "sweep"))
     widths: str = _flag("16,64,256", ("sweep",))
     depths: str = _flag("3", ("sweep",))
@@ -137,10 +136,6 @@ class RunConfig:
             raise ValueError(f"runs must be below {_DATA_CHILD}")
         if self.pool_size < 1 or self.cap < 1 or self.record_every < 1:
             raise ValueError("pool-size, cap and record-every must be positive")
-        if self.replay_sigma2 is not None and self.replay_sigma2 <= 0:
-            raise ValueError("replay sigma2 must be positive")
-        if self.replay_sigma2 is not None and self.out is None:
-            raise ValueError("--replay-sigma2 needs --out to name the replay file")
 
     def header_items(self) -> list[tuple[str, str]]:
         items = []
@@ -379,24 +374,21 @@ def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset |
     for r, trace in enumerate(result.traces):
         if trace.left_by is not None:
             print(f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}: "
-                  f"run {r} left at step {trace.per_step_sq_diffs.shape[0] + 1} "
+                  f"run {r} left at step {trace.completed + 1} "
                   f"({trace.left_by})", file=sys.stderr)
     return result
 
 
-def _trace_rows(result, worst: np.ndarray | None = None) -> list[tuple]:
+def _trace_rows(result) -> list[tuple]:
     """(step, mean, std, diverged) rows of a KL trace table, from step 0 on.
 
-    Mean and std are over runs of the worst-neighbor KL: the result's own, or
-    that of ``worst`` (one row per run, as from :func:`replay_worst`).
-    ``diverged`` is 1 where some run diverged before the step.
+    Mean and std are over runs of the worst-neighbor KL; ``diverged`` is 1
+    where some run diverged before the step.
     """
-    means, stds = ((result.worst_mean, result.worst_std) if worst is None
-                   else _mean_std_over_runs(worst))
     rows = [(0, 0.0, 0.0, 0)]
-    for step, mean, std in zip(result.recorded_steps.tolist(), means, stds):
-        diverged = any(t.diverged and step > t.per_step_sq_diffs.shape[0]
-                       for t in result.traces)
+    for step, mean, std in zip(result.recorded_steps.tolist(), result.worst_mean,
+                               result.worst_std):
+        diverged = any(t.diverged and step > t.completed for t in result.traces)
         rows.append((step, float(mean), float(std), 1 if diverged else 0))
     return rows
 
@@ -416,11 +408,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
                   for j in range(t.cumulative_per_neighbor.size)]
         _write_table(cfg, ["run", "neighbor", "kl_final"], detail,
                      cfg.out + ".neighbors.csv")
-        if cfg.replay_sigma2 is not None:
-            worst = np.stack([replay_worst(t, sigma2=cfg.replay_sigma2)
-                              for t in result.traces])
-            _write_table(cfg, ["epochs", "kl_means", "kl_stds", "diverged"],
-                         _trace_rows(result, worst), cfg.out + ".replay.csv")
     return 3 if result.diverged_any else 0
 
 
@@ -430,7 +417,8 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
     base = RngStream(cfg.seed)
     x = _sphere_input(cfg.d, cfg.seed)
     if cfg.outputs == 1:
-        xb = _sphere_input(cfg.d, cfg.seed + 1)
+        # wrapped to 64 bits, so the largest seed draws its second record too
+        xb = _sphere_input(cfg.d, (cfg.seed + 1) % (1 << 64))
     arch = NetArch.uniform(cfg.d, cfg.width, cfg.depth, cfg.outputs)
     for si, scheme in enumerate(_schemes(cfg)):
         checks = [

@@ -4,8 +4,6 @@ A run trains on the dataset D only.  At every step the per-example gradients
 give, for each neighbor candidate D', the squared empirical-gradient
 difference ||grad L(W; D) - grad L(W; D')||^2; scaled by eta over the
 convention constant times sigma^2 these accumulate into the KL estimate.
-Traces keep the raw squared differences so a different noise level or
-constant convention can be replayed without retraining.
 """
 
 from __future__ import annotations
@@ -145,22 +143,23 @@ class KLTrace:
     """One training run's accumulation record.
 
     ``per_step_sq_diffs`` has one row per completed step and one column per
-    neighbor; replaying it with another sigma^2 or constant convention only
-    rescales the accumulation.  After a divergence abort the remaining
-    recorded entries are infinite.  ``left_by`` names the first of the
-    _LEAVE_RULES that fired at the step the run left, the step after its last
-    completed one; it is None for a run that completed every step, and a
-    run ``diverged`` exactly when it left.
+    neighbor.  After a divergence abort ``cumulative_per_neighbor`` and the
+    recorded entries of ``cumulative_worst`` past the last completed step
+    are infinite.  ``left_by`` names the first of the _LEAVE_RULES that fired
+    at the step the run left, the step after its last completed one; it is
+    None for a run that completed every step, and a run ``diverged`` exactly
+    when it left.
     """
 
-    eta: float
-    sigma2: float
-    convention: KLConstant
-    recorded_steps: np.ndarray
     per_step_sq_diffs: np.ndarray
     cumulative_per_neighbor: np.ndarray
     cumulative_worst: np.ndarray
     left_by: str | None
+
+    @property
+    def completed(self) -> int:
+        """The number of steps the run completed."""
+        return self.per_step_sq_diffs.shape[0]
 
     @property
     def diverged(self) -> bool:
@@ -175,7 +174,10 @@ class KLEstimationResult:
     recorded_steps: np.ndarray
     worst_mean: np.ndarray
     worst_std: np.ndarray
-    diverged_any: bool
+
+    @property
+    def diverged_any(self) -> bool:
+        return any(t.diverged for t in self.traces)
 
 
 @dataclass(frozen=True)
@@ -760,30 +762,12 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
             cum, worst = _accumulate(run_diffs, scale, recorded)
             if left_by[run] is not None:
                 cum = np.full(neighbors.count, math.inf)
-            traces.append(KLTrace(
-                eta=cfg.eta, sigma2=cfg.sigma2, convention=cfg.kl_constant,
-                recorded_steps=recorded.copy(), per_step_sq_diffs=run_diffs,
-                cumulative_per_neighbor=cum, cumulative_worst=worst, left_by=left_by[run]))
+            traces.append(KLTrace(per_step_sq_diffs=run_diffs, cumulative_per_neighbor=cum,
+                                  cumulative_worst=worst, left_by=left_by[run]))
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,
-                              worst_mean=worst_mean, worst_std=worst_std,
-                              diverged_any=any(t.diverged for t in traces))
-
-
-def replay_worst(trace: KLTrace, sigma2: float | None = None,
-                 convention: KLConstant | None = None) -> np.ndarray:
-    """Re-accumulate a trace's worst-neighbor KL under different constants.
-
-    Only the accumulation constant changes; the recorded trajectory and its
-    squared gradient differences are reused as is.
-    """
-    sigma2 = trace.sigma2 if sigma2 is None else sigma2
-    convention = trace.convention if convention is None else convention
-    if sigma2 <= 0:
-        raise ValueError("noise variance must be positive")
-    scale = trace.eta / (convention.denominator_factor * sigma2)
-    return _accumulate(trace.per_step_sq_diffs, scale, trace.recorded_steps)[1]
+                              worst_mean=worst_mean, worst_std=worst_std)
 
 
 def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: float,

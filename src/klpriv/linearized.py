@@ -132,16 +132,14 @@ def lin_grad_sum(features: NtkFeatures, preds: np.ndarray, Y, loss: LossKind,
     return S
 
 
-def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind,
-                          rows: np.ndarray | None = None) -> np.ndarray:
+def lin_per_example_grads(features: NtkFeatures, W: ParamVector, Y, loss: LossKind) -> np.ndarray:
     """Per-example loss gradients of the linearized model, shape (n, P).
 
-    They are written block by block into ``rows``, an (n, P) buffer, when
-    one is given, else into a fresh one; no gradient sum is formed.
+    They are written block by block into a fresh (n, P) array; no gradient
+    sum is formed.
     """
     preds = lin_forward(features, W.expect_single("W"))
-    if rows is None:
-        rows = np.empty((preds.shape[0], features.arch.num_params))
+    rows = np.empty((preds.shape[0], features.arch.num_params))
     for _ in _grad_blocks(features, preds, Y, loss, rows):
         pass
     return rows

@@ -163,36 +163,22 @@ class TestEstimate:
         assert columns == ["run", "neighbor", "kl_final"]
         assert len(rows) == 2 * 6        # runs x remove-one neighbors
 
-    def test_replay_halves_kl_exactly(self, tmp_path):
+    def test_kl_overflow_is_not_divergence(self, tmp_path):
+        # eta / (2 * 1e-320) overflows: every KL is inf, yet no run diverged
         out = tmp_path / "e.csv"
-        assert main(["estimate", *_FAST_ESTIMATE, "--replay-sigma2", "0.04",
-                     "--out", str(out)]) == 0
+        assert main(["estimate", *_FAST_ESTIMATE, "--sigma2", "1e-320", "--out", str(out)]) == 0
         _, _, rows = _read_table(out)
-        _, _, replay_rows = _read_table(str(out) + ".replay.csv")
-        assert len(rows) == len(replay_rows)
-        for row, rrow in zip(rows, replay_rows):
-            assert row[0] == rrow[0]
-            assert float(rrow[1]) == pytest.approx(float(row[1]) / 2.0, rel=1e-15)
+        assert [r[3] for r in rows] == ["0"] * 5
+        assert [r[1] for r in rows[1:]] == ["inf"] * 4
 
-    def test_replay_requires_out(self, capsys, monkeypatch):
-        def no_training(*args):
-            raise AssertionError("trained before rejecting the options")
-
-        monkeypatch.setattr("klpriv.cli.run_kl_estimation", no_training)
-        assert main(["estimate", *_FAST_ESTIMATE, "--replay-sigma2", "0.04"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--out" in captured.err
-
-    def test_replay_overflow_is_not_divergence(self, tmp_path):
-        # eta / (2 * 1e-320) overflows: every replayed KL is inf, yet no run diverged
-        out = tmp_path / "e.csv"
-        assert main(["estimate", *_FAST_ESTIMATE, "--replay-sigma2", "1e-320",
-                     "--out", str(out)]) == 0
-        _, _, rows = _read_table(out)
-        _, _, replay_rows = _read_table(str(out) + ".replay.csv")
-        assert [r[3] for r in rows] == [r[3] for r in replay_rows] == ["0"] * 5
-        assert [r[1] for r in replay_rows[1:]] == ["inf"] * 4
+    def test_config_key_of_no_flag_is_ignored(self, tmp_path):
+        # older artifacts set replay_sigma2, which no command takes any more
+        cfg, out = tmp_path / "c.cfg", tmp_path / "e.csv"
+        cfg.write_text("replay_sigma2=0.04\n")
+        assert main(["estimate", "--config", str(cfg), *_FAST_ESTIMATE, "--out", str(out)]) == 0
+        assert _read_table(out)[0]["replay_sigma2"] == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "e.csv",
+                                                              "e.csv.neighbors.csv"]
 
     def test_divergence_exit_code(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -314,6 +300,14 @@ class TestMcVerify:
         assert rc == 0
         _, _, rows = _read_table(out)
         assert {row[1] for row in rows} == {"grad_norm_init", "output_sqnorm_init"}
+
+    def test_largest_seed(self, tmp_path):
+        # the second record is drawn at seed + 1, which wraps to 0 here
+        out = tmp_path / "m.csv"
+        assert main(["mc-verify", "--seed", str(2**64 - 1), "--scheme", "he", "--d", "4",
+                     "--width", "4", "--depth", "2", "--samples", "2", "--out", str(out)]) == 0
+        assert [row[1] for row in _read_table(out)[2]] == [
+            "grad_norm_init", "output_sqnorm_init", "linearized_grad_diff"]
 
 
 class TestLazy:
@@ -556,8 +550,8 @@ class TestConfigFile:
 
     def test_empty_value_only_for_optional_fields(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("out=\nreplay_sigma2=\n")
-        assert load_config_file(str(cfg)) == {"out": None, "replay_sigma2": None}
+        cfg.write_text("out=\nridge=\n")
+        assert load_config_file(str(cfg)) == {"out": None, "ridge": None}
         cfg.write_text("steps=\n")
         assert main(["estimate", "--config", str(cfg)]) == 2
         assert "'steps'" in capsys.readouterr().err
@@ -578,8 +572,7 @@ class TestConfigFile:
 # every float flag, with a command that takes it
 FLOAT_FLAGS = [("estimate", "eta"), ("bound", "sigma2"), ("bound", "time"),
                ("bound", "x-sqnorm"), ("bound", "beta-smooth"), ("bound", "c-grad"),
-               ("bound", "e-delta0"), ("bound", "e-grad0"), ("lazy", "ridge"),
-               ("estimate", "replay-sigma2")]
+               ("bound", "e-delta0"), ("bound", "e-grad0"), ("lazy", "ridge")]
 
 
 class TestRunConfig:
@@ -602,11 +595,6 @@ class TestRunConfig:
             RunConfig(eta=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(neighbor="swap").validate()
-        with pytest.raises(ValueError):
-            RunConfig(replay_sigma2=0.0).validate()
-        with pytest.raises(ValueError, match="--out"):
-            RunConfig(replay_sigma2=0.04).validate()
-        RunConfig(replay_sigma2=0.04, out="e.csv").validate()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
@@ -619,7 +607,7 @@ class TestRunConfig:
 
     def test_float_flags_all_covered(self):
         floats = {f.name.replace("_", "-") for f in fields(RunConfig)
-                  if cli._FIELD_TYPES.get(f.name) is float}
+                  if cli._FIELD_TYPES.get(f.name) is float and f.metadata.get("commands")}
         assert floats == {flag for _, flag in FLOAT_FLAGS}
 
     def test_runs_stay_below_the_data_streams(self):
@@ -646,6 +634,7 @@ class TestRunConfig:
 UNREAD_FLAGS = [
     *(("bound", flag) for flag in ("seed", "runs", "neighbor", "pool-size", "record-every",
                                    "cap", "label-column")),
+    ("estimate", "replay-sigma2"),
     *(("mc-verify", flag) for flag in ("eta", "steps", "sigma2", "runs", "neighbor",
                                        "kl-constant", "data", "pool-size", "record-every",
                                        "cap", "label-column")),
@@ -676,7 +665,7 @@ class TestFlagsPerCommand:
                        "--c-grad", "1", "--rank-mt", "2", "--e-delta0", "1", "--e-grad0", "1"]],
             "estimate": [["--data", csv, "--linearize", *small],
                          ["--data", "synth:6", "--neighbor", "replace", "--pool-size", "2",
-                          "--replay-sigma2", "0.04", *small]],
+                          *small]],
             "mc-verify": [["--samples", "2"]],
             "lazy": [["--data", csv, "--steps", "2"], ["--data", "synth:6", "--steps", "0"]],
             "sweep": [["--data", csv, "--metric", "both", "--neighbor", "replace",

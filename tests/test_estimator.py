@@ -24,7 +24,6 @@ from klpriv.estimator import (
     mc_output_sqnorm,
     neighbor_grad_diffs,
     noisy_gd_step,
-    replay_worst,
     run_kl_estimation,
     run_streams,
 )
@@ -512,19 +511,6 @@ class TestRunKlEstimation:
                     epochs.append(steps)
                 assert [0, *estimator._recorded_steps(steps, every).tolist()] == epochs
 
-    def test_replay_identity_and_rescaling(self):
-        data, neighbors, model = _setup_estimation()
-        cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=1, seed=5)
-        res = run_kl_estimation(model, data, neighbors, cfg)
-        t = res.traces[0]
-        assert np.allclose(replay_worst(t), t.cumulative_worst, rtol=1e-12)
-        doubled = replay_worst(t, sigma2=0.02)
-        assert np.allclose(doubled, t.cumulative_worst / 2.0, rtol=1e-12)
-        exact = replay_worst(t, convention=KLConstant.EXACT)
-        assert np.allclose(exact, t.cumulative_worst / 2.0, rtol=1e-12)
-        with pytest.raises(ValueError):
-            replay_worst(t, sigma2=0.0)
-
     def test_divergence_flagged(self):
         data, neighbors, model = _setup_estimation()
         cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=2, seed=0,
@@ -534,51 +520,41 @@ class TestRunKlEstimation:
         for t in res.traces:
             assert t.diverged
             assert t.left_by == "gradient norm above the threshold"
-            assert t.per_step_sq_diffs.shape[0] == 0        # left at step 1
+            assert t.completed == 0        # left at step 1
             assert np.all(np.isinf(t.cumulative_worst))
             assert np.all(np.isinf(t.cumulative_per_neighbor))
-        assert np.all(np.isinf(replay_worst(res.traces[0])))
 
-    # eta=0.5, sigma2=20 with these thresholds diverges mid-run; 1e12 never does
-    @pytest.mark.parametrize("kind, threshold, diverges", [
-        ("dnn", 10.0, True), ("linearized", 1.4, True),
-        ("dnn", 1e12, False), ("linearized", 1e12, False)])
-    def test_replay_is_the_trace_bit_for_bit(self, kind, threshold, diverges):
+    # eta=0.5, sigma2=20: the steps each run completes under these thresholds;
+    # at 15 one stack holds runs that leave and a run that completes
+    @pytest.mark.parametrize("kind, threshold, steps, completed", [
+        ("dnn", 10.0, 8, [1, 4, 5]), ("dnn", 15.0, 8, [2, 4, 8]), ("dnn", 1e-300, 8, [0, 0, 0]),
+        ("linearized", 1.4, 8, [2, 8, 8]), ("dnn", 1e12, 40, [40, 40, 40]),
+        ("linearized", 1e12, 40, [40, 40, 40])])
+    def test_worst_is_the_cumsum_maximum_bit_for_bit(self, kind, threshold, steps, completed):
         data, neighbors, model = _setup_estimation()
         if kind == "linearized":
             model = _linearized_model(data)
-        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
+        cfg = TrainConfig(eta=0.5, steps=steps, sigma2=20.0, runs=3, seed=1, record_every=3,
                           divergence_threshold=threshold)
         res = run_kl_estimation(model, data, neighbors, cfg)
-        completed = [t.per_step_sq_diffs.shape[0] for t in res.traces]
-        if diverges:
-            assert any(0 < c < cfg.steps for c in completed)
-        else:
-            assert not res.diverged_any
-        for t in res.traces:
-            assert np.array_equal(replay_worst(t), t.cumulative_worst)
-
-    @pytest.mark.parametrize("steps, neighbors, completed", [(250, 16, 250), (7, 6, 4),
-                                                             (5, 3, 0)])
-    def test_replay_matches_cumsum_bit_for_bit(self, steps, neighbors, completed):
-        rng = np.random.default_rng(steps)
-        sq = rng.exponential(size=(completed, neighbors))
-        recorded = np.array([k for k in range(1, steps + 1) if k % 3 == 0 or k == steps])
-        trace = estimator.KLTrace(eta=0.3, sigma2=0.7, convention=KLConstant.PAPER,
-                                  recorded_steps=recorded, per_step_sq_diffs=sq,
-                                  cumulative_per_neighbor=None, cumulative_worst=None,
-                                  left_by="non-finite outputs" if completed < steps else None)
-        # a cumulative sum over steps is the reference the running sum must match
-        cum = np.cumsum(0.3 / (2.0 * 0.7) * sq, axis=0)
-        want = [cum[k - 1].max() if k <= completed else math.inf for k in recorded]
-        assert np.array_equal(replay_worst(trace), want)
+        assert [t.completed for t in res.traces] == completed
+        assert res.diverged_any is (min(completed) < steps)
+        scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
+        for t, done in zip(res.traces, completed):
+            # a cumulative sum over steps is the reference the running sum must match
+            cum = np.cumsum(scale * t.per_step_sq_diffs, axis=0)
+            want = [cum[k - 1].max() if k <= done else math.inf for k in res.recorded_steps]
+            assert np.array_equal(t.cumulative_worst, want)
+            assert np.array_equal(t.cumulative_per_neighbor,
+                                  np.full(neighbors.count, math.inf) if t.diverged else cum[-1])
 
     def test_add_and_replace_notions_run(self):
         for notion in (Neighbor.ADD_ONE, Neighbor.REPLACE_ONE):
             data, neighbors, model = _setup_estimation(notion=notion)
             cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1, seed=1)
             res = run_kl_estimation(model, data, neighbors, cfg)
-            assert res.traces[0].per_step_sq_diffs.shape == (3, neighbors.count)
+            assert res.traces[0].completed == 3
+            assert res.traces[0].cumulative_per_neighbor.shape == (neighbors.count,)
             assert np.all(np.isfinite(res.worst_mean))
 
     def test_single_run_std_is_zero(self):
@@ -743,7 +719,7 @@ class TestOverlappedNoise:
         cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1,
                           divergence_threshold=threshold)
         overlapped, inline = _on_both_paths(monkeypatch, model, data, neighbors, cfg)
-        completed = [t.per_step_sq_diffs.shape[0] for t in inline.traces]
+        completed = [t.completed for t in inline.traces]
         assert any(0 < c < cfg.steps for c in completed)     # diverges mid-run
         _assert_same_bits(overlapped, inline)
 
@@ -845,7 +821,7 @@ class TestStackedRuns:
             stacked = run_kl_estimation(model, data, neighbors, cfg)
             _one_run_per_stack(monkeypatch, model)
             single = run_kl_estimation(model, data, neighbors, cfg)
-        assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == completed
+        assert [t.completed for t in single.traces] == completed
         assert [t.diverged for t in single.traces] == [c < steps for c in completed]
         # each run that left did so at step completed + 1, by the rule the case is for
         rule = ("gradient norm above the threshold" if threshold < math.inf
@@ -875,7 +851,7 @@ class TestStackedRuns:
         stacked = run_kl_estimation(model, data, neighbors, cfg)
         _one_run_per_stack(monkeypatch, model)
         single = run_kl_estimation(model, data, neighbors, cfg)
-        assert [t.per_step_sq_diffs.shape[0] for t in single.traces] == [3, 0, 3, 0]
+        assert [t.completed for t in single.traces] == [3, 0, 3, 0]
         assert [t.diverged for t in single.traces] == [False, True, False, True]
         assert [t.left_by for t in single.traces] == [None, "non-finite outputs",
                                                       None, "non-finite outputs"]
@@ -896,7 +872,7 @@ class TestStackedRuns:
         cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=3, seed=2,
                           divergence_threshold=math.inf)
         res = run_kl_estimation(model, data, neighbors, cfg)
-        assert [t.per_step_sq_diffs.shape[0] for t in res.traces] == [0, 0, 0]
+        assert [t.completed for t in res.traces] == [0, 0, 0]
         assert all(t.diverged for t in res.traces)
         assert [t.left_by for t in res.traces] == ["non-finite differences"] * 3
         assert not np.isnan(res.worst_mean).any()

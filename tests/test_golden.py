@@ -55,8 +55,8 @@ CASES = {
     "multiclass-replace": (["estimate", *_MULTI, "--neighbor", "replace"], _NEIGHBORS),
     "multiclass-linearized-add": (["estimate", "--linearize", *_MULTI, "--neighbor", "add"],
                                   _NEIGHBORS),
-    "replay": (["estimate", *_TINY, "--replay-sigma2", "0.04", "--kl-constant", "exact",
-                "--record-every", "2"], (*_NEIGHBORS, ".replay.csv")),
+    "estimate-exact": (["estimate", *_TINY, "--kl-constant", "exact", "--record-every", "2"],
+                       _NEIGHBORS),
     "mc-verify": (["mc-verify", "--scheme", "all", "--d", "4", "--width", "8",
                    "--depth", "3", "--samples", "50", "--mc-n", "8"], ()),
     "mc-verify-multi": (["mc-verify", "--scheme", "ntk", "--d", "4", "--width", "8",
@@ -72,13 +72,11 @@ CASES = {
     # both runs diverge after step 2: step 2 finite, steps 4-8 inf with diverged=1
     "estimate-diverged": (["estimate", "--data", "synth:6", "--d", "4", "--width", "6",
                            "--depth", "4", "--steps", "8", "--runs", "2", "--eta", "1e4",
-                           "--sigma2", "1", "--record-every", "2", "--replay-sigma2", "4"],
-                          (*_NEIGHBORS, ".replay.csv")),
+                           "--sigma2", "1", "--record-every", "2"], _NEIGHBORS),
     # run 0 completes 5 steps, run 1 only 2
     "estimate-diverged-mixed": (["estimate", "--data", "synth:6", "--d", "4", "--width", "6",
                                  "--depth", "4", "--steps", "8", "--runs", "2", "--eta", "1e3",
-                                 "--sigma2", "1", "--record-every", "2",
-                                 "--replay-sigma2", "4"], (*_NEIGHBORS, ".replay.csv")),
+                                 "--sigma2", "1", "--record-every", "2"], _NEIGHBORS),
     # the width-32 cell diverges after step 2, the width-4 cell does not
     "sweep-diverged": (["sweep", "--metric", "both", "--scheme", "he", "--widths", "4,32",
                         "--depths", "3", "--d", "4", "--data", "synth:6", "--steps", "5",
