@@ -171,6 +171,21 @@ class TestEstimate:
         assert [r[3] for r in rows] == ["0"] * 5
         assert [r[1] for r in rows[1:]] == ["inf"] * 4
 
+    def test_exact_constant_halves_kl_exactly(self, tmp_path):
+        # the constant scales each step's charge, not the trajectory
+        paper, exact = tmp_path / "p.csv", tmp_path / "x.csv"
+        assert main(["estimate", *_FAST_ESTIMATE, "--out", str(paper)]) == 0
+        assert main(["estimate", *_FAST_ESTIMATE, "--kl-constant", "exact",
+                     "--out", str(exact)]) == 0
+        rows, halved = _read_table(paper)[2], _read_table(exact)[2]
+        assert [(r[0], r[3]) for r in halved] == [(r[0], r[3]) for r in rows]
+        for row, hrow in zip(rows, halved):
+            assert [float(v) for v in hrow[1:3]] == [float(v) / 2.0 for v in row[1:3]]
+        rows = _read_table(str(paper) + ".neighbors.csv")[2]
+        halved = _read_table(str(exact) + ".neighbors.csv")[2]
+        assert [r[:2] for r in halved] == [r[:2] for r in rows]
+        assert [float(r[2]) for r in halved] == [float(r[2]) / 2.0 for r in rows]
+
     def test_config_key_of_no_flag_is_ignored(self, tmp_path):
         # older artifacts set replay_sigma2, which no command takes any more
         cfg, out = tmp_path / "c.cfg", tmp_path / "e.csv"
@@ -308,6 +323,21 @@ class TestMcVerify:
                      "--width", "4", "--depth", "2", "--samples", "2", "--out", str(out)]) == 0
         assert [row[1] for row in _read_table(out)[2]] == [
             "grad_norm_init", "output_sqnorm_init", "linearized_grad_diff"]
+
+    @pytest.mark.parametrize("seed, second", [(7, 8), (2**64 - 1, 0)])
+    def test_second_record_seed(self, monkeypatch, capsys, seed, second):
+        # every seed below the largest keeps the second record it drew before
+        seeds, draw = [], cli._sphere_input
+
+        def recording(d, s):
+            seeds.append(s)
+            return draw(d, s)
+
+        monkeypatch.setattr("klpriv.cli._sphere_input", recording)
+        assert main(["mc-verify", "--seed", str(seed), "--scheme", "he", "--d", "4",
+                     "--width", "4", "--depth", "2", "--samples", "2"]) == 0
+        capsys.readouterr()
+        assert seeds == [seed, second]
 
 
 class TestLazy:

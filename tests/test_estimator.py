@@ -548,6 +548,40 @@ class TestRunKlEstimation:
             assert np.array_equal(t.cumulative_per_neighbor,
                                   np.full(neighbors.count, math.inf) if t.diverged else cum[-1])
 
+    # the constant scales each step's charge, not the trajectory, so exact is paper halved
+    @pytest.mark.parametrize("kind, threshold", [("dnn", 15.0), ("linearized", 1.4)])
+    def test_exact_constant_halves_the_trace_bit_for_bit(self, kind, threshold):
+        data, neighbors, model = _setup_estimation()
+        if kind == "linearized":
+            model = _linearized_model(data)
+        paper, exact = (run_kl_estimation(model, data, neighbors, TrainConfig(
+            eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
+            divergence_threshold=threshold, kl_constant=constant))
+            for constant in (KLConstant.PAPER, KLConstant.EXACT))
+        completed = [t.completed for t in paper.traces]
+        assert min(completed) < 8 and max(completed) > 0    # a run left, a run trained
+        assert [t.completed for t in exact.traces] == completed
+        assert [t.left_by for t in exact.traces] == [t.left_by for t in paper.traces]
+        for te, tp in zip(exact.traces, paper.traces):
+            assert np.array_equal(te.per_step_sq_diffs, tp.per_step_sq_diffs)
+            assert np.array_equal(te.cumulative_worst, tp.cumulative_worst / 2.0)
+            assert np.array_equal(te.cumulative_per_neighbor, tp.cumulative_per_neighbor / 2.0)
+        # a stack with a run that left has an inf mean and a nan spread
+        assert np.array_equal(exact.worst_mean, paper.worst_mean / 2.0, equal_nan=True)
+        assert np.array_equal(exact.worst_std, paper.worst_std / 2.0, equal_nan=True)
+
+    def test_diverged_any_follows_the_traces(self):
+        data, neighbors, model = _setup_estimation()
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
+                          divergence_threshold=15.0)
+        res = run_kl_estimation(model, data, neighbors, cfg)
+        assert [t.diverged for t in res.traces] == [True, True, False]
+        assert res.diverged_any
+        with pytest.raises(AttributeError):
+            res.diverged_any = False
+        res.traces = res.traces[2:]
+        assert not res.diverged_any
+
     def test_add_and_replace_notions_run(self):
         for notion in (Neighbor.ADD_ONE, Neighbor.REPLACE_ONE):
             data, neighbors, model = _setup_estimation(notion=notion)
