@@ -490,6 +490,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("widths and depths must be comma-separated integers")
     if not widths or not depths:
         raise ValueError("need at least one width and one depth")
+    # a bad grid exits before any cell runs, as estimate's --width and --depth do
+    bad = [f"width {w}" for w in widths if w < 1] + [f"depth {v}" for v in depths if v < 2]
+    if bad:
+        raise ValueError(f"widths must be at least 1 and depths at least 2, got {bad[0]}")
     train = cfg.metric in ("empirical", "both")
     if train:
         # the analytic rows bound the problem that the empirical rows train on

@@ -25,6 +25,7 @@ from .data import Dataset, Neighbor, NeighborSet
 from .linearized import (
     NtkFeatures,
     _grad_blocks,
+    _pm1_labels,
     build_features,
     lin_forward,
     lin_grad_sum,
@@ -391,7 +392,7 @@ class _FactoredGrads:
                    for D, Dp, H, Hp in zip(self.deltas, pool.deltas, self.acts, pool.acts))
 
 
-def _sq_diffs(n: int, notion: Neighbor, dots, S_sq, data, pool, pairs) -> np.ndarray:
+def _sq_diffs(n: int, notion: Neighbor, dots, S_sq, data, pool) -> np.ndarray:
     """Squared empirical-gradient differences against every neighbor candidate.
 
     The one formula per neighbor notion.  Through the gradient sum S of the
@@ -402,9 +403,9 @@ def _sq_diffs(n: int, notion: Neighbor, dots, S_sq, data, pool, pairs) -> np.nda
     :class:`_FactoredGrads`.  ``dots`` holds the dots with S of the rows
     the notion reads, the records' for remove-one and the candidates' for
     add-one; replace-one reads none (None).  Each notion asks only for what
-    it reads.  ``pairs`` restricts replace-one to (record, pool) index
-    pairs, all of them when None.  Statistics with a leading run axis
-    (``S_sq`` of shape (R,)) give one row per run.
+    it reads.  Replace-one covers the whole n x m grid, pair (i, j) at
+    position i m + j.  Statistics with a leading run axis (``S_sq`` of
+    shape (R,)) give one row per run.
     """
     S_sq = np.asarray(S_sq)[..., None]
     if notion is Neighbor.REMOVE_ONE:
@@ -415,19 +416,14 @@ def _sq_diffs(n: int, notion: Neighbor, dots, S_sq, data, pool, pairs) -> np.nda
     if notion is Neighbor.ADD_ONE:
         num = S_sq - 2.0 * n * dots + n * n * pool.norms_sq()
         return num / (n * n * (n + 1) * (n + 1))
-    # replace-one: ||g_i - g'_j||^2 / n^2 over the requested pairs
-    cross = data.cross(pool)
-    if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(cross.shape[-1])]
-    idx = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    num = (data.norms_sq()[..., idx[:, 0]] - 2.0 * cross[..., idx[:, 0], idx[:, 1]]
-           + pool.norms_sq()[..., idx[:, 1]])
-    return num / (n * n)
+    # replace-one: ||g_i - g'_j||^2 / n^2 over the row-major grid
+    num = (data.norms_sq()[..., :, None] - 2.0 * data.cross(pool)
+           + pool.norms_sq()[..., None, :])
+    return (num / (n * n)).reshape(*num.shape[:-2], -1)
 
 
 def neighbor_grad_diffs(per_example_grads, pool_grads=None,
-                        notion: Neighbor = Neighbor.REMOVE_ONE,
-                        pairs=None) -> np.ndarray:
+                        notion: Neighbor = Neighbor.REMOVE_ONE) -> np.ndarray:
     """Squared gradient differences against every neighbor candidate.
 
     Args:
@@ -435,12 +431,10 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
         pool_grads: gradients of the candidate records, an (m, P) array (add /
             replace only).
         notion: adjacency notion; determines the enumeration.
-        pairs: optional (record, pool) index pairs restricting replace-one,
-            as a sequence of pairs or an integer (K, 2) array.
 
     Returns:
         One squared difference per neighbor: n entries for remove-one, one
-        per pool record for add-one, one per (i, j) pair for replace-one.
+        per pool record for add-one, one per pair (i, j) at i m + j for replace-one.
     """
     G = _as_matrix(per_example_grads)
     pool = None
@@ -454,7 +448,7 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
         dots = G @ S
     elif notion is Neighbor.ADD_ONE:
         dots = pool.G @ S
-    return _sq_diffs(G.shape[0], notion, dots, S @ S, _ExplicitGrads(G), pool, pairs)
+    return _sq_diffs(G.shape[0], notion, dots, S @ S, _ExplicitGrads(G), pool)
 
 
 class _StepStats:
@@ -476,12 +470,8 @@ class _StepStats:
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
         self.data = data
         self.notion = neighbors.notion
-        self.pool = None if self.notion is Neighbor.REMOVE_ONE else neighbors.pool
+        self.pool = neighbors.pool
         self.loss = loss
-        self.pairs = None
-        if self.notion is Neighbor.REPLACE_ONE:
-            # built once: indexing with a ready (K, 2) array skips a per-step conversion
-            self.pairs = np.array(neighbors.indices, dtype=int).reshape(-1, 2)
 
 
 class _DnnStepStats(_StepStats):
@@ -532,7 +522,7 @@ class _DnnStepStats(_StepStats):
             if reader is not None:
                 dots = dots + reader.layer_dots(l, B)
             _descend(W.layer(l), B, self.data.n, eta)
-        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads, self.pairs)
+        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads)
         return finite, S_sq, diffs
 
 
@@ -590,7 +580,7 @@ class _LinStepStats(_StepStats):
                     pass
                 grads, pool_grads = _ExplicitGrads(self.rows), _ExplicitGrads(self.pool_rows)
         S_sq = S @ S
-        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads, self.pairs)
+        diffs = _sq_diffs(self.data.n, self.notion, dots, S_sq, grads, pool_grads)
         _descend(W.flat[0], S, self.data.n, eta)
         return np.array([finite]), S_sq[None], diffs[None]
 
@@ -658,32 +648,12 @@ def _init_stack(model, seed: int, runs: np.ndarray) -> ParamVector:
 
 
 def _check_neighbors(data: Dataset, neighbors: NeighborSet) -> None:
-    """Reject a neighbor set that does not enumerate the neighbors of ``data``."""
-    notion, count = neighbors.notion, neighbors.count
-    if notion is Neighbor.REMOVE_ONE:
-        if data.n < 2:
-            raise ValueError("remove-one estimation needs at least two records")
-        if count != data.n:
-            raise ValueError(f"remove-one set has {count} candidates for {data.n} records")
-        return
+    """Reject a set built for other data; a NeighborSet checks its own structure."""
+    if neighbors.n != data.n:
+        raise ValueError(f"neighbor set built for {neighbors.n} records, not {data.n}")
     pool = neighbors.pool
-    if pool is None:
-        raise ValueError(f"{notion.value} neighbors need a candidate pool")
-    if pool.d != data.d or pool.num_outputs != data.num_outputs:
+    if pool is not None and (pool.d != data.d or pool.num_outputs != data.num_outputs):
         raise ValueError("pool records must match the dataset shape")
-    if notion is Neighbor.ADD_ONE:
-        if count != pool.n:
-            raise ValueError(f"add-one set has {count} candidates for {pool.n} pool records")
-        return
-    if not count:
-        raise ValueError("replace-one set has no pairs")
-    if not all(0 <= i < data.n and 0 <= j < pool.n for i, j in neighbors.indices):
-        raise ValueError(f"replace-one pairs out of range for {data.n} records "
-                         f"and {pool.n} pool records")
-    # only a capped set may leave pairs out
-    if not neighbors.capped and count != data.n * pool.n:
-        raise ValueError(f"uncapped replace-one set has {count} pairs for {data.n} records "
-                         f"and {pool.n} pool records")
 
 
 def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
@@ -717,6 +687,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         make_stats = _LinStepStats(model.W0, data, neighbors, loss)
     recorded = _recorded_steps(cfg.steps, cfg.record_every)
     scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
+    # the cap: a capped set's columns of the full grid, all columns uncapped
+    cols = slice(None) if neighbors.kept is None else np.array(neighbors.kept)
 
     left_by = [None] * cfg.runs
 
@@ -726,6 +698,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         # the others' and dropped, so their non-finite arithmetic must not warn
         with np.errstate(over="ignore", invalid="ignore"):
             finite, S_sq, diffs = make_stats(W, eta)
+            diffs = diffs[:, cols]
             # a NaN data statistic makes S^2 NaN, which the second rule
             # catches; the norm is sqrt(||S||^2) / n, so it is NaN only with
             # S^2 (and then not above the threshold); pool statistics reach
@@ -784,7 +757,12 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
         raise ValueError("the averaged iterate is defined for single-output models")
     if steps < 1:
         raise ValueError("need at least one step")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {eta}")
+    if not 0 <= sigma2 < math.inf:
+        raise ValueError(f"noise variance must be non-negative and finite, got {sigma2}")
     arch, n = features.arch, features.n
+    labels = _pm1_labels(labels, n)
     live = np.ones(1, dtype=bool)
     S = np.empty(arch.num_params)
 

@@ -185,6 +185,14 @@ class LazySolution:
     gram: GramAnalysis
 
 
+def _pm1_labels(labels, n: int) -> np.ndarray:
+    """``labels`` as an (n,) array, which must hold +-1 with one entry per example."""
+    y = np.asarray(labels, dtype=float).reshape(-1)
+    if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be +-1 with one entry per example")
+    return y
+
+
 def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None = None) -> LazySolution:
     """Construct the dual-space interpolator of the linearized model.
 
@@ -199,10 +207,8 @@ def lazy_solution(features: NtkFeatures, labels: np.ndarray, ridge: float | None
     """
     if features.arch.o != 1:
         raise ValueError("lazy construction is defined for single-output models")
-    y = np.asarray(labels, dtype=float).reshape(-1)
     n = features.n
-    if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +-1 with one entry per example")
+    y = _pm1_labels(labels, n)
     if n < 1:
         raise ValueError("need at least one example")
     gram = gram_analysis(features)

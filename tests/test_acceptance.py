@@ -10,11 +10,13 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from klpriv import (
     DnnBoundInputs,
     DnnModel,
     KLConstant,
+    LinearizedModel,
     LossKind,
     Neighbor,
     NetArch,
@@ -235,6 +237,7 @@ def test_c08_averaged_iterate_risk_bound():
              f"mean excess {mean_excess:.4f} vs 1.3 * bound {1.3 * mean_bound:.4f}")
 
 
+@pytest.mark.slow
 def test_c09_width_and_scheme_trends():
     t0 = time.perf_counter()
     n, d, depth, steps = 64, 32, 6, 200
@@ -311,3 +314,52 @@ def test_c11_drift_bound_calculator():
     _verdict(11, "drift bound calculator", t0, 1.0, ok,
              f"T=0 {'ok' if ok_zero else 'BAD'}, beta=0 closed form "
              f"{'exact' if ok_flat else 'BAD'}, slope rel {rel_slope:.1e}")
+
+
+@pytest.mark.slow
+def test_c12_depth_trend_by_initialization():
+    # the paper's headline: with depth the KL bound improves under LeCun and
+    # Xavier and degrades under He and NTK; the analytic bound, the network
+    # estimate and the linearized estimate must each move that way
+    t0 = time.perf_counter()
+    n, d, m, steps = 32, 16, 64, 100
+    dnn_depths, lin_depths = (2, 3, 4, 6, 8), (2, 4, 6)
+    falls = {"lecun": True, "xavier": True, "he": False, "ntk": False}
+    # the streams from which `klpriv sweep --seed 0` draws its data, its pool
+    # and a linearized model's expansion point
+    root = RngStream(0)
+    data = synth_sphere(n, d, root.child(1 << 20))
+    pool = synth_sphere(8, d, root.child((1 << 20) + 1))
+    remove = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
+    replace = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
+    cfg = TrainConfig(eta=1e-3, steps=steps, sigma2=1e-2, runs=4, seed=0)
+    problems, ratios = [], []
+    for scheme, fall in falls.items():
+        bound, dnn, lin = {}, {}, {}
+        for L in dnn_depths:
+            arch = NetArch.uniform(d, m, L, 1)
+            B = gradient_norm_constant_B(arch, init_betas(scheme, arch))
+            bound[L] = kl_bound_linearized(B, cfg.eta * steps, n, cfg.sigma2)
+            dnn[L] = run_kl_estimation(DnnModel(arch, scheme), data, remove,
+                                       cfg).worst_mean[-1]
+            if L in lin_depths:
+                W0 = sample_init(arch, scheme, root.child((1 << 20) + 2))
+                lin[L] = run_kl_estimation(LinearizedModel(W0), data, replace,
+                                           cfg).worst_mean[-1]
+        # NTK's network estimate spreads with a std of 3.0-4.9 from depth 4 on
+        dnn_trend = dnn_depths[:3] if scheme == "ntk" else dnn_depths
+        for arm, values, depths in (("analytic", bound, dnn_depths), ("dnn", dnn, dnn_trend),
+                                    ("linearized", lin, lin_depths)):
+            seq = [values[L] for L in depths]
+            steps_ok = [b < a if fall else b > a for a, b in zip(seq, seq[1:])]
+            if not all(steps_ok):
+                problems.append(f"{scheme} {arm} not {'falling' if fall else 'rising'} "
+                                f"over depths {depths}: {np.round(seq, 4).tolist()}")
+        ratios.append(f"{scheme} dnn/bound "
+                      + " ".join(f"{dnn[L] / bound[L]:.2f}" for L in dnn_depths)
+                      + ", lin/bound " + " ".join(f"{lin[L] / bound[L]:.2f}" for L in lin_depths))
+    _verdict(12, "depth trend by initialization", t0, 60.0, not problems,
+             "; ".join(problems) if problems else
+             "analytic, dnn (ntk over depths 2-4) and linearized means move with depth as "
+             "the paper says; each linearized cell rests on one expansion point; "
+             + "; ".join(ratios))

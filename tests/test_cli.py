@@ -477,6 +477,22 @@ class TestSweep:
         assert len(error_rows) == 2
         assert all(r[5] == "nan" for r in error_rows)
 
+    @pytest.mark.parametrize("widths, depths, bad", [
+        ("0", "1,3", "got width 0"),
+        ("8,-2", "2", "got width -2"),
+        ("8", "3,1", "got depth 1"),
+    ])
+    @pytest.mark.parametrize("metric", ["analytic", "empirical"])
+    def test_bad_grid_exits_before_any_cell(self, tmp_path, capsys, widths, depths, bad,
+                                            metric):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--metric", metric, "--widths", widths, "--depths", depths,
+                   "--d", "4", "--data", "synth:8", "--steps", "1", "--runs", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        assert bad in capsys.readouterr().err
+        assert not out.exists()
+
     @staticmethod
     def _bounds(path, d, n, steps):
         """The kl_bound rows of a one-cell lecun sweep at width 8, depth 2, and

@@ -8,6 +8,7 @@ import pytest
 from klpriv.data import (
     Dataset,
     Neighbor,
+    NeighborSet,
     enumerate_neighbors,
     load_csv,
     normalize_to_sqrt_d,
@@ -182,9 +183,8 @@ class TestEnumerateNeighbors:
 
     def test_remove_counts(self):
         ns = enumerate_neighbors(self._data(5), Neighbor.REMOVE_ONE)
-        assert ns.count == 5
-        assert ns.indices == tuple(range(5))
-        assert ns.pool is None and not ns.capped
+        assert ns.count == ns.n == 5
+        assert ns.pool is None and ns.kept is None and not ns.capped
 
     def test_add_counts(self):
         ns = enumerate_neighbors(self._data(5), Neighbor.ADD_ONE, pool=self._data(3, seed=12))
@@ -193,33 +193,35 @@ class TestEnumerateNeighbors:
     def test_replace_counts(self):
         ns = enumerate_neighbors(self._data(2), Neighbor.REPLACE_ONE, pool=self._data(2, seed=13))
         assert ns.count == 4
-        assert set(ns.indices) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert not ns.capped
+        assert ns.kept is None and not ns.capped
 
     def test_replace_cap_deterministic(self):
         data, pool = self._data(20), self._data(20, seed=14)
         a = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=100, seed=5)
         b = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=100, seed=5)
         assert a.capped and a.count == 100
-        assert a.indices == b.indices
-        assert len(set(a.indices)) == 100
+        assert a.kept == b.kept
+        assert len(set(a.kept)) == 100
         c = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool, cap=100, seed=6)
-        assert c.indices != a.indices
+        assert c.kept != a.kept
 
     @pytest.mark.parametrize("n, m, cap, seed", [
         (64, 8, 256, 0), (64, 8, 256, 7), (5, 3, 4, 0), (100, 17, 99, 3), (6, 3, 256, 0),
         (2000, 50, 256, 1), (5, 3, 14, 2), (5, 3, 15, 2), (5, 3, 16, 2)])
     def test_replace_pairs_equal_the_listed_grid(self, n, m, cap, seed):
-        # the reference lists the whole grid and subsamples the list
+        # the reference lists the whole grid and subsamples the list; kept
+        # position k is pair (k // m, k % m) of the grid
         pairs = [(i, j) for i in range(n) for j in range(m)]
         if len(pairs) > cap:
             picks = RngStream(seed).generator().choice(len(pairs), size=cap, replace=False)
             pairs = [pairs[k] for k in sorted(picks)]
         ns = enumerate_neighbors(self._data(n, d=2), Neighbor.REPLACE_ONE,
                                  pool=self._data(m, d=2, seed=17), cap=cap, seed=seed)
-        assert ns.indices == tuple(pairs)
-        assert all(type(k) is int for pair in ns.indices for k in pair)
         assert ns.capped == (n * m > cap)
+        kept = range(n * m) if ns.kept is None else ns.kept
+        assert [divmod(k, m) for k in kept] == pairs
+        assert ns.count == len(pairs)
+        assert all(type(k) is int for k in ns.kept or ())
 
     def test_capped_replace_pairs_take_memory_of_the_cap(self):
         # a grid of 10^6 pairs, listed in full, traces tens of MB
@@ -249,3 +251,46 @@ class TestEnumerateNeighbors:
             with pytest.raises(ValueError, match="cap"):
                 enumerate_neighbors(self._data(4), Neighbor.REPLACE_ONE,
                                     pool=self._data(3, seed=16), cap=cap)
+
+
+class TestNeighborSet:
+    def _pool(self, m=3):
+        return synth_sphere(m, 2, RngStream(19))
+
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_counts(self, notion):
+        pool = None if notion is Neighbor.REMOVE_ONE else self._pool()
+        ns = NeighborSet(notion, 4, pool)
+        assert ns.count == {Neighbor.REMOVE_ONE: 4, Neighbor.ADD_ONE: 3,
+                            Neighbor.REPLACE_ONE: 12}[notion]
+        assert not ns.capped
+
+    def test_capped_count_is_the_kept_positions(self):
+        ns = NeighborSet(Neighbor.REPLACE_ONE, 4, self._pool(), kept=(0, 5, 11))
+        assert ns.capped and ns.count == 3
+
+    @pytest.mark.parametrize("notion, pool, kept, message", [
+        (Neighbor.REMOVE_ONE, None, (0,), "only replace-one"),
+        (Neighbor.ADD_ONE, "pool", (0,), "only replace-one"),
+        (Neighbor.REPLACE_ONE, "pool", (), "at least one"),
+        (Neighbor.REPLACE_ONE, "pool", (1, 1), "without repeats"),
+        (Neighbor.REPLACE_ONE, "pool", (0, 3, 3, 7), "without repeats"),
+        (Neighbor.REPLACE_ONE, "pool", (4, 2), "sorted"),
+        (Neighbor.REPLACE_ONE, "pool", (-1, 2), r"in \[0, 12\)"),
+        (Neighbor.REPLACE_ONE, "pool", (2, 12), r"in \[0, 12\)"),
+        (Neighbor.REMOVE_ONE, "pool", None, "takes no pool"),
+        (Neighbor.ADD_ONE, None, None, "need a non-empty candidate pool"),
+        (Neighbor.REPLACE_ONE, None, None, "need a non-empty candidate pool"),
+        (Neighbor.REPLACE_ONE, "empty", None, "need a non-empty candidate pool"),
+    ], ids=["kept-on-remove", "kept-on-add", "empty-kept", "repeated-pair", "repeated-run",
+            "unsorted", "below-range", "above-range", "pool-on-remove", "no-pool-add",
+            "no-pool-replace", "empty-pool"])
+    def test_construction_rejects(self, notion, pool, kept, message):
+        pool = {"pool": self._pool(), "empty": Dataset(X=np.empty((0, 2)), Y=np.empty(0)),
+                None: None}[pool]
+        with pytest.raises(ValueError, match=message):
+            NeighborSet(notion, 4, pool, kept)
+
+    def test_remove_one_needs_two_records(self):
+        with pytest.raises(ValueError, match="at least two records"):
+            NeighborSet(Neighbor.REMOVE_ONE, 1)

@@ -335,14 +335,6 @@ class TestNoisyGdTrainer:
 
 
 class TestNeighborGradDiffs:
-    def test_pairs_as_list_or_index_array(self):
-        gen = np.random.default_rng(3)
-        G, Gp = gen.standard_normal((4, 6)), gen.standard_normal((3, 6))
-        pairs = [(0, 2), (3, 0), (1, 1), (3, 2)]
-        as_list = neighbor_grad_diffs(G, Gp, Neighbor.REPLACE_ONE, pairs=pairs)
-        as_array = neighbor_grad_diffs(G, Gp, Neighbor.REPLACE_ONE, pairs=np.array(pairs))
-        assert as_list.tobytes() == as_array.tobytes()
-
     def test_three_dimensional_gradients_rejected(self):
         with pytest.raises(ValueError, match="matrix"):
             neighbor_grad_diffs(np.zeros((2, 3, 4)))
@@ -371,14 +363,12 @@ class TestNeighborGradDiffs:
         diffs = neighbor_grad_diffs(G, pool_grads=P, notion=Neighbor.REPLACE_ONE)
         assert np.allclose(diffs, [0.25, 1.25])
 
-    def test_pairs_subset(self):
+    def test_replace_grid_is_row_major(self):
         G = np.array([[1.0, 0.0], [0.0, 1.0]])
-        P = np.array([[2.0, 0.0], [0.0, 2.0]])
-        full = neighbor_grad_diffs(G, pool_grads=P, notion=Neighbor.REPLACE_ONE)
-        sub = neighbor_grad_diffs(G, pool_grads=P, notion=Neighbor.REPLACE_ONE,
-                                  pairs=[(1, 0)])
-        assert sub.shape == (1,)
-        assert sub[0] == pytest.approx(full[2])
+        P = np.array([[2.0, 0.0], [0.0, 3.0]])
+        diffs = neighbor_grad_diffs(G, pool_grads=P, notion=Neighbor.REPLACE_ONE)
+        # pair (i, j) at position 2 i + j: (0,0), (0,1), (1,0), (1,1)
+        assert diffs.tolist() == [0.25, 2.5, 1.25, 1.0]
 
     @pytest.mark.parametrize("notion", [Neighbor.REMOVE_ONE, Neighbor.ADD_ONE,
                                         Neighbor.REPLACE_ONE])
@@ -441,8 +431,7 @@ class TestRunKlEstimation:
             Gp = None
             if neighbors.pool is not None:
                 Gp = per_example_grad_batch(W0, neighbors.pool.X, neighbors.pool.Y, loss)
-            pairs = neighbors.indices if notion is Neighbor.REPLACE_ONE else None
-            diffs = neighbor_grad_diffs(G, Gp, notion, pairs=pairs)
+            diffs = neighbor_grad_diffs(G, Gp, notion)
             want = cfg.eta * diffs / (2.0 * cfg.sigma2)
             assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
             assert trace.cumulative_worst[-1] == pytest.approx(want.max(), rel=1e-15)
@@ -462,8 +451,7 @@ class TestRunKlEstimation:
         if neighbors.pool is not None:
             Gp = lin_per_example_grads(build_features(W0, neighbors.pool.X), W0,
                                        neighbors.pool.Y, loss)
-        pairs = neighbors.indices if notion is Neighbor.REPLACE_ONE else None
-        diffs = neighbor_grad_diffs(G, Gp, notion, pairs=pairs)
+        diffs = neighbor_grad_diffs(G, Gp, notion)
         want = cfg.eta * diffs / (2.0 * cfg.sigma2)
         for trace in res.traces:
             assert np.max(np.abs(trace.cumulative_per_neighbor - want)) <= 1e-15 * want.max()
@@ -606,28 +594,54 @@ class TestRunKlEstimation:
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
 
-    def test_neighbor_set_must_fit_the_data(self):
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_neighbor_set_must_fit_the_data(self, notion):
+        # the set checks its own structure; an estimate checks that it was
+        # built for these records, with pool records of their shape
         data, _, model = _setup_estimation(n=8)
         six = synth_sphere(6, data.d, RngStream(102))
-        pool = synth_sphere(4, data.d, RngStream(101))
+        pool = None if notion is Neighbor.REMOVE_ONE else synth_sphere(4, data.d,
+                                                                       RngStream(101))
         cfg = TrainConfig(eta=0.1, steps=1, sigma2=0.01, runs=1)
-        replace = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=pool)
-        bad = {
-            "remove-one set has 6 candidates for 8 records":
-                enumerate_neighbors(six, Neighbor.REMOVE_ONE),
-            "add-one set has 2 candidates for 4 pool records":
-                NeighborSet(Neighbor.ADD_ONE, pool, (0, 1)),
-            "replace-one set has no pairs":
-                NeighborSet(Neighbor.REPLACE_ONE, pool, (), capped=True),
-            "out of range":
-                NeighborSet(Neighbor.REPLACE_ONE, pool, ((8, 0),), capped=True),
-            "uncapped replace-one set has 24 pairs for 8 records":
-                enumerate_neighbors(six, Neighbor.REPLACE_ONE, pool=pool),
-        }
-        for message, neighbors in bad.items():
-            with pytest.raises(ValueError, match=message):
-                run_kl_estimation(model, data, neighbors, cfg)
-        run_kl_estimation(model, data, replace, cfg)
+        with pytest.raises(ValueError, match="built for 6 records, not 8"):
+            run_kl_estimation(model, data, enumerate_neighbors(six, notion, pool=pool, cap=5),
+                              cfg)
+        if pool is not None:
+            wide = synth_sphere(4, data.d + 1, RngStream(103))
+            with pytest.raises(ValueError, match="pool records must match"):
+                run_kl_estimation(model, data, NeighborSet(notion, data.n, wide), cfg)
+        run_kl_estimation(model, data, enumerate_neighbors(data, notion, pool=pool, cap=5),
+                          cfg)
+
+    # eta=0.5, sigma2=20 and these thresholds: some runs leave, others complete
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["dnn", "linearized"]), o=st.sampled_from([1, 3]),
+           cap=st.integers(1, 23), seed=st.integers(0, 10_000))
+    @example(kind="dnn", o=1, cap=1, seed=0)
+    @example(kind="linearized", o=3, cap=23, seed=1)
+    def test_capped_set_keeps_columns_of_the_full_grid(self, kind, o, cap, seed):
+        data, full, model = _setup_outputs(Neighbor.REPLACE_ONE, o)
+        threshold = 15.0
+        if kind == "linearized":
+            arch = NetArch.uniform(data.d, 8, 2, o)
+            model = LinearizedModel(sample_init(arch, init_betas("ntk", arch), RngStream(55)))
+            threshold = 1.4
+        capped = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=full.pool, cap=cap,
+                                     seed=seed)
+        assert full.count == 24 and capped.capped and capped.count == cap
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
+                          divergence_threshold=threshold)
+        a, b = (run_kl_estimation(model, data, ns, cfg) for ns in (full, capped))
+        kept = list(capped.kept)
+        scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
+        for ta, tb in zip(a.traces, b.traces, strict=True):
+            assert tb.left_by == ta.left_by
+            assert _same_bytes(tb.per_step_sq_diffs, ta.per_step_sq_diffs[:, kept])
+            assert _same_bytes(tb.cumulative_per_neighbor, ta.cumulative_per_neighbor[kept])
+            cum = np.cumsum(scale * ta.per_step_sq_diffs[:, kept], axis=0)
+            want = [cum[k - 1].max() if k <= ta.completed else math.inf
+                    for k in a.recorded_steps]
+            assert _same_bytes(tb.cumulative_worst, np.array(want))
 
     def test_linearized_expansion_point_stack_rejected(self):
         data = synth_sphere(8, 4, RngStream(2))
@@ -1268,6 +1282,25 @@ class TestLinAveragedIterate:
         features, _ = self._setup(o=3)
         with pytest.raises(ValueError, match="single-output"):
             estimator.lin_averaged_iterate(features, Y, 0.1, 0.01, 1, RngStream(0))
+
+    @pytest.mark.parametrize("eta, sigma2, labels, message", [
+        (-0.1, 0.01, None, "step size"), (math.nan, 0.01, None, "step size"),
+        (0.1, -1.0, None, "noise variance"), (0.1, math.nan, None, "noise variance"),
+        (0.1, 0.01, "one", "labels"), (0.1, 0.01, "half", "labels"),
+    ], ids=["negative-eta", "nan-eta", "negative-sigma2", "nan-sigma2", "one-label",
+            "half-labels"])
+    def test_rejects_bad_input(self, eta, sigma2, labels, message):
+        features, Y = self._setup()
+        Y = {None: Y, "one": Y[:1], "half": np.full(Y.shape, 0.5)}[labels]
+        with pytest.raises(ValueError, match=message):
+            estimator.lin_averaged_iterate(features, Y, eta, sigma2, 2, RngStream(0))
+
+    def test_zero_noise_is_gradient_descent(self):
+        features, Y = self._setup()
+        got = estimator.lin_averaged_iterate(features, Y, 0.1, 0.0, 1, RngStream(0))
+        S = lin_per_example_grads(features, features.W0, Y, LossKind.LOGISTIC_SINGLE).sum(axis=0)
+        assert np.allclose(got.flat, features.W0.flat - 0.1 * S / features.n,
+                           rtol=1e-15, atol=0.0)
 
 
 class TestMonteCarlo:
