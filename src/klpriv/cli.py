@@ -13,6 +13,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .linearized import (
     lin_empirical_loss,
 )
 from .network import SCHEME_NAMES, LossKind, NetArch, init_betas, sample_init
-from .numerics import RngStream
+from .numerics import RngStream, _fork_map
 
 SCHEMES = SCHEME_NAMES
 
@@ -420,23 +421,26 @@ def cmd_mc_verify(cfg: RunConfig) -> int:
         # wrapped to 64 bits, so the largest seed draws its second record too
         xb = _sphere_input(cfg.d, (cfg.seed + 1) % (1 << 64))
     arch = NetArch.uniform(cfg.d, cfg.width, cfg.depth, cfg.outputs)
+    # every cfg field is read here, before the checks run in forked workers
+    checks = []
     for si, scheme in enumerate(_schemes(cfg)):
-        checks = [
-            ("grad_norm_init", mc_grad_norm_at_init(
-                arch, scheme, x, cfg.samples, base.child(3 * si))),
-            ("output_sqnorm_init", mc_output_sqnorm(
-                arch, scheme, x, cfg.samples, base.child(3 * si + 1))),
+        checks += [
+            (scheme, "grad_norm_init", partial(
+                mc_grad_norm_at_init, arch, scheme, x, cfg.samples, base.child(3 * si))),
+            (scheme, "output_sqnorm_init", partial(
+                mc_output_sqnorm, arch, scheme, x, cfg.samples, base.child(3 * si + 1))),
         ]
         if cfg.outputs == 1:
-            checks.append(("linearized_grad_diff", mc_linearized_grad_diff(
-                arch, scheme, (x, 1.0), (xb, -1.0), cfg.mc_n, cfg.samples,
-                base.child(3 * si + 2))))
-        for name, rep in checks:
-            rows.append((scheme, name, rep.mean, rep.stderr, rep.samples,
-                         rep.reference, rep.z_score, 1 if rep.violation else 0))
-            status = "FAIL" if rep.violation else "ok"
-            print(f"[mc-verify] {scheme} {name}: mean={rep.mean:.6g} "
-                  f"ref={rep.reference:.6g} z={rep.z_score:+.2f} {status}", file=sys.stderr)
+            checks.append((scheme, "linearized_grad_diff", partial(
+                mc_linearized_grad_diff, arch, scheme, (x, 1.0), (xb, -1.0), cfg.mc_n,
+                cfg.samples, base.child(3 * si + 2))))
+    reports = _fork_map(lambda check: check(), [check for _, _, check in checks])
+    for (scheme, name, _), rep in zip(checks, reports):
+        rows.append((scheme, name, rep.mean, rep.stderr, rep.samples,
+                     rep.reference, rep.z_score, 1 if rep.violation else 0))
+        status = "FAIL" if rep.violation else "ok"
+        print(f"[mc-verify] {scheme} {name}: mean={rep.mean:.6g} "
+              f"ref={rep.reference:.6g} z={rep.z_score:+.2f} {status}", file=sys.stderr)
     _write_table(cfg, ["scheme", "check", "mean", "stderr", "samples",
                        "reference", "z", "violation"], rows, cfg.out)
     return 0

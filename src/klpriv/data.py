@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,10 @@ class NeighborSet:
                 raise ValueError(f"only replace-one keeps grid positions, not {self.notion.value}")
             # plain Python: a numpy range check read more CLI peak RSS
             kept, grid = self.kept, self.n * self.pool.n
+            # a bool is an int, but no grid position
+            bad = [k for k in kept if isinstance(k, bool) or not isinstance(k, numbers.Integral)]
+            if bad:
+                raise ValueError(f"kept grid positions must be integers, got {bad[0]!r}")
             if not kept or kept[0] < 0 or kept[-1] >= grid:
                 raise ValueError(f"kept grid positions must be at least one, all in [0, {grid})")
             if not all(a < b for a, b in zip(kept, kept[1:])):

@@ -42,10 +42,12 @@ from .network import (
     residual_batch,
     sample_inits,
 )
-from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
+from .numerics import KeyedGenerator, RngStream, _fork_map, blas_threads, keyed_generator
 
-# One constant sizes the training stacks and gates the noise overlap.
-# run_kl_estimation trains the runs of a network max(1, min(runs,
+# One constant sizes the training stacks, gates the noise overlap and gates
+# forking.
+#
+# Stacks: run_kl_estimation trains the runs of a network max(1, min(runs,
 # OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
 # trainer (_noisy_gd), so each of the stack's two (R, P) arrays, the iterate
 # and the noise, holds at most 2^17 parameters (1 MiB); a network step adds
@@ -56,14 +58,30 @@ from .numerics import KeyedGenerator, RngStream, blas_threads, keyed_generator
 # 32, depth 4, replace-one) as one stack took 0.70x the wall time of one run at
 # a time (median of 8 alternating pairs): at that size a step is mostly
 # per-call overhead, which a stack pays once for all its runs.
-# A stack of OVERLAP_MIN_PARAMS parameters or more (in practice one run with
-# P >= 2^17) draws each step's noise on one helper thread while the step's
-# gradient statistics are computed; BLAS runs on one thread, as for all
-# training, so the two do not contend for cores.  At P = 270,592 (d=32,
+#
+# Noise overlap: a stack of OVERLAP_MIN_PARAMS parameters or more (in practice
+# one run with P >= 2^17) draws each step's noise on one helper thread while
+# the step's gradient statistics are computed; BLAS runs on one thread, as for
+# all training, so the two do not contend for cores.  At P = 270,592 (d=32,
 # width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x the CPU
 # time.  With the overlap gate forced to 0, a P = 3,104 model ran about 17%
 # slower (median of 8 alternating pairs; the per-step hand-off costs more than
 # the small draw saves) and a P = 36,992 linearized model gained no wall time.
+#
+# Forking: when training has steps and forms two stacks or more, each of
+# fewer than OVERLAP_MIN_PARAMS parameters, run_kl_estimation trains the
+# stacks in forked processes (numerics._fork_map), one per usable CPU.  Such
+# a stack trains on one core, so the processes do not contend.  A stack at or
+# above the gate already keeps a second core busy with its noise helper, so
+# those stacks train one after another in this process.  On a 2-core host the
+# two one-run stacks of a P = 20,608 linearized model (perfbench's
+# estimate-linearized) took 0.65x the wall time forked and about 8% more CPU
+# time (raw medians of 10 alternating CLI pairs at each of two seeds).  A
+# stack is never split: training the one two-run stack of a P = 3,104 network
+# (estimate-replace) as two forked one-run stacks gave no steady wall-time
+# gain over 3 pairs, 1.69x the CPU time and 3.6 MB more peak RSS, since at
+# that size a step is mostly per-call overhead, which a stack pays once.
+# Without steps nothing trains, and a fork would only add set-up time.
 OVERLAP_MIN_PARAMS = 1 << 17
 
 # The Monte Carlo checks evaluate their initializations in stacks of
@@ -690,38 +708,37 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     # the cap: a capped set's columns of the full grid, all columns uncapped
     cols = slice(None) if neighbors.kept is None else np.array(neighbors.kept)
 
-    left_by = [None] * cfg.runs
+    def train(runs: np.ndarray) -> list[tuple[np.ndarray, str | None]]:
+        """Each run's table of squared differences, one row per completed
+        step, and its leave rule, for the stack of ``runs``."""
+        left_by = [None] * runs.size
+        # the rows of the stack that step sees, as indices into runs
+        in_stack = np.arange(runs.size)
 
-    def step(W: ParamVector, eta: float):
-        # the one leave rule: a run leaves at the step where one of the
-        # _LEAVE_RULES fires; its statistics at that step are computed with
-        # the others' and dropped, so their non-finite arithmetic must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite, S_sq, diffs = make_stats(W, eta)
-            diffs = diffs[:, cols]
-            # a NaN data statistic makes S^2 NaN, which the second rule
-            # catches; the norm is sqrt(||S||^2) / n, so it is NaN only with
-            # S^2 (and then not above the threshold); pool statistics reach
-            # the differences only
-            fired = (~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
-                     np.sqrt(S_sq) / data.n > cfg.divergence_threshold)
-        live = ~(fired[0] | fired[1] | fired[2] | fired[3])
-        if not live.all():
-            first = np.argmax(fired, axis=0)[~live]
-            for run, rule in zip(in_stack[~live].tolist(), first.tolist()):
-                left_by[run] = _LEAVE_RULES[rule]
-        return live, diffs[live]
+        def step(W: ParamVector, eta: float):
+            # the one leave rule: a run leaves at the step where one of the
+            # _LEAVE_RULES fires; its statistics at that step are computed with
+            # the others' and dropped, so their non-finite arithmetic must not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite, S_sq, diffs = make_stats(W, eta)
+                diffs = diffs[:, cols]
+                # a NaN data statistic makes S^2 NaN, which the second rule
+                # catches; the norm is sqrt(||S||^2) / n, so it is NaN only with
+                # S^2 (and then not above the threshold); pool statistics reach
+                # the differences only
+                fired = (~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
+                         np.sqrt(S_sq) / data.n > cfg.divergence_threshold)
+            live = ~(fired[0] | fired[1] | fired[2] | fired[3])
+            if not live.all():
+                first = np.argmax(fired, axis=0)[~live]
+                for row, rule in zip(in_stack[~live].tolist(), first.tolist()):
+                    left_by[row] = _LEAVE_RULES[rule]
+            return live, diffs[live]
 
-    traces: list[KLTrace] = []
-    size = _stack_size(model, cfg.runs)
-    for start in range(0, cfg.runs, size):
-        runs = np.arange(start, min(start + size, cfg.runs))
         # row r, step k: the key of run_streams(cfg.seed, runs[r])[1].child(k)
         step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
         sq_diffs = np.empty((runs.size, cfg.steps, neighbors.count))
         completed = np.zeros(runs.size, dtype=int)
-        # the runs that step sees, in the row order of the trainer's stack
-        in_stack = runs
         # no name here holds an iterate: the first stack goes straight in,
         # where the trainer's copy replaces it, and only the rows come out
         stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
@@ -729,14 +746,23 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
         for k, (rows, diffs) in enumerate(stepped, start=1):
             sq_diffs[rows, k - 1] = diffs
             completed[rows] = k
-            in_stack = runs[rows]
-        for run, run_diffs, done in zip(runs.tolist(), sq_diffs, completed.tolist()):
-            run_diffs = run_diffs[:done]
-            cum, worst = _accumulate(run_diffs, scale, recorded)
-            if left_by[run] is not None:
-                cum = np.full(neighbors.count, math.inf)
-            traces.append(KLTrace(per_step_sq_diffs=run_diffs, cumulative_per_neighbor=cum,
-                                  cumulative_worst=worst, left_by=left_by[run]))
+            in_stack = rows
+        return [(table[:done], rule)
+                for table, done, rule in zip(sq_diffs, completed.tolist(), left_by)]
+
+    size = _stack_size(model, cfg.runs)
+    stacks = [np.arange(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
+    # stacks train in forked processes when there is training, more than one
+    # stack and no noise helper thread: see OVERLAP_MIN_PARAMS
+    forked = cfg.steps > 0 and len(stacks) > 1 and size * arch.num_params < OVERLAP_MIN_PARAMS
+    trained = _fork_map(train, stacks) if forked else [train(runs) for runs in stacks]
+    traces: list[KLTrace] = []
+    for table, rule in (run for stack in trained for run in stack):
+        cum, worst = _accumulate(table, scale, recorded)
+        if rule is not None:
+            cum = np.full(neighbors.count, math.inf)
+        traces.append(KLTrace(per_step_sq_diffs=table, cumulative_per_neighbor=cum,
+                              cumulative_worst=worst, left_by=rule))
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import pickle
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -255,6 +258,115 @@ def blas_threads(count: int):
         yield
     finally:
         set_(previous)
+
+
+def _fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, with the items split over forked processes.
+
+    Item i goes to worker i mod W, for W = min(len(items), usable CPUs);
+    this process works as worker 0, and each other worker is a fork of it
+    that sends its results back pickled through a pipe of its own.  So
+    ``fn`` and the items are not pickled, only the results, and the result
+    list is in item order: the same values as the loop.  The loop runs
+    in-process when W is 1, when the platform has no ``fork`` or CPU
+    affinity, or when this is not the main thread or another thread is
+    alive (a fork copies only the calling thread).
+
+    An exception raised by ``fn`` in a worker is raised here with its type
+    and message, the worker's traceback in a note.  A worker that exits
+    without sending a result raises a RuntimeError naming its exit status.
+    Every worker is killed and reaped before this returns or raises, and
+    each is killed when this process dies.
+    """
+    workers = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.current_thread() is threading.main_thread()
+            and threading.active_count() == 1):
+        workers = min(len(items), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported here: an in-process map does not pay for the import
+    import signal
+
+    # a worker must not write out what this process has buffered
+    _flush_std_streams()
+    results = [None] * len(items)
+    children = {}          # pid: (worker, read end of its pipe)
+    parent = os.getpid()
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _fork_worker(fn, items[w::workers], write, parent)
+            os.close(write)
+            children[pid] = (w, open(read, "rb"))
+        results[0::workers] = [fn(item) for item in items[0::workers]]
+        for pid, (w, pipe) in list(children.items()):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if code != 0:
+                raise RuntimeError(f"worker process {pid} exited with status {code} "
+                                   "without a result")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[w::workers] = value
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _flush_std_streams() -> None:
+    # either is None when its file descriptor was closed at start-up
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _fork_worker(fn: Callable, share: Sequence, write: int, parent: int) -> None:
+    """Body of a forked worker of :func:`_fork_map`: never returns.
+
+    Sends ``(True, results)`` or ``(False, exception)`` pickled through
+    ``write`` and leaves with ``os._exit``, which runs no atexit handler and
+    flushes no buffer the worker inherited.
+    """
+    import signal
+
+    code = 1
+    try:
+        # die with the parent; if it died before the request, leave now
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        libc.prctl.restype = ctypes.c_int
+        libc.prctl(1, signal.SIGKILL, 0, 0, 0)      # 1: PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            return
+        try:
+            payload = pickle.dumps((True, [fn(item) for item in share]), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            import traceback
+
+            exc.add_note("in a worker process:\n" + "".join(traceback.format_exception(exc)))
+            try:
+                payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(payload)
+            except Exception:
+                # an exception whose arguments do not rebuild it: keep its text
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        # what the worker itself wrote; the parent flushed its own before the fork
+        _flush_std_streams()
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def gaussian_matrix(rows: int, cols: int, variance: float, key: np.ndarray) -> np.ndarray:

@@ -339,6 +339,37 @@ class TestMcVerify:
         capsys.readouterr()
         assert seeds == [seed, second]
 
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_forked_checks_write_the_in_process_bytes(self, tmp_path, capfd, cpus, forks,
+                                                       outputs):
+        argv = ["mc-verify", "--scheme", "all", "--d", "4", "--width", "6", "--depth", "3",
+                "--outputs", str(outputs), "--samples", "30", "--seed", "5"]
+        outs, out = [], tmp_path / "m.csv"
+        for count in (1, 2):
+            cpus(count)
+            assert main([*argv, "--out", str(out)]) == 0
+            outs.append((out.read_bytes(), capfd.readouterr()))
+        assert len(forks) == 1
+        (here, printed), (forked, forked_printed) = outs
+        assert forked == here
+        assert forked_printed == printed
+        lines = printed.err.splitlines()
+        assert len(lines) == 4 * (3 if outputs == 1 else 2)
+        assert all(line.startswith("[mc-verify] ") for line in lines)
+
+    def test_check_error_in_a_worker_exits_2(self, monkeypatch, capsys, cpus, forks):
+        cpus(2)
+
+        def failing(*args):
+            raise ValueError("output check failed")
+
+        # the second check of the list runs in the worker
+        monkeypatch.setattr(cli, "mc_output_sqnorm", failing)
+        assert main(["mc-verify", "--scheme", "he", "--d", "4", "--width", "4",
+                     "--depth", "2", "--samples", "2"]) == 2
+        assert capsys.readouterr().err == "error: output check failed\n"
+        assert len(forks) == 1
+
 
 class TestLazy:
     def test_interpolator_report(self, tmp_path):
@@ -699,9 +730,11 @@ class TestFlagsPerCommand:
         assert f"unrecognized arguments: --{flag} 1" in captured.err
         assert captured.out == ""
 
-    def test_every_accepted_flag_is_read(self, tmp_path, monkeypatch):
+    def test_every_accepted_flag_is_read(self, tmp_path, monkeypatch, cpus):
         """Each command reads every flag it accepts, outside ``validate`` and
         ``header_items``, on invocations that reach its conditional reads."""
+        # the spy records reads in this process only: keep every map in it
+        cpus(1)
         path = tmp_path / "d.csv"
         save_csv(synth_sphere(12, 3, RngStream(3)), path)
         csv, small = f"csv:{path}", ["--steps", "1", "--runs", "1", "--width", "4"]

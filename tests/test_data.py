@@ -269,6 +269,10 @@ class TestNeighborSet:
         ns = NeighborSet(Neighbor.REPLACE_ONE, 4, self._pool(), kept=(0, 5, 11))
         assert ns.capped and ns.count == 3
 
+    def test_numpy_integer_positions_are_kept(self):
+        ns = NeighborSet(Neighbor.REPLACE_ONE, 4, self._pool(), kept=tuple(np.arange(0, 12, 5)))
+        assert ns.count == 3
+
     @pytest.mark.parametrize("notion, pool, kept, message", [
         (Neighbor.REMOVE_ONE, None, (0,), "only replace-one"),
         (Neighbor.ADD_ONE, "pool", (0,), "only replace-one"),
@@ -278,12 +282,16 @@ class TestNeighborSet:
         (Neighbor.REPLACE_ONE, "pool", (4, 2), "sorted"),
         (Neighbor.REPLACE_ONE, "pool", (-1, 2), r"in \[0, 12\)"),
         (Neighbor.REPLACE_ONE, "pool", (2, 12), r"in \[0, 12\)"),
+        (Neighbor.REPLACE_ONE, "pool", (0.5, 2.0), "must be integers, got 0.5"),
+        (Neighbor.REPLACE_ONE, "pool", (0, 2.0), "must be integers, got 2.0"),
+        (Neighbor.REPLACE_ONE, "pool", (0, True), "must be integers, got True"),
         (Neighbor.REMOVE_ONE, "pool", None, "takes no pool"),
         (Neighbor.ADD_ONE, None, None, "need a non-empty candidate pool"),
         (Neighbor.REPLACE_ONE, None, None, "need a non-empty candidate pool"),
         (Neighbor.REPLACE_ONE, "empty", None, "need a non-empty candidate pool"),
     ], ids=["kept-on-remove", "kept-on-add", "empty-kept", "repeated-pair", "repeated-run",
-            "unsorted", "below-range", "above-range", "pool-on-remove", "no-pool-add",
+            "unsorted", "below-range", "above-range", "float-kept", "float-after-int",
+            "bool-kept", "pool-on-remove", "no-pool-add",
             "no-pool-replace", "empty-pool"])
     def test_construction_rejects(self, notion, pool, kept, message):
         pool = {"pool": self._pool(), "empty": Dataset(X=np.empty((0, 2)), Y=np.empty(0)),

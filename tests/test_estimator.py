@@ -925,7 +925,9 @@ class TestStackedRuns:
         assert [t.left_by for t in res.traces] == ["non-finite differences"] * 3
         assert not np.isnan(res.worst_mean).any()
 
-    def test_noise_keys_are_the_run_streams(self, monkeypatch):
+    def test_noise_keys_are_the_run_streams(self, monkeypatch, cpus):
+        # the spy sees the stacks of this process only: keep them all here
+        cpus(1)
         data, neighbors, model = _setup_estimation()
         trainer, seen = estimator._noisy_gd, []
 
@@ -992,6 +994,103 @@ def _lin_step_setup(notion, o, n=6, width=6):
     shift = 0.3 * RngStream(57).generator().standard_normal(arch.num_params)
     stacks = [ParamVector(arch, W.flat[None]) for W in (W0, ParamVector(arch, W0.flat + shift))]
     return W0, data, neighbors, loss, stacks
+
+
+
+def _stacks_of_two(monkeypatch, model):
+    # a gate of 2P + 1 gives stacks of two runs below it, so they may fork
+    monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 2 * model.arch.num_params + 1)
+
+
+class TestForkedStacks:
+    """Stacks trained in forked workers give the in-process traces, flags and
+    aggregates in raw bytes."""
+
+    def _both(self, cpus, forks, model, data, neighbors, cfg, workers=2):
+        cpus(1)
+        here = run_kl_estimation(model, data, neighbors, cfg)
+        assert forks == []
+        cpus(workers)
+        forked = run_kl_estimation(model, data, neighbors, cfg)
+        assert len(forks) == workers - 1
+        return here, forked
+
+    @pytest.mark.parametrize("linearized", [False, True])
+    @pytest.mark.parametrize("o", [1, 3])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_equals_in_process(self, monkeypatch, cpus, forks, notion, o, linearized):
+        data, neighbors, model = _setup_outputs(notion, o)
+        if linearized:
+            model = LinearizedModel(sample_init(model.arch, "lecun", RngStream(7)))
+        else:
+            _stacks_of_two(monkeypatch, model)
+        cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=5, seed=3, record_every=2)
+        # five runs: stacks of two for the network, of one for the linearized model
+        assert estimator._stack_size(model, cfg.runs) == (1 if linearized else 2)
+        here, forked = self._both(cpus, forks, model, data, neighbors, cfg)
+        assert not here.diverged_any
+        _assert_same_bits(here, forked)
+
+    def test_three_workers(self, monkeypatch, cpus, forks):
+        data, neighbors, model = _setup_estimation(notion=Neighbor.ADD_ONE)
+        _stacks_of_two(monkeypatch, model)
+        cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=5, seed=4)
+        _assert_same_bits(*self._both(cpus, forks, model, data, neighbors, cfg, workers=3))
+
+    # the cases of TestStackedRuns: runs 0, 1 and 4 train in this process,
+    # runs 2 and 3 in the worker, and they leave at different steps
+    @pytest.mark.parametrize("eta, sigma2, depth, steps, threshold, completed", [
+        (0.5, 20.0, 2, 8, 10.0, [2, 4, 5, 5, 1]),
+        (1e4, 1.0, 4, 40, math.inf, [40, 40, 40, 10, 40])])
+    @pytest.mark.parametrize("notion", list(Neighbor))
+    def test_runs_leave_at_different_steps_in_different_workers(
+            self, monkeypatch, cpus, forks, notion, eta, sigma2, depth, steps, threshold,
+            completed):
+        data, neighbors, _ = _setup_estimation(notion=notion)
+        model = DnnModel(arch=NetArch.uniform(4, 6, depth, 1), scheme="he")
+        _stacks_of_two(monkeypatch, model)
+        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1,
+                          divergence_threshold=threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            here, forked = self._both(cpus, forks, model, data, neighbors, cfg)
+        assert [t.completed for t in forked.traces] == completed
+        rule = ("gradient norm above the threshold" if threshold < math.inf
+                else "non-finite S^2")
+        assert [t.left_by for t in forked.traces] == [rule if c < steps else None
+                                                      for c in completed]
+        _assert_same_bits(here, forked)
+
+    def test_no_fork_without_steps_or_second_stack_or_below_the_gate(
+            self, monkeypatch, cpus, forks):
+        cpus(2)
+        data, neighbors, model = _setup_estimation()
+        _stacks_of_two(monkeypatch, model)
+        run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=0, sigma2=0.01,
+                                                              runs=5))
+        run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=2, sigma2=0.01,
+                                                              runs=2))
+        # a gate of P: stacks of one run, each at the gate, so each has a noise helper
+        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", model.arch.num_params)
+        run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=2, sigma2=0.01,
+                                                              runs=2))
+        assert forks == []
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, cpus, forks):
+        cpus(2)
+        data, neighbors, model = _setup_estimation()
+        _stacks_of_two(monkeypatch, model)
+        init_stack = estimator._init_stack
+
+        def fail_second_stack(model, seed, runs):
+            if runs[0] == 2:
+                raise ValueError("no init for runs 2 and 3")
+            return init_stack(model, seed, runs)
+
+        monkeypatch.setattr(estimator, "_init_stack", fail_second_stack)
+        cfg = TrainConfig(eta=0.05, steps=2, sigma2=0.01, runs=4)
+        with pytest.raises(ValueError) as info:
+            run_kl_estimation(model, data, neighbors, cfg)
+        assert str(info.value) == "no init for runs 2 and 3" and len(forks) == 1
 
 
 class TestLinStepStats:
@@ -1155,7 +1254,9 @@ class TestTrainingMemory:
         assert peak < 2.75 * stack_bytes
 
     @pytest.mark.parametrize("notion", list(Neighbor))
-    def test_trainer_allocates_two_stacks_and_a_step_one_block(self, monkeypatch, notion):
+    def test_trainer_allocates_two_stacks_and_a_step_one_block(self, monkeypatch, cpus, notion):
+        # tracemalloc and the spy see this process only: keep the map in it
+        cpus(1)
         arch, R = _MEMORY_ARCH, 2
         data = synth_sphere(4, 8, RngStream(1))
         pool = synth_sphere(3, 8, RngStream(2))

@@ -1,5 +1,8 @@
-"""Tests for random streams, spectral helpers and finite differences."""
+"""Tests for random streams, spectral helpers, finite differences and the fork map."""
 
+import atexit
+import os
+import signal
 import sys
 import threading
 import warnings
@@ -389,3 +392,152 @@ class TestFiniteDiff:
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda w: float("nan"), np.zeros(1))
 
+
+
+class _NeedsTwoArgs(Exception):
+    """An exception that pickling cannot rebuild from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"needs {a} and {b}")
+
+
+class TestForkMap:
+    """numerics._fork_map: the loop's results, with items spread over forked workers."""
+
+    @pytest.mark.parametrize("count, items, workers", [(2, 7, 2), (3, 7, 3), (3, 2, 2)])
+    def test_results_come_back_in_item_order(self, cpus, forks, count, items, workers):
+        cpus(count)
+        out = numerics._fork_map(lambda i: (i, np.arange(i) * 0.5, os.getpid()), range(items))
+        assert [i for i, _, _ in out] == list(range(items))
+        for i, values, _ in out:
+            assert values.tobytes() == (np.arange(i) * 0.5).tobytes()
+        # item i ran in worker i mod W; this process is worker 0
+        pids = [pid for _, _, pid in out]
+        assert len(forks) == workers - 1
+        assert pids == [([os.getpid(), *forks])[i % workers] for i in range(items)]
+
+    def test_one_cpu_runs_in_process(self, cpus, forks):
+        cpus(1)
+        assert numerics._fork_map(lambda i: (i, os.getpid()), range(3)) == [
+            (i, os.getpid()) for i in range(3)]
+        assert forks == []
+
+    def test_one_item_runs_in_process(self, cpus, forks):
+        cpus(2)
+        assert numerics._fork_map(lambda i: os.getpid(), [0]) == [os.getpid()]
+        assert forks == []
+
+    def test_no_fork_on_a_platform_without_it(self, cpus, monkeypatch):
+        cpus(2)
+        monkeypatch.delattr(os, "fork")
+        assert numerics._fork_map(lambda i: os.getpid(), range(2)) == [os.getpid()] * 2
+
+    def test_no_fork_while_another_thread_is_alive(self, cpus, forks):
+        cpus(2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            out = numerics._fork_map(lambda i: os.getpid(), range(2))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert out == [os.getpid()] * 2 and forks == []
+
+    def test_no_fork_off_the_main_thread(self, cpus, forks):
+        cpus(2)
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(numerics._fork_map(lambda i: os.getpid(), range(2))))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert out == [[os.getpid()] * 2] and forks == []
+
+    def test_worker_exception_keeps_type_and_message(self, cpus, forks):
+        cpus(2)
+
+        def fail_odd(i):
+            if i % 2:
+                raise ValueError(f"item {i} is odd")
+            return i
+
+        with pytest.raises(ValueError) as info:
+            numerics._fork_map(fail_odd, range(4))
+        assert type(info.value) is ValueError and str(info.value) == "item 1 is odd"
+        assert len(forks) == 1
+        # the worker's traceback rides along as a note
+        assert "fail_odd" in "".join(info.value.__notes__)
+
+    def test_exception_that_does_not_unpickle_keeps_its_text(self, cpus):
+        cpus(2)
+
+        def fail(i):
+            if i:
+                raise _NeedsTwoArgs(1, 2)
+
+        with pytest.raises(RuntimeError) as info:
+            numerics._fork_map(fail, range(2))
+        assert str(info.value) == "_NeedsTwoArgs: needs 1 and 2"
+
+    def test_exception_in_this_process_stops_the_workers(self, cpus, forks):
+        cpus(2)
+
+        def fail_here(i):
+            if i == 0:
+                raise KeyError("parent")
+            return i
+
+        with pytest.raises(KeyError, match="parent"):
+            numerics._fork_map(fail_here, range(2))
+        assert len(forks) == 1      # reaped: the autouse fixture checks that none is left
+
+    def test_killed_worker_raises_and_does_not_hang(self, cpus, forks):
+        cpus(2)
+
+        def die(i):
+            if i:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        def hang(signum, frame):
+            raise TimeoutError("the map hung on a killed worker")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match=r"exited with status -9 without a result"):
+                numerics._fork_map(die, range(2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 1
+
+    def test_closed_stdout(self, cpus, forks, monkeypatch):
+        # Python sets sys.stdout to None when file descriptor 1 was closed at start-up
+        cpus(2)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert numerics._fork_map(lambda i: i * i, range(3)) == [0, 1, 4]
+        assert len(forks) == 1
+
+    def test_worker_neither_repeats_buffered_output_nor_runs_atexit(self, cpus, forks,
+                                                                     capfd, tmp_path):
+        cpus(2)
+        marker = tmp_path / "atexit"
+        parent = os.getpid()
+
+        def record_exit():
+            if os.getpid() != parent:
+                marker.write_text("a worker ran an atexit handler")
+
+        atexit.register(record_exit)
+        try:
+            print("buffered before the fork", end="")
+            numerics._fork_map(lambda i: print(f"item {i}") or i, range(2))
+            sys.stdout.flush()
+        finally:
+            atexit.unregister(record_exit)
+        out = capfd.readouterr().out
+        assert out.count("buffered before the fork") == 1
+        assert len(forks) == 1 and not marker.exists()
