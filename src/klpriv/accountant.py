@@ -64,7 +64,7 @@ def gradient_norm_constant_B(arch: NetArch, betas) -> float:
 def expected_grad_norm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
     """Exact E ||df/dW||_F^2 at a fresh initialization for a fixed input."""
     betas = _check_betas(arch, betas)
-    if x_sqnorm < 0:
+    if not x_sqnorm >= 0:
         raise ValueError("squared input norm must be non-negative")
     ssum = sum(betas[-1] / b for b in betas)
     return x_sqnorm * arch.o * _hidden_product(arch, betas) * ssum
@@ -73,7 +73,7 @@ def expected_grad_norm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
 def expected_output_sqnorm_init(arch: NetArch, betas, x_sqnorm: float) -> float:
     """Exact E ||f(x)||^2 at a fresh initialization for a fixed input."""
     betas = _check_betas(arch, betas, positive=False)
-    if x_sqnorm < 0:
+    if not x_sqnorm >= 0:
         raise ValueError("squared input norm must be non-negative")
     return arch.o * betas[-1] * _hidden_product(arch, betas) * x_sqnorm
 
@@ -102,11 +102,11 @@ def kl_bound_linearized(B: float, T: float, n: int, sigma2: float,
     4B / n^2 uniformly in time; integrating over [0, T] and dividing by the
     convention's constant gives the bound.
     """
-    if B < 0 or T < 0:
+    if not (B >= 0 and T >= 0):
         raise ValueError("B and T must be non-negative")
     if n < 1:
         raise ValueError("dataset size must be positive")
-    if sigma2 <= 0:
+    if not sigma2 > 0:
         raise ValueError("noise variance must be positive")
     return 4.0 * B * T / n ** 2 / (convention.denominator_factor * sigma2)
 
@@ -132,12 +132,12 @@ class DnnBoundInputs:
     e_grad0: float
 
     def __post_init__(self):
-        if self.T < 0:
+        if not self.T >= 0:
             raise ValueError("horizon T must be non-negative")
         if self.n < 1:
             raise ValueError("dataset size must be positive")
-        if min(self.sigma2, self.beta_smooth, self.c_grad,
-               self.e_delta0, self.e_grad0) < 0 or self.rank_mt < 0:
+        if not all(v >= 0 for v in (self.sigma2, self.beta_smooth, self.c_grad,
+                                    self.e_delta0, self.e_grad0)) or self.rank_mt < 0:
             raise ValueError("bound inputs must be non-negative")
 
 
@@ -201,6 +201,12 @@ def lazy_R_bound(arch: NetArch, betas, n: int) -> float:
     Returns max{1 / (d beta_L prod beta_i m_i), 1} * n / sum(1 / beta_l).
     Logarithmic factors in n are dropped, so treat this as a scale estimate
     rather than a certified inequality.
+
+    The product runs over beta_i m_i for the hidden layers i = 1..L-1, while
+    the product in B (:func:`gradient_norm_constant_B`) runs over
+    beta_i m_i / 2, so the two products differ by 2^(L-1), apart from B's
+    other factors.  Which of the two forms the paper's bound takes is not
+    settled here.
     """
     if arch.o != 1:
         raise ValueError("the interpolation bound is for single-output models")
@@ -223,9 +229,11 @@ def averaged_iterate_risk_bound(loss_star: float, R: float, T: float, sigma2: fl
     optimization term is R / (2 T), and the noise adds sigma^2 / 2 along each
     of the ``rank`` directions of the Gram matrix.
     """
-    if T <= 0:
+    if math.isnan(loss_star):
+        raise ValueError("loss* must be a number")
+    if not T > 0:
         raise ValueError("horizon T must be positive")
-    if min(R, sigma2) < 0 or rank < 0:
+    if not (R >= 0 and sigma2 >= 0) or rank < 0:
         raise ValueError("R, sigma^2 and the rank must be non-negative")
     return loss_star + R / (2.0 * T) + sigma2 * rank / 2.0
 
@@ -247,7 +255,7 @@ def tradeoff_schedule(B: float, R: float, eps: float, n: int) -> TradeoffSchedul
     R / (2 T) and its privacy-noise term B T / (eps n); the resulting risk
     bound is 1 / n^2 + sqrt(2 B R / (eps n)).
     """
-    if min(B, R, eps) <= 0 or n < 1:
+    if not (B > 0 and R > 0 and eps > 0) or n < 1:
         raise ValueError("B, R, eps must be positive and n >= 1")
     T = math.sqrt(eps * n * R / (2.0 * B))
     sigma2 = 2.0 * B * T / (eps * n ** 2)
@@ -257,6 +265,6 @@ def tradeoff_schedule(B: float, R: float, eps: float, n: int) -> TradeoffSchedul
 
 def kl_to_dp_delta(eps_kl: float) -> float:
     """Convert a KL privacy level to the delta of (0, delta)-DP: sqrt(eps/2)."""
-    if eps_kl < 0:
+    if not eps_kl >= 0:
         raise ValueError("KL divergence must be non-negative")
     return math.sqrt(eps_kl / 2.0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +41,10 @@ from .network import (
     residual_batch,
     sample_inits,
 )
-from .numerics import KeyedGenerator, RngStream, _fork_map, blas_threads, keyed_generator
+from .numerics import RngStream, _fork_map, blas_threads, keyed_generator
 
-# One constant sizes the training stacks, gates the noise overlap and gates
-# forking.
-#
 # Stacks: run_kl_estimation trains the runs of a network max(1, min(runs,
-# OVERLAP_MIN_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
+# STACK_MAX_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
 # trainer (_noisy_gd), so each of the stack's two (R, P) arrays, the iterate
 # and the noise, holds at most 2^17 parameters (1 MiB); a network step adds
 # one scratch of its largest layer block per run, not a third (R, P) array.
@@ -59,30 +55,19 @@ from .numerics import KeyedGenerator, RngStream, _fork_map, blas_threads, keyed_
 # a time (median of 8 alternating pairs): at that size a step is mostly
 # per-call overhead, which a stack pays once for all its runs.
 #
-# Noise overlap: a stack of OVERLAP_MIN_PARAMS parameters or more (in practice
-# one run with P >= 2^17) draws each step's noise on one helper thread while
-# the step's gradient statistics are computed; BLAS runs on one thread, as for
-# all training, so the two do not contend for cores.  At P = 270,592 (d=32,
-# width 256, depth 6) a CLI run takes 0.58x the wall time and 0.48x the CPU
-# time.  With the overlap gate forced to 0, a P = 3,104 model ran about 17%
-# slower (median of 8 alternating pairs; the per-step hand-off costs more than
-# the small draw saves) and a P = 36,992 linearized model gained no wall time.
-#
-# Forking: when training has steps and forms two stacks or more, each of
-# fewer than OVERLAP_MIN_PARAMS parameters, run_kl_estimation trains the
-# stacks in forked processes (numerics._fork_map), one per usable CPU.  Such
-# a stack trains on one core, so the processes do not contend.  A stack at or
-# above the gate already keeps a second core busy with its noise helper, so
-# those stacks train one after another in this process.  On a 2-core host the
-# two one-run stacks of a P = 20,608 linearized model (perfbench's
-# estimate-linearized) took 0.65x the wall time forked and about 8% more CPU
-# time (raw medians of 10 alternating CLI pairs at each of two seeds).  A
-# stack is never split: training the one two-run stack of a P = 3,104 network
-# (estimate-replace) as two forked one-run stacks gave no steady wall-time
-# gain over 3 pairs, 1.69x the CPU time and 3.6 MB more peak RSS, since at
-# that size a step is mostly per-call overhead, which a stack pays once.
-# Without steps nothing trains, and a fork would only add set-up time.
-OVERLAP_MIN_PARAMS = 1 << 17
+# Forking: when training has steps and forms two stacks or more,
+# run_kl_estimation trains the stacks in forked processes (numerics._fork_map),
+# one per usable CPU.  A stack trains with BLAS on one thread, so the
+# processes do not contend.  On a 2-core host the two one-run stacks of a
+# P = 20,608 linearized model (perfbench's estimate-linearized) took 0.65x the
+# wall time forked and about 8% more CPU time (raw medians of 10 alternating
+# CLI pairs at each of two seeds).  A stack is never split: training the one
+# two-run stack of a P = 3,104 network (estimate-replace) as two forked
+# one-run stacks gave no steady wall-time gain over 3 pairs, 1.69x the CPU
+# time and 3.6 MB more peak RSS, since at that size a step is mostly per-call
+# overhead, which a stack pays once.  Without steps nothing trains, and a fork
+# would only add set-up time.
+STACK_MAX_PARAMS = 1 << 17
 
 # The Monte Carlo checks evaluate their initializations in stacks of
 # _mc_chunk(arch), as many as fit MC_STACK_BYTES in one (chunk, o*P) float64
@@ -237,9 +222,9 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
         raise ValueError("weights and gradient must share an architecture")
     if grad.flat.shape != W.flat.shape:
         raise ValueError("gradient must have the shape of the weights")
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("step size must be non-negative")
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError("noise variance must be non-negative")
     if noise.shape != W.flat.shape:
         raise ValueError("noise must have one entry per parameter")
@@ -285,9 +270,8 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     :func:`_diffuse` then adds.  Each step yields the indices into ``W`` of
     the rows that took it, their updated iterates and the payload; training
     ends after ``step_keys.shape[1]`` steps or when no row is left.
-    Training runs with BLAS on one thread, and a stack of OVERLAP_MIN_PARAMS
-    parameters or more draws on a helper thread while ``step`` runs; with
-    no steps neither happens.
+    Training runs with BLAS on one thread, and each step's noise is drawn
+    on this thread once ``step`` returns; with no steps BLAS is not touched.
 
     ``W`` is copied once and never written, so a caller may pass a view of
     weights it keeps, such as a linearized model's expansion point.  The
@@ -301,35 +285,18 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     W = ParamVector(W.arch, W.flat.copy())
     rows = np.arange(W.flat.shape[0])
     noise = np.empty(W.flat.shape)
-    with ExitStack() as stack:
-        # one BLAS thread for all training: on a 2-core host two threads
-        # took more CPU for no less wall time on the statistics' GEMMs
-        stack.enter_context(blas_threads(1))
-        helper = None
-        if W.flat.size >= OVERLAP_MIN_PARAMS:
-            # imported here: only runs above the gate pay for the import
-            from concurrent.futures import ThreadPoolExecutor
-            helper = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            helper_rngs = [KeyedGenerator() for _ in rows]
+    # one BLAS thread for all training: on a 2-core host two threads took
+    # more CPU for no less wall time on the statistics' GEMMs
+    with blas_threads(1):
         for k in range(steps):
-            draws = None
-            if helper is not None:
-                # the helper runs numpy only: this thread restarts the
-                # helper's generators, so every klpriv function, and any
-                # profiling hook on it, stays on this thread
-                draws = [helper.submit(g.at(key).standard_normal, out=row)
-                         for g, key, row in zip(helper_rngs, step_keys[:, k], noise)]
             live, payload = step(W, eta)
-            for draw in draws or ():
-                draw.result()
             if not live.all():
                 if not live.any():
                     return
                 rows, step_keys, noise = rows[live], step_keys[live], noise[live]
                 W = ParamVector(W.arch, W.flat[live])
-            if draws is None:
-                for key, row in zip(step_keys[:, k], noise):
-                    keyed_generator(key).standard_normal(out=row)
+            for key, row in zip(step_keys[:, k], noise):
+                keyed_generator(key).standard_normal(out=row)
             _diffuse(W.flat, noise, eta, sigma2)
             yield rows, W, payload
 
@@ -649,10 +616,10 @@ def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stack_size(model, runs: int) -> int:
-    """Runs trained together as one stack: see OVERLAP_MIN_PARAMS."""
+    """Runs trained together as one stack: see STACK_MAX_PARAMS."""
     if isinstance(model, LinearizedModel):
         return 1
-    return max(1, min(runs, OVERLAP_MIN_PARAMS // model.arch.num_params))
+    return max(1, min(runs, STACK_MAX_PARAMS // model.arch.num_params))
 
 
 def _init_stack(model, seed: int, runs: np.ndarray) -> ParamVector:
@@ -752,9 +719,9 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
 
     size = _stack_size(model, cfg.runs)
     stacks = [np.arange(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
-    # stacks train in forked processes when there is training, more than one
-    # stack and no noise helper thread: see OVERLAP_MIN_PARAMS
-    forked = cfg.steps > 0 and len(stacks) > 1 and size * arch.num_params < OVERLAP_MIN_PARAMS
+    # stacks train in forked processes when there is training and more than
+    # one stack: see STACK_MAX_PARAMS
+    forked = cfg.steps > 0 and len(stacks) > 1
     trained = _fork_map(train, stacks) if forked else [train(runs) for runs in stacks]
     traces: list[KLTrace] = []
     for table, rule in (run for stack in trained for run in stack):

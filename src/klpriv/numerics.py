@@ -376,7 +376,7 @@ def gaussian_matrix(rows: int, cols: int, variance: float, key: np.ndarray) -> n
     """
     if rows <= 0 or cols <= 0:
         raise ValueError("empty matrix: rows and cols must be positive")
-    if variance < 0:
+    if not variance >= 0:
         raise ValueError("variance must be non-negative")
     return keyed_generator(key).normal(0.0, np.sqrt(variance), size=(rows, cols))
 

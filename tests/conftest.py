@@ -1,6 +1,7 @@
-"""Markers that a test module cannot carry itself, and a check on child processes."""
+"""Markers that a test module cannot carry itself, and checks on child processes and threads."""
 
 import os
+import threading
 
 import pytest
 
@@ -28,6 +29,23 @@ def no_child_process_left():
         left.append(f"pid {pid} exited with status {status} and was not reaped")
     if left:
         pytest.fail("the test left child processes: " + "; ".join(left))
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a Python thread alive: ``numerics._fork_map``
+    forks only while the calling thread is the only one.
+
+    A thread the test started gets a second to finish, as a cancelled timer needs.
+    """
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    for thread in left:
+        thread.join(timeout=1.0)
+    alive = [t.name for t in left if t.is_alive()]
+    if alive:
+        pytest.fail("the test left threads alive: " + ", ".join(alive))
 
 
 @pytest.fixture

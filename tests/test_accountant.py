@@ -294,3 +294,28 @@ class TestPinsker:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             kl_to_dp_delta(-0.1)
+
+
+# each function with NaN in one argument, which every comparison-based check
+# passes and every formula turns into a NaN result
+_NAN_CASES = [
+    (kl_bound_linearized, dict(B=1.0, T=1.0, n=10, sigma2=0.01), ("B", "T", "sigma2")),
+    (averaged_iterate_risk_bound, dict(loss_star=0.1, R=1.0, T=1.0, sigma2=0.01, rank=4),
+     ("loss_star", "R", "T", "sigma2")),
+    (tradeoff_schedule, dict(B=1.0, R=1.0, eps=1.0, n=10), ("B", "R", "eps")),
+    (kl_to_dp_delta, dict(eps_kl=1.0), ("eps_kl",)),
+    (expected_grad_norm_init, dict(arch=ARCH, betas="he", x_sqnorm=1.0), ("x_sqnorm",)),
+    (expected_output_sqnorm_init, dict(arch=ARCH, betas="he", x_sqnorm=1.0), ("x_sqnorm",)),
+    (DnnBoundInputs, dict(T=1.0, n=10, sigma2=0.01, beta_smooth=0.5, c_grad=1.0, rank_mt=4,
+                          e_delta0=0.2, e_grad0=1.5),
+     ("T", "sigma2", "beta_smooth", "c_grad", "e_delta0", "e_grad0")),
+]
+
+
+@pytest.mark.parametrize("fn, base, name", [
+    pytest.param(fn, base, name, id=f"{fn.__name__}-{name}")
+    for fn, base, names in _NAN_CASES for name in names])
+def test_nan_rejected(fn, base, name):
+    fn(**base)      # the other arguments are valid
+    with pytest.raises(ValueError):
+        fn(**{**base, name: math.nan})

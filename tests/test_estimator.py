@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -153,6 +152,11 @@ class TestNoisyGdStep:
             noisy_gd_step(W, g, -0.1, 0.5, noise)
         with pytest.raises(ValueError, match="noise variance"):
             noisy_gd_step(W, g, 0.1, -0.5, noise)
+        # NaN passes a comparison with zero: as sigma2 it would skip the noise
+        with pytest.raises(ValueError, match="step size"):
+            noisy_gd_step(W, g, math.nan, 0.5, noise)
+        with pytest.raises(ValueError, match="noise variance"):
+            noisy_gd_step(W, g, 0.1, math.nan, noise)
         with pytest.raises(ValueError, match="one entry per parameter"):
             noisy_gd_step(W, g, 0.1, 0.5, np.zeros(W.flat.size + 1))
         with pytest.raises(ValueError, match="shape of the weights"):
@@ -250,45 +254,35 @@ class TestNoisyGdTrainer:
         # the caller's stack is never written
         assert W0.flat.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("above", [0, 1])
-    def test_iterates_equal_hand_written_chain(self, monkeypatch, above):
+    def test_iterates_equal_hand_written_chain(self, monkeypatch):
         fake = _FakeBlas()
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
         before = set(threading.enumerate())
         eta, sigma2, steps = 0.05, 0.2, 6
         for runs in (1, 3):
-            # gate R*P: the draws overlap the steps on a helper; gate R*P + 1: inline
-            monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS",
-                                runs * ARCH.num_params + above)
-            helpers = []
+            started = []
 
             def step(W, eta):
-                helpers.append(len(set(threading.enumerate()) - before))
+                started.append(len(set(threading.enumerate()) - before))
                 _linear_step(W, eta)
                 return np.ones(len(W.flat), dtype=bool), None
 
             streams = [RngStream(4).child(r) for r in range(runs)]
             keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
             W0 = _stack(*(_weights(r) for r in range(runs)))
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                got = [(rows.tolist(), W.flat.copy()) for rows, W, _ in
-                       estimator._noisy_gd(W0, step, eta, sigma2, keys)]
-            finally:
-                sys.setswitchinterval(interval)
+            got = [(rows.tolist(), W.flat.copy()) for rows, W, _ in
+                   estimator._noisy_gd(W0, step, eta, sigma2, keys)]
             assert [rows for rows, _ in got] == [list(range(runs))] * steps
             for r, stream in enumerate(streams):
                 want = _hand_written_chain(_weights(r), eta, sigma2, stream, steps)
                 assert [flat[r].tobytes() for _, flat in got] == want
-            assert helpers == [1 - above] * steps
+            # training starts no thread
+            assert started == [0] * steps
             assert set(threading.enumerate()) == before
         assert fake.set_calls == [1, 2] * 2     # pinned to one BLAS thread while training
 
-    @pytest.mark.parametrize("above", [0, 1])
-    def test_rows_leave_the_stack(self, monkeypatch, above):
+    def test_rows_leave_the_stack(self):
         # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 4 * ARCH.num_params + above)
         stops = {1: 2, 3: 4}
         calls, stacks, etas = [], [], []
 
@@ -322,7 +316,6 @@ class TestNoisyGdTrainer:
     def test_zero_steps_start_nothing(self, monkeypatch):
         fake = _FakeBlas()
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 0)
         before = set(threading.enumerate())
 
         def step(W):
@@ -691,28 +684,6 @@ def _linearized_model(data):
     return LinearizedModel(sample_init(arch, init_betas("ntk", arch), RngStream(55)))
 
 
-# the smallest and a gate no model reaches: overlapped and inline noise draws
-GATES = (0, 1 << 62)
-
-
-def _on_both_paths(monkeypatch, model, data, neighbors, cfg):
-    """Results of the overlapped and the inline path, in that order.
-
-    Both run with a short thread switch interval, so that the helper and the
-    main thread interleave as often as possible.
-    """
-    results = []
-    for gate in GATES:
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results.append(run_kl_estimation(model, data, neighbors, cfg))
-        finally:
-            sys.setswitchinterval(interval)
-    return results
-
-
 def _same_bytes(a, b):
     """Equal shape, dtype and raw bytes, so that signs of zeros and NaN bits count too."""
     a, b = np.asarray(a), np.asarray(b)
@@ -746,34 +717,9 @@ class _FakeBlas:
         self.threads = count
 
 
-class TestOverlappedNoise:
-    @pytest.mark.parametrize("notion", list(Neighbor))
-    @pytest.mark.parametrize("kind", ["dnn", "linearized"])
-    def test_paths_bit_identical(self, monkeypatch, kind, notion):
-        data, neighbors, model = _setup_estimation(notion=notion)
-        if kind == "linearized":
-            model = _linearized_model(data)
-        cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=2, seed=3, record_every=2)
-        overlapped, inline = _on_both_paths(monkeypatch, model, data, neighbors, cfg)
-        assert not inline.diverged_any
-        _assert_same_bits(overlapped, inline)
-
-    @pytest.mark.parametrize("notion", list(Neighbor))
-    @pytest.mark.parametrize("kind, threshold", [("dnn", 10.0), ("linearized", 1.4)])
-    def test_paths_bit_identical_after_divergence(self, monkeypatch, kind, threshold, notion):
-        data, neighbors, model = _setup_estimation(notion=notion)
-        if kind == "linearized":
-            model = _linearized_model(data)
-        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1,
-                          divergence_threshold=threshold)
-        overlapped, inline = _on_both_paths(monkeypatch, model, data, neighbors, cfg)
-        completed = [t.completed for t in inline.traces]
-        assert any(0 < c < cfg.steps for c in completed)     # diverges mid-run
-        _assert_same_bits(overlapped, inline)
-
-    @pytest.mark.parametrize("gate", GATES)
-    def test_gate_selects_blas_pinning(self, monkeypatch, gate):
-        # training pins BLAS on both sides of the gate; --steps 0 never looks it up
+class TestTrainingBlas:
+    def test_training_pins_blas(self, monkeypatch):
+        # training pins BLAS; --steps 0 never looks it up
         fake = _FakeBlas()
         lookups = []
 
@@ -782,7 +728,6 @@ class TestOverlappedNoise:
             return fake.get, fake.set
 
         monkeypatch.setattr(numerics, "_openblas", openblas)
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
         data, neighbors, model = _setup_estimation()
         cfg = TrainConfig(eta=0.05, steps=2, sigma2=0.01, runs=1)
         run_kl_estimation(model, data, neighbors, cfg)
@@ -792,16 +737,14 @@ class TestOverlappedNoise:
         assert fake.set_calls == [1, 2]
         assert len(lookups) == 1
 
-    @pytest.mark.parametrize("gate", GATES)
-    def test_failing_statistics_join_helper_and_restore_blas(self, monkeypatch, gate):
+    def test_failing_statistics_restore_blas(self, monkeypatch):
         fake = _FakeBlas()
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", gate)
         before = set(threading.enumerate())
-        helpers_seen = []
+        started = []
 
         def failing_stats(self, W, eta):
-            helpers_seen.append(len(set(threading.enumerate()) - before))
+            started.append(len(set(threading.enumerate()) - before))
             raise RuntimeError("statistics failed")
 
         monkeypatch.setattr(estimator._DnnStepStats, "__call__", failing_stats)
@@ -809,7 +752,7 @@ class TestOverlappedNoise:
         cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=1)
         with pytest.raises(RuntimeError, match="statistics failed"):
             run_kl_estimation(model, data, neighbors, cfg)
-        assert helpers_seen == [1 if gate == 0 else 0]
+        assert started == [0]
         assert set(threading.enumerate()) == before
         assert fake.threads == 2
         assert fake.set_calls == [1, 2]
@@ -832,8 +775,8 @@ def _setup_outputs(notion, o, n=6):
 
 
 def _one_run_per_stack(monkeypatch, model):
-    # stacks hold OVERLAP_MIN_PARAMS // P runs: a gate of P + 1 gives one, inline draws
-    monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", model.arch.num_params + 1)
+    # stacks hold STACK_MAX_PARAMS // P runs: a limit of P + 1 gives one
+    monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", model.arch.num_params + 1)
 
 
 class TestStackedRuns:
@@ -936,7 +879,7 @@ class TestStackedRuns:
             return trainer(W, step, eta, sigma2, step_keys)
 
         monkeypatch.setattr(estimator, "_noisy_gd", capture)
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 2 * model.arch.num_params)
+        monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", 2 * model.arch.num_params)
         cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=5, seed=11)
         run_kl_estimation(model, data, neighbors, cfg)
         assert [len(W) for W, _ in seen] == [2, 2, 1]
@@ -966,7 +909,7 @@ class TestStackedRuns:
         assert (wide.arch.num_params, replace.arch.num_params) == (270_592, 3_104)
         assert estimator._stack_size(wide, 2) == 1          # estimate-wide
         assert estimator._stack_size(replace, 2) == 2       # estimate-replace
-        assert estimator._stack_size(replace, 100) == estimator.OVERLAP_MIN_PARAMS // 3_104
+        assert estimator._stack_size(replace, 100) == estimator.STACK_MAX_PARAMS // 3_104
         for m in (16, 64):                                  # the test_c09 cells
             assert estimator._stack_size(dnn(32, m, 6), 6) == 6
         assert estimator._stack_size(dnn(8, 32, 4), 1) == 1     # one run
@@ -998,8 +941,8 @@ def _lin_step_setup(notion, o, n=6, width=6):
 
 
 def _stacks_of_two(monkeypatch, model):
-    # a gate of 2P + 1 gives stacks of two runs below it, so they may fork
-    monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", 2 * model.arch.num_params + 1)
+    # a limit of 2P + 1 gives stacks of two runs
+    monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", 2 * model.arch.num_params + 1)
 
 
 class TestForkedStacks:
@@ -1015,18 +958,21 @@ class TestForkedStacks:
         assert len(forks) == workers - 1
         return here, forked
 
-    @pytest.mark.parametrize("linearized", [False, True])
+    # five runs: stacks of two, one-run stacks at the size limit (the shape of
+    # estimate-wide), and the linearized model's stacks of one
+    @pytest.mark.parametrize("kind, size", [("dnn", 2), ("dnn-at-limit", 1), ("linearized", 1)])
     @pytest.mark.parametrize("o", [1, 3])
     @pytest.mark.parametrize("notion", list(Neighbor))
-    def test_equals_in_process(self, monkeypatch, cpus, forks, notion, o, linearized):
+    def test_equals_in_process(self, monkeypatch, cpus, forks, notion, o, kind, size):
         data, neighbors, model = _setup_outputs(notion, o)
-        if linearized:
+        if kind == "linearized":
             model = LinearizedModel(sample_init(model.arch, "lecun", RngStream(7)))
+        elif kind == "dnn-at-limit":
+            monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", model.arch.num_params)
         else:
             _stacks_of_two(monkeypatch, model)
         cfg = TrainConfig(eta=0.05, steps=6, sigma2=0.01, runs=5, seed=3, record_every=2)
-        # five runs: stacks of two for the network, of one for the linearized model
-        assert estimator._stack_size(model, cfg.runs) == (1 if linearized else 2)
+        assert estimator._stack_size(model, cfg.runs) == size
         here, forked = self._both(cpus, forks, model, data, neighbors, cfg)
         assert not here.diverged_any
         _assert_same_bits(here, forked)
@@ -1060,17 +1006,12 @@ class TestForkedStacks:
                                                       for c in completed]
         _assert_same_bits(here, forked)
 
-    def test_no_fork_without_steps_or_second_stack_or_below_the_gate(
-            self, monkeypatch, cpus, forks):
+    def test_no_fork_without_steps_or_second_stack(self, monkeypatch, cpus, forks):
         cpus(2)
         data, neighbors, model = _setup_estimation()
         _stacks_of_two(monkeypatch, model)
         run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=0, sigma2=0.01,
                                                               runs=5))
-        run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=2, sigma2=0.01,
-                                                              runs=2))
-        # a gate of P: stacks of one run, each at the gate, so each has a noise helper
-        monkeypatch.setattr(estimator, "OVERLAP_MIN_PARAMS", model.arch.num_params)
         run_kl_estimation(model, data, neighbors, TrainConfig(eta=0.05, steps=2, sigma2=0.01,
                                                               runs=2))
         assert forks == []

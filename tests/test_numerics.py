@@ -286,6 +286,8 @@ class TestGaussianMatrix:
             gaussian_matrix(3, 0, 1.0, RngStream(0).keys())
         with pytest.raises(ValueError):
             gaussian_matrix(2, 2, -1.0, RngStream(0).keys())
+        with pytest.raises(ValueError):
+            gaussian_matrix(2, 2, float("nan"), RngStream(0).keys())
 
 
 class TestPsdSpectrum:
