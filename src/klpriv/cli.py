@@ -531,7 +531,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                         if result.diverged_any:
                             any_diverged = True
                             rows.append((scheme, m, L, int(cfg.steps), "diverged", 1.0))
-                except (ValueError, FloatingPointError) as exc:
+                except ValueError as exc:
                     rows.append((scheme, m, L, 0, "error", math.nan))
                     print(f"[sweep] cell scheme={scheme} width={m} depth={L} "
                           f"failed: {exc}", file=sys.stderr)

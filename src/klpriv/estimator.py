@@ -256,22 +256,23 @@ def _diffuse(w: np.ndarray, noise: np.ndarray, eta: float, sigma2: float) -> Non
 
 
 def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
-              step_keys: np.ndarray) -> Iterator[tuple[np.ndarray, ParamVector, object]]:
+              step_keys: np.ndarray) -> Iterator[ParamVector]:
     """Noisy GD from the (R, P) stack ``W``, one row per run.
 
     The one trainer: :func:`run_kl_estimation` and
     :func:`lin_averaged_iterate` differ only in their ``step``.  The trainer
-    owns two stack-sized arrays: the iterate and the noise.  ``step(W,
-    eta)`` takes the gradient half of the update of each row of the current
-    stack in place, with :func:`_descend`, and returns ``(live, payload)``:
-    ``live`` flags the rows that take the step, and the other rows leave the
-    stack for good.  Row r draws the noise of step k (from 0) with the
-    Philox key ``step_keys[r, k]`` into its row of the noise buffer, which
-    :func:`_diffuse` then adds.  Each step yields the indices into ``W`` of
-    the rows that took it, their updated iterates and the payload; training
-    ends after ``step_keys.shape[1]`` steps or when no row is left.
-    Training runs with BLAS on one thread, and each step's noise is drawn
-    on this thread once ``step`` returns; with no steps BLAS is not touched.
+    owns two stack-sized arrays: the iterate and the noise.  ``step(W, eta,
+    rows)`` is told the rows of ``W`` the current stack holds, as indices
+    into ``W``; it takes the gradient half of the update of each row in
+    place, with :func:`_descend`, records what it keeps of the step, and
+    returns ``live``, which flags the rows that take the step: the other
+    rows leave the stack for good.  Row r draws the noise of step k (from
+    0) with the Philox key ``step_keys[r, k]`` into its row of the noise
+    buffer, which :func:`_diffuse` then adds.  Each step yields the updated
+    iterate of the rows that took it; training ends after
+    ``step_keys.shape[1]`` steps or when no row is left.  Training runs with
+    BLAS on one thread, and each step's noise is drawn on this thread once
+    ``step`` returns; with no steps BLAS is not touched.
 
     ``W`` is copied once and never written, so a caller may pass a view of
     weights it keeps, such as a linearized model's expansion point.  The
@@ -289,7 +290,7 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     # more CPU for no less wall time on the statistics' GEMMs
     with blas_threads(1):
         for k in range(steps):
-            live, payload = step(W, eta)
+            live = step(W, eta, rows)
             if not live.all():
                 if not live.any():
                     return
@@ -298,7 +299,7 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
             for key, row in zip(step_keys[:, k], noise):
                 keyed_generator(key).standard_normal(out=row)
             _diffuse(W.flat, noise, eta, sigma2)
-            yield rows, W, payload
+            yield W
 
 
 def _as_matrix(grads) -> np.ndarray:
@@ -577,23 +578,6 @@ def _recorded_steps(steps: int, record_every: int) -> np.ndarray:
     return np.array(recorded, dtype=int)
 
 
-def _accumulate(sq_diffs: np.ndarray, scale: float,
-                recorded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative KL from squared differences, one row per completed step.
-
-    Returns the per-neighbor sum of ``scale`` times every row and the
-    worst-neighbor running sum at each recorded step; recorded steps past
-    the last completed step are infinite.
-    """
-    cum = np.zeros(sq_diffs.shape[1])
-    worst_at = dict.fromkeys(recorded.tolist(), math.inf)
-    for k, row in enumerate(sq_diffs, start=1):
-        cum += scale * row
-        if k in worst_at:
-            worst_at[k] = cum.max() if cum.size else 0.0
-    return cum, np.array([worst_at[k] for k in recorded.tolist()], dtype=float)
-
-
 def _mean_std_over_runs(worst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample std (ddof=1) over the runs in the rows of ``worst``.
 
@@ -645,13 +629,14 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                       cfg: TrainConfig) -> KLEstimationResult:
     """Estimate the KL privacy loss of noisy GD against worst-case neighbors.
 
-    Each run trains on ``data`` alone; the per-step squared gradient
-    differences against every neighbor candidate accumulate into per-neighbor
-    KL estimates, and the running maximum over neighbors is recorded.  Runs
-    differ in initialization (full network) and injected noise; all streams
-    derive deterministically from ``cfg.seed``.  Every run of a linearized
-    model starts from its expansion point, where the features of the data and
-    of the neighbor pool are built.
+    Each run trains on ``data`` alone.  The trainer's step records each run
+    of its stack where the differences are made: the per-step squared
+    gradient differences against every neighbor candidate accumulate into
+    per-neighbor KL estimates, and the maximum over neighbors is stored at
+    each recorded step.  Runs differ in initialization (full network) and
+    injected noise; all streams derive deterministically from ``cfg.seed``.
+    Every run of a linearized model starts from its expansion point, where
+    the features of the data and of the neighbor pool are built.
 
     Returns:
         Result with one trace per run and mean/std across runs of the
@@ -675,14 +660,20 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     # the cap: a capped set's columns of the full grid, all columns uncapped
     cols = slice(None) if neighbors.kept is None else np.array(neighbors.kept)
 
-    def train(runs: np.ndarray) -> list[tuple[np.ndarray, str | None]]:
-        """Each run's table of squared differences, one row per completed
-        step, and its leave rule, for the stack of ``runs``."""
+    def train(runs: np.ndarray) -> list[tuple]:
+        """Each run's finished record, for the stack of ``runs``: its table of
+        squared differences, one row per completed step, its KL per neighbor
+        (infinite for a run that left), its worst at the recorded steps
+        (infinite past its last completed step) and its leave rule."""
+        table = np.empty((runs.size, cfg.steps, neighbors.count))
+        cum = np.zeros((runs.size, neighbors.count))
+        worst = np.full((runs.size, recorded.size), math.inf)
+        completed = np.zeros(runs.size, dtype=int)
         left_by = [None] * runs.size
-        # the rows of the stack that step sees, as indices into runs
-        in_stack = np.arange(runs.size)
+        # the column of worst that each recorded step fills
+        column = {k: i for i, k in enumerate(recorded.tolist())}
 
-        def step(W: ParamVector, eta: float):
+        def step(W: ParamVector, eta: float, rows: np.ndarray) -> np.ndarray:
             # the one leave rule: a run leaves at the step where one of the
             # _LEAVE_RULES fires; its statistics at that step are computed with
             # the others' and dropped, so their non-finite arithmetic must not warn
@@ -698,24 +689,28 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
             live = ~(fired[0] | fired[1] | fired[2] | fired[3])
             if not live.all():
                 first = np.argmax(fired, axis=0)[~live]
-                for row, rule in zip(in_stack[~live].tolist(), first.tolist()):
+                for row, rule in zip(rows[~live].tolist(), first.tolist()):
                     left_by[row] = _LEAVE_RULES[rule]
-            return live, diffs[live]
+                cum[rows[~live]] = math.inf
+            # every run in the stack has completed the same k steps
+            k = int(completed[rows[0]])
+            rows, diffs = rows[live], diffs[live]
+            table[rows, k] = diffs
+            cum[rows] += scale * diffs
+            completed[rows] = k + 1
+            i = column.get(k + 1)
+            if i is not None:
+                worst[rows, i] = cum[rows].max(axis=-1) if neighbors.count else 0.0
+            return live
 
         # row r, step k: the key of run_streams(cfg.seed, runs[r])[1].child(k)
         step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
-        sq_diffs = np.empty((runs.size, cfg.steps, neighbors.count))
-        completed = np.zeros(runs.size, dtype=int)
-        # no name here holds an iterate: the first stack goes straight in,
-        # where the trainer's copy replaces it, and only the rows come out
-        stepped = ((rows, diffs) for rows, _, diffs in _noisy_gd(
-            _init_stack(model, cfg.seed, runs), step, cfg.eta, cfg.sigma2, step_keys))
-        for k, (rows, diffs) in enumerate(stepped, start=1):
-            sq_diffs[rows, k - 1] = diffs
-            completed[rows] = k
-            in_stack = rows
-        return [(table[:done], rule)
-                for table, done, rule in zip(sq_diffs, completed.tolist(), left_by)]
+        # the first stack goes straight in, where the trainer's copy replaces it
+        for _ in _noisy_gd(_init_stack(model, cfg.seed, runs), step, cfg.eta, cfg.sigma2,
+                           step_keys):
+            pass
+        return [(table[r, :done], cum[r], worst[r], left_by[r])
+                for r, done in enumerate(completed.tolist())]
 
     size = _stack_size(model, cfg.runs)
     stacks = [np.arange(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
@@ -723,13 +718,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     # one stack: see STACK_MAX_PARAMS
     forked = cfg.steps > 0 and len(stacks) > 1
     trained = _fork_map(train, stacks) if forked else [train(runs) for runs in stacks]
-    traces: list[KLTrace] = []
-    for table, rule in (run for stack in trained for run in stack):
-        cum, worst = _accumulate(table, scale, recorded)
-        if rule is not None:
-            cum = np.full(neighbors.count, math.inf)
-        traces.append(KLTrace(per_step_sq_diffs=table, cumulative_per_neighbor=cum,
-                              cumulative_worst=worst, left_by=rule))
+    traces = [KLTrace(*run) for stack in trained for run in stack]
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))
     return KLEstimationResult(traces=traces, recorded_steps=recorded,
@@ -759,15 +748,15 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
     live = np.ones(1, dtype=bool)
     S = np.empty(arch.num_params)
 
-    def step(W: ParamVector, eta: float):
+    def step(W: ParamVector, eta: float, rows: np.ndarray):
         lin_grad_sum(features, lin_forward(features, W)[0], labels, LossKind.LOGISTIC_SINGLE, S)
         _descend(W.flat[0], S, n, eta)
-        return live, None
+        return live
 
     # a stack of one run
     iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, eta, sigma2,
                          noise.keys(np.arange(steps))[None])
-    return ParamVector(arch, sum(W.flat[0] for _, W, _ in iterates) / steps)
+    return ParamVector(arch, sum(W.flat[0] for W in iterates) / steps)
 
 
 # ---------------------------------------------------------------------------

@@ -74,15 +74,14 @@ def _hashmix(value, xor: int, mult: int):
     return value ^ (value >> 16)
 
 
-def _seed_sequence_words(seeds, streams) -> list:
+def _seed_sequence_words(seed: int, streams) -> list:
     """The four 32-bit state words SeedSequence generates for ``(seed, stream)``.
 
-    ``streams`` is a uint64 array of at least one dimension and ``seeds`` a
-    uint64 array that broadcasts against it, or one seed as a Python int;
-    the words have the broadcast shape.  The words are masked, so Python
-    ints and wrapping uint64 arrays give the same values.  Mixing the seed
-    into the pool runs at the seed's own shape, and only the mixing of the
-    stream runs at the broadcast shape.
+    ``seed`` is one Python int and ``streams`` a uint64 array of at least
+    one dimension; the words have its shape.  The words are masked, so
+    Python ints and wrapping uint64 arrays give the same values.  The seed
+    is mixed into the pool once, on Python ints, and only the mixing of the
+    stream runs in arrays.
     """
     mults = iter(zip(_MIX_MULTS, _MIX_MULTS[1:]))
 
@@ -95,8 +94,7 @@ def _seed_sequence_words(seeds, streams) -> list:
 
     # entropy: the seed's two 32-bit words padded with zeros to the pool size
     # of 4, then the stream's low word and, where it is nonzero, its high word
-    zero = seeds & 0
-    pool = [hashmix(w) for w in (seeds & _M32, seeds >> 32, zero, zero)]
+    pool = [hashmix(w) for w in (seed & _M32, seed >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -109,22 +107,20 @@ def _seed_sequence_words(seeds, streams) -> list:
     return [_hashmix(p, x, m) for p, x, m in zip(pool, _OUT_MULTS, _OUT_MULTS[1:])]
 
 
-def _philox_keys(seeds, streams) -> np.ndarray:
-    """Philox keys of the streams ``(seed, stream)``, for one pair or many.
+def _philox_keys(seed: int, streams) -> np.ndarray:
+    """Philox keys of the streams ``(seed, stream)`` of one seed.
 
     Element for element the key ``RngStream(seed, stream).generator()`` starts
     from, ``SeedSequence(entropy=seed, spawn_key=(stream,)).generate_state(2,
-    np.uint64)``.  Seeds and streams, ints or arrays, broadcast, and give
-    shape ``broadcast shape + (2,)``; dtype uint64.
+    np.uint64)``.  ``streams`` is an int or an array; the keys have its shape
+    plus (2,), dtype uint64.
     """
-    seeds, streams = np.asarray(seeds, dtype=np.uint64), np.asarray(streams, dtype=np.uint64)
-    shape = np.broadcast_shapes(seeds.shape, streams.shape)
-    # not broadcast up front: a lone seed is mixed into the pool once, on
-    # Python ints; streams stay at least 1-d, so their arithmetic runs in
-    # arrays, which wrap silently where numpy scalars would warn
-    w = _seed_sequence_words(int(seeds) if seeds.ndim == 0 else seeds, np.atleast_1d(streams))
+    streams = np.asarray(streams, dtype=np.uint64)
+    # streams stay at least 1-d, so their arithmetic runs in arrays, which
+    # wrap silently where numpy scalars would warn
+    w = _seed_sequence_words(int(seed), np.atleast_1d(streams))
     keys = np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=-1)
-    return keys.reshape(shape + (2,))
+    return keys.reshape(streams.shape + (2,))
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ class TestGradientNormConstant:
             gradient_norm_constant_B(ARCH, (1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             table_closed_form_B("lecun", 4, 8, 1, 1)
+        with pytest.raises(ValueError, match="no closed form for scheme 'bogus'"):
+            table_closed_form_B("bogus", 4, 8, 2, 1)
 
 
 class TestInitMoments:

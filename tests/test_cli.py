@@ -706,6 +706,36 @@ class TestRunConfig:
         assert main([command, "--data", "synth:0", "--steps", "0"]) == 2
         assert "synthetic dataset size must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--steps", "-1"], "steps must be >= 0, runs >= 1, samples >= 2"),
+        (["estimate", "--runs", "0"], "steps must be >= 0, runs >= 1, samples >= 2"),
+        (["mc-verify", "--samples", "1"], "steps must be >= 0, runs >= 1, samples >= 2"),
+        (["estimate", "--pool-size", "0"], "pool-size, cap and record-every must be positive"),
+        (["estimate", "--cap", "0"], "pool-size, cap and record-every must be positive"),
+        (["estimate", "--record-every", "0"],
+         "pool-size, cap and record-every must be positive"),
+        (["estimate", "--outputs", "2", "--data", "synth:8"],
+         "synthetic data is binary; multi-output runs need csv data"),
+        (["sweep", "--widths", ","], "need at least one width and one depth"),
+    ], ids=["negative-steps", "no-runs", "one-sample", "no-pool", "no-cap", "no-record",
+            "multi-output-synth", "no-widths"])
+    def test_bad_value_exits_2_with_its_message(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_csv_without_room_for_the_pool_exits_2(self, capsys, tmp_path):
+        # three rows cannot hold out a pool of three and keep any records
+        p = tmp_path / "d.csv"
+        save_csv(synth_sphere(3, 4, RngStream(1)), p)
+        argv = ["estimate", "--data", f"csv:{p}", "--neighbor", "add", "--pool-size", "3",
+                "--steps", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: dataset too small to hold out a candidate pool" in captured.err
+        assert captured.out == ""
+
 
 # the fields each command does not read, which are therefore not its flags
 UNREAD_FLAGS = [

@@ -115,11 +115,11 @@ class TestNoisyGdStep:
         # the noise of a training run is a function of its stream alone
         def iterates(stream):
             # the trainer yields one stack updated in place: copy each iterate
-            def step(W, eta):
+            def step(W, eta, rows):
                 estimator._descend(W.flat, 0.5 * W.flat, 1, eta)
-                return ONE_ROW, None
+                return ONE_ROW
 
-            return [W.flat.copy() for _, W, _ in estimator._noisy_gd(
+            return [W.flat.copy() for W in estimator._noisy_gd(
                 _stack(_weights(0)), step, 0.1, 0.5, stream.keys(np.arange(3))[None])]
 
         a, b, other = iterates(RngStream(5)), iterates(RngStream(5)), iterates(RngStream(6))
@@ -231,26 +231,27 @@ def _hand_written_chain(W, eta, sigma2, stream, steps):
 
 class TestNoisyGdTrainer:
     def test_yields_completed_iterates_until_step_stops(self):
-        seen, etas = [], []
+        seen, etas, rows_seen = [], [], []
 
-        def step(W, eta):
+        def step(W, eta, rows):
             seen.append(W.flat.copy())
             etas.append(eta)
+            rows_seen.append(rows.tolist())
             _linear_step(W, eta)
-            return np.array([len(seen) < 3]), len(seen)
+            return np.array([len(seen) < 3])
 
         W0 = _stack(_weights(0))
         before = W0.flat.copy()
         # the trainer yields its own stack, updated in place: copy each iterate
-        out = [(rows, W, W.flat.copy(), payload) for rows, W, payload in estimator._noisy_gd(
+        out = [(W, W.flat.copy()) for W in estimator._noisy_gd(
             W0, step, 0.05, 0.01, RngStream(2).keys(np.arange(5))[None])]
-        assert [payload for _, _, _, payload in out] == [1, 2]
-        assert all(rows.tolist() == [0] for rows, _, _, _ in out)
-        assert out[0][1] is out[1][1] and not np.shares_memory(out[0][1].flat, W0.flat)
+        assert len(out) == 2
+        assert rows_seen == [[0]] * 3
+        assert out[0][0] is out[1][0] and not np.shares_memory(out[0][0].flat, W0.flat)
         assert etas == [0.05] * 3
         # step k saw the iterate step k-1 yielded; the stopping step yields nothing
         assert seen[0].tobytes() == before.tobytes()
-        assert [flat.tobytes() for _, _, flat, _ in out] == [x.tobytes() for x in seen[1:]]
+        assert [flat.tobytes() for _, flat in out] == [x.tobytes() for x in seen[1:]]
         # the caller's stack is never written
         assert W0.flat.tobytes() == before.tobytes()
 
@@ -260,22 +261,23 @@ class TestNoisyGdTrainer:
         before = set(threading.enumerate())
         eta, sigma2, steps = 0.05, 0.2, 6
         for runs in (1, 3):
-            started = []
+            started, rows_seen = [], []
 
-            def step(W, eta):
+            def step(W, eta, rows):
                 started.append(len(set(threading.enumerate()) - before))
+                rows_seen.append(rows.tolist())
                 _linear_step(W, eta)
-                return np.ones(len(W.flat), dtype=bool), None
+                return np.ones(len(W.flat), dtype=bool)
 
             streams = [RngStream(4).child(r) for r in range(runs)]
             keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
             W0 = _stack(*(_weights(r) for r in range(runs)))
-            got = [(rows.tolist(), W.flat.copy()) for rows, W, _ in
-                   estimator._noisy_gd(W0, step, eta, sigma2, keys)]
-            assert [rows for rows, _ in got] == [list(range(runs))] * steps
+            got = [W.flat.copy() for W in estimator._noisy_gd(W0, step, eta, sigma2, keys)]
+            assert len(got) == steps
+            assert rows_seen == [list(range(runs))] * steps
             for r, stream in enumerate(streams):
                 want = _hand_written_chain(_weights(r), eta, sigma2, stream, steps)
-                assert [flat[r].tobytes() for _, flat in got] == want
+                assert [flat[r].tobytes() for flat in got] == want
             # training starts no thread
             assert started == [0] * steps
             assert set(threading.enumerate()) == before
@@ -284,33 +286,36 @@ class TestNoisyGdTrainer:
     def test_rows_leave_the_stack(self):
         # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
         stops = {1: 2, 3: 4}
-        calls, stacks, etas = [], [], []
+        calls, stacks, etas, rows_seen = [], [], [], []
 
-        def step(W, eta):
+        def step(W, eta, rows):
             k = len(calls)
             calls.append(len(W.flat))
             stacks.append(W)
             etas.append(eta)
+            rows_seen.append(rows.tolist())
             _linear_step(W, eta)
-            rows = [r for r in range(4) if stops.get(r, 99) > k - 1]
-            return np.array([stops.get(r, 99) > k for r in rows]), k
+            return np.array([stops.get(r, 99) > k for r in rows.tolist()])
 
         eta, sigma2, steps = 0.05, 0.2, 6
         streams = [RngStream(7).child(r) for r in range(4)]
         keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
-        out = [(rows.tolist(), W.flat.copy(), k) for rows, W, k in estimator._noisy_gd(
+        out = [W.flat.copy() for W in estimator._noisy_gd(
             _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
         assert calls == [4, 4, 4, 3, 3, 2]
         assert etas == [eta] * steps
+        # the step is told the rows its stack holds, as indices into the start
+        assert rows_seen == [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 2 + [[0, 2]]
         # one iterate per stack: the same object until a row leaves, then the
         # survivors' compacted rows
         assert stacks[0] is stacks[1] is stacks[2] and stacks[3] is stacks[4]
         assert len({id(W) for W in stacks}) == 3
-        assert [rows for rows, _, _ in out] == [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
-        assert [k for _, _, k in out] == list(range(steps))
+        assert len(out) == steps
+        # the rows of each yielded iterate: those that took the step
+        took = [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
         for r, stream in enumerate(streams):
             want = _hand_written_chain(_weights(r), eta, sigma2, stream, stops.get(r, steps))
-            got = [flat[rows.index(r)].tobytes() for rows, flat, _ in out if r in rows]
+            got = [flat[rows.index(r)].tobytes() for rows, flat in zip(took, out) if r in rows]
             assert got == want
 
     def test_zero_steps_start_nothing(self, monkeypatch):
@@ -318,7 +323,7 @@ class TestNoisyGdTrainer:
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
         before = set(threading.enumerate())
 
-        def step(W):
+        def step(W, eta, rows):
             raise AssertionError("no step at steps=0")
 
         keys = RngStream(2).keys(np.arange(0))[None]
@@ -586,6 +591,11 @@ class TestRunKlEstimation:
             run_kl_estimation(model, bad_data, neighbors, cfg)
         with pytest.raises(TypeError):
             run_kl_estimation(object(), data, neighbors, cfg)
+        # one-hot labels of width 3 on a network with 2 outputs
+        three, three_neighbors, _ = _setup_outputs(Neighbor.REMOVE_ONE, 3)
+        two = DnnModel(arch=NetArch.uniform(three.d, 6, 2, 2), scheme="lecun")
+        with pytest.raises(ValueError, match="label width does not match the architecture"):
+            run_kl_estimation(two, three, three_neighbors, cfg)
 
     @pytest.mark.parametrize("notion", list(Neighbor))
     def test_neighbor_set_must_fit_the_data(self, notion):

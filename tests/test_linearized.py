@@ -276,6 +276,13 @@ class TestLazySolution:
         with pytest.raises(ValueError):
             lazy_solution(feats, np.array([1.0, -1.0, 1.0]))
 
+    def test_zero_examples_rejected(self):
+        arch = NetArch.uniform(3, 4, 2, 1)
+        W0 = sample_init(arch, init_betas("he", arch), RngStream(15))
+        feats = build_features(W0, np.empty((0, 3)))
+        with pytest.raises(ValueError, match="need at least one example"):
+            lazy_solution(feats, np.empty(0))
+
     def test_multi_output_rejected(self):
         arch = NetArch.uniform(3, 4, 2, 2)
         W0 = sample_init(arch, init_betas("he", arch), RngStream(15))

@@ -109,9 +109,17 @@ class TestPhiloxKeys:
         assert seeds.size >= 100_000
         assert (seeds >= 2**32).any() and (streams == 0).any()
         assert ((streams > 0) & (streams < 2**32)).any() and (streams >= 2**32).any()
-        got = numerics._philox_keys(seeds, streams)
         expected = np.array([_seed_sequence_key(int(a), int(b)) for a, b in zip(seeds, streams)])
-        assert got.dtype == np.uint64
+        # every pair, one seed at a time with all of its streams in one call
+        pairs_of = {}
+        for j, seed in enumerate(seeds.tolist()):
+            pairs_of.setdefault(seed, []).append(j)
+        got = np.zeros_like(expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, pairs in pairs_of.items():
+                got[pairs] = numerics._philox_keys(seed, streams[pairs])
+        assert numerics._philox_keys(0, streams[:1]).dtype == np.uint64
         assert np.array_equal(got, expected)
         # one pair of Python ints goes through the same port, as one stream
         with warnings.catch_warnings():
@@ -127,7 +135,7 @@ class TestPhiloxKeys:
         for seed in edges + [7, 2**40 + 3]:
             streams = np.array(edges + _cli_streams(seed)[:200], dtype=np.uint64)
             expected = np.array([_seed_sequence_key(seed, int(b)) for b in streams])
-            for one_seed in (seed, np.uint64(seed), np.array(seed, dtype=np.uint64)):
+            for one_seed in (seed, np.uint64(seed)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = numerics._philox_keys(one_seed, streams)
@@ -148,9 +156,11 @@ class TestPhiloxKeys:
         assert key.tobytes() == _seed_sequence_key(seed, stream).tobytes()
 
     def test_broadcast_shapes(self):
-        keys = numerics._philox_keys(np.arange(3, dtype=np.uint64)[:, None], [5, 2**40])
-        assert keys.shape == (3, 2, 2)
-        assert np.array_equal(keys[2, 1], _seed_sequence_key(2, 2**40))
+        for seed in range(3):
+            keys = numerics._philox_keys(seed, [[5, 2**40]])
+            assert keys.shape == (1, 2, 2)
+            assert np.array_equal(keys[0, 1], _seed_sequence_key(seed, 2**40))
+            assert np.array_equal(keys[0, 0], _seed_sequence_key(seed, 5))
         assert numerics._philox_keys(9, np.zeros(0, dtype=np.uint64)).shape == (0, 2)
         assert np.array_equal(numerics._philox_keys(9, 4), _seed_sequence_key(9, 4))
 
@@ -369,6 +379,8 @@ class TestSolvePsd:
         assert issubclass(RankDeficiencyError, ValueError)
 
     def test_errors(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            solve_psd(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             solve_psd(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
