@@ -137,6 +137,8 @@ class RunConfig:
             raise ValueError(f"runs must be below {_DATA_CHILD}")
         if self.pool_size < 1 or self.cap < 1 or self.record_every < 1:
             raise ValueError("pool-size, cap and record-every must be positive")
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"--n must be at least 1, got {self.n}")
 
     def header_items(self) -> list[tuple[str, str]]:
         items = []

@@ -45,9 +45,11 @@ from .numerics import RngStream, _fork_map, blas_threads, keyed_generator
 
 # Stacks: run_kl_estimation trains the runs of a network max(1, min(runs,
 # STACK_MAX_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
-# trainer (_noisy_gd), so each of the stack's two (R, P) arrays, the iterate
-# and the noise, holds at most 2^17 parameters (1 MiB); a network step adds
-# one scratch of its largest layer block per run, not a third (R, P) array.
+# trainer (_noisy_gd), so the stack's one (R, P) array, the iterate, holds at
+# most 2^17 parameters (1 MiB) unless one run is larger; the trainer draws
+# each run's noise in pieces of at most 2^17 entries into one chunk, so a
+# run of any size holds no second P-sized array.  A network step adds one
+# scratch of its largest layer block per run, not a second (R, P) array.
 # Linearized runs, whose step statistics take one parameter vector at a time,
 # and lin_averaged_iterate's one run train as stacks of one.  On a 2-core host
 # with numpy's OpenBLAS, a CLI run training two runs of P = 3,104 (d=32, width
@@ -216,7 +218,9 @@ def noisy_gd_step(W: ParamVector, grad: ParamVector, eta: float, sigma2: float,
 
     The one-step reference of training: the noisy-GD trainer takes the same
     two halves, :func:`_descend` inside its step statistics and
-    :func:`_diffuse` itself, so a chain of these calls gives its iterates.
+    :func:`_diffuse` itself, one row and one noise chunk at a time; the
+    operations are elementwise, so a chain of these calls gives its
+    iterates bit for bit.
     """
     if W.arch != grad.arch:
         raise ValueError("weights and gradient must share an architecture")
@@ -261,31 +265,36 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
 
     The one trainer: :func:`run_kl_estimation` and
     :func:`lin_averaged_iterate` differ only in their ``step``.  The trainer
-    owns two stack-sized arrays: the iterate and the noise.  ``step(W, eta,
-    rows)`` is told the rows of ``W`` the current stack holds, as indices
-    into ``W``; it takes the gradient half of the update of each row in
-    place, with :func:`_descend`, records what it keeps of the step, and
-    returns ``live``, which flags the rows that take the step: the other
-    rows leave the stack for good.  Row r draws the noise of step k (from
-    0) with the Philox key ``step_keys[r, k]`` into its row of the noise
-    buffer, which :func:`_diffuse` then adds.  Each step yields the updated
-    iterate of the rows that took it; training ends after
-    ``step_keys.shape[1]`` steps or when no row is left.  Training runs with
-    BLAS on one thread, and each step's noise is drawn on this thread once
-    ``step`` returns; with no steps BLAS is not touched.
+    owns one stack-sized array, the iterate, and a noise chunk of at most
+    STACK_MAX_PARAMS entries.  ``step(W, eta, rows)`` is told the rows of
+    ``W`` the current stack holds, as indices into ``W``; it takes the
+    gradient half of the update of each row in place, with
+    :func:`_descend`, records what it keeps of the step, and returns
+    ``live``, which flags the rows that take the step: the other rows leave
+    the stack for good.  Row r draws the noise of step k (from 0) from one
+    generator with the Philox key ``step_keys[r, k]``, piece by piece into
+    the chunk, and :func:`_diffuse` adds each piece to its slice of the
+    row; the pieces draw in order what one call of P draws.  With
+    ``sigma2 == 0`` nothing is drawn.  Each step yields the updated iterate
+    of the rows that took it; training ends after ``step_keys.shape[1]``
+    steps or when no row is left.  Training runs with BLAS on one thread,
+    and each step's noise is drawn on this thread once ``step`` returns;
+    with no steps BLAS is not touched.
 
     ``W`` is copied once and never written, so a caller may pass a view of
     weights it keeps, such as a linearized model's expansion point.  The
     copy is updated in place, so every step yields the same stack until
-    rows leave: then the survivors' rows of the iterate and the noise form
-    new ones.  Copy an iterate to keep it.
+    rows leave: then the survivors' rows form a new one.  Copy an iterate
+    to keep it.
     """
     steps = step_keys.shape[1]
     if steps == 0:
         return
     W = ParamVector(W.arch, W.flat.copy())
     rows = np.arange(W.flat.shape[0])
-    noise = np.empty(W.flat.shape)
+    P = W.arch.num_params
+    pieces = [(a, min(a + STACK_MAX_PARAMS, P)) for a in range(0, P, STACK_MAX_PARAMS)]
+    chunk = np.empty(min(P, STACK_MAX_PARAMS))
     # one BLAS thread for all training: on a 2-core host two threads took
     # more CPU for no less wall time on the statistics' GEMMs
     with blas_threads(1):
@@ -294,11 +303,15 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
             if not live.all():
                 if not live.any():
                     return
-                rows, step_keys, noise = rows[live], step_keys[live], noise[live]
+                rows, step_keys = rows[live], step_keys[live]
                 W = ParamVector(W.arch, W.flat[live])
-            for key, row in zip(step_keys[:, k], noise):
-                keyed_generator(key).standard_normal(out=row)
-            _diffuse(W.flat, noise, eta, sigma2)
+            if sigma2 > 0:
+                for key, w in zip(step_keys[:, k], W.flat):
+                    # one generator across the row's pieces draws what one call would
+                    gen = keyed_generator(key)
+                    for a, b in pieces:
+                        gen.standard_normal(out=chunk[:b - a])
+                        _diffuse(w[a:b], chunk[:b - a], eta, sigma2)
             yield W
 
 
@@ -648,7 +661,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
     if data.d != arch.d:
         raise ValueError("dataset dimension does not match the architecture")
     if data.num_outputs != arch.o:
-        raise ValueError("label width does not match the architecture")
+        raise ValueError(f"label width does not match the architecture: the labels have "
+                         f"{data.num_outputs} columns, the network {arch.o} outputs")
     loss = LossKind.LOGISTIC_SINGLE if arch.o == 1 else LossKind.CROSS_ENTROPY_MULTI
     _check_neighbors(data, neighbors)
     if isinstance(model, DnnModel):

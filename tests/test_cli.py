@@ -4,7 +4,6 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from klpriv import cli, estimator
@@ -228,6 +227,19 @@ class TestEstimate:
                    "--depth", "2", "--steps", "3", "--runs", "1", "--out", str(out)])
         assert rc == 2
         assert "non-finite cell in row 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_label_width_error_names_both_widths(self, tmp_path, capsys):
+        # three label values load as 3-class one-hot rows; --outputs stays 1
+        p = tmp_path / "c.csv"
+        p.write_text("x0,x1,label\n" + "".join(f"{k % 4 - 1.5},{k % 3 + 0.5},{k % 3}\n"
+                                               for k in range(12)))
+        out = tmp_path / "e.csv"
+        rc = main(["estimate", "--data", f"csv:{p}", "--d", "2", "--width", "4",
+                   "--depth", "2", "--steps", "1", "--runs", "1", "--out", str(out)])
+        assert rc == 2
+        assert ("error: label width does not match the architecture: the labels have "
+                "3 columns, the network 1 outputs") in capsys.readouterr().err
         assert not out.exists()
 
     def test_add_neighbor_uses_pool(self, tmp_path):
@@ -717,8 +729,10 @@ class TestRunConfig:
         (["estimate", "--outputs", "2", "--data", "synth:8"],
          "synthetic data is binary; multi-output runs need csv data"),
         (["sweep", "--widths", ","], "need at least one width and one depth"),
+        (["sweep", "--n", "0", "--widths", "16"], "--n must be at least 1, got 0"),
+        (["bound", "--n", "-3"], "--n must be at least 1, got -3"),
     ], ids=["negative-steps", "no-runs", "one-sample", "no-pool", "no-cap", "no-record",
-            "multi-output-synth", "no-widths"])
+            "multi-output-synth", "no-widths", "sweep-no-records", "bound-negative-records"])
     def test_bad_value_exits_2_with_its_message(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Tests for noisy-GD training, KL accumulation and Monte Carlo checks."""
 
 import dataclasses
+import itertools
 import math
 import threading
 import tracemalloc
@@ -229,6 +230,10 @@ def _hand_written_chain(W, eta, sigma2, stream, steps):
     return out
 
 
+# the default noise chunk, a whole row here, and one that cuts a row into pieces
+_PIECE_LIMITS = (estimator.STACK_MAX_PARAMS, 7)
+
+
 class TestNoisyGdTrainer:
     def test_yields_completed_iterates_until_step_stops(self):
         seen, etas, rows_seen = [], [], []
@@ -260,7 +265,9 @@ class TestNoisyGdTrainer:
         monkeypatch.setattr(numerics, "_openblas", lambda: (fake.get, fake.set))
         before = set(threading.enumerate())
         eta, sigma2, steps = 0.05, 0.2, 6
-        for runs in (1, 3):
+        # one noise piece per row, then pieces of 7 with P = 30 = 4 * 7 + 2
+        for limit, runs in itertools.product(_PIECE_LIMITS, (1, 3)):
+            monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", limit)
             started, rows_seen = [], []
 
             def step(W, eta, rows):
@@ -281,42 +288,59 @@ class TestNoisyGdTrainer:
             # training starts no thread
             assert started == [0] * steps
             assert set(threading.enumerate()) == before
-        assert fake.set_calls == [1, 2] * 2     # pinned to one BLAS thread while training
+        assert fake.set_calls == [1, 2] * 4     # pinned to one BLAS thread while training
 
-    def test_rows_leave_the_stack(self):
+    def test_rows_leave_the_stack(self, monkeypatch):
         # rows 1 and 3 stop at steps 2 and 4 (from 0), row 0 and 2 train on
         stops = {1: 2, 3: 4}
-        calls, stacks, etas, rows_seen = [], [], [], []
-
-        def step(W, eta, rows):
-            k = len(calls)
-            calls.append(len(W.flat))
-            stacks.append(W)
-            etas.append(eta)
-            rows_seen.append(rows.tolist())
-            _linear_step(W, eta)
-            return np.array([stops.get(r, 99) > k for r in rows.tolist()])
-
         eta, sigma2, steps = 0.05, 0.2, 6
         streams = [RngStream(7).child(r) for r in range(4)]
         keys = np.stack([stream.keys(np.arange(steps)) for stream in streams])
-        out = [W.flat.copy() for W in estimator._noisy_gd(
-            _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
-        assert calls == [4, 4, 4, 3, 3, 2]
-        assert etas == [eta] * steps
-        # the step is told the rows its stack holds, as indices into the start
-        assert rows_seen == [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 2 + [[0, 2]]
-        # one iterate per stack: the same object until a row leaves, then the
-        # survivors' compacted rows
-        assert stacks[0] is stacks[1] is stacks[2] and stacks[3] is stacks[4]
-        assert len({id(W) for W in stacks}) == 3
-        assert len(out) == steps
-        # the rows of each yielded iterate: those that took the step
-        took = [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
-        for r, stream in enumerate(streams):
-            want = _hand_written_chain(_weights(r), eta, sigma2, stream, stops.get(r, steps))
-            got = [flat[rows.index(r)].tobytes() for rows, flat in zip(took, out) if r in rows]
-            assert got == want
+        for limit in _PIECE_LIMITS:
+            monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", limit)
+            calls, stacks, etas, rows_seen = [], [], [], []
+
+            def step(W, eta, rows):
+                k = len(calls)
+                calls.append(len(W.flat))
+                stacks.append(W)
+                etas.append(eta)
+                rows_seen.append(rows.tolist())
+                _linear_step(W, eta)
+                return np.array([stops.get(r, 99) > k for r in rows.tolist()])
+
+            out = [W.flat.copy() for W in estimator._noisy_gd(
+                _stack(*(_weights(r) for r in range(4))), step, eta, sigma2, keys)]
+            assert calls == [4, 4, 4, 3, 3, 2]
+            assert etas == [eta] * steps
+            # the step is told the rows its stack holds, as indices into the start
+            assert rows_seen == [[0, 1, 2, 3]] * 3 + [[0, 2, 3]] * 2 + [[0, 2]]
+            # one iterate per stack: the same object until a row leaves, then the
+            # survivors' compacted rows
+            assert stacks[0] is stacks[1] is stacks[2] and stacks[3] is stacks[4]
+            assert len({id(W) for W in stacks}) == 3
+            assert len(out) == steps
+            # the rows of each yielded iterate: those that took the step
+            took = [[0, 1, 2, 3]] * 2 + [[0, 2, 3]] * 2 + [[0, 2]] * 2
+            for r, stream in enumerate(streams):
+                want = _hand_written_chain(_weights(r), eta, sigma2, stream, stops.get(r, steps))
+                got = [flat[rows.index(r)].tobytes() for rows, flat in zip(took, out) if r in rows]
+                assert got == want
+
+    def test_zero_noise_draws_nothing(self, monkeypatch):
+        # sigma2 = 0 turns the noise half off: no generator, the plain-GD chain
+        drawn = []
+        monkeypatch.setattr(estimator, "keyed_generator", lambda key: drawn.append(key))
+
+        def step(W, eta, rows):
+            _linear_step(W, eta)
+            return np.ones(len(W.flat), dtype=bool)
+
+        stream, steps = RngStream(3), 4
+        got = [W.flat[0].tobytes() for W in estimator._noisy_gd(
+            _stack(_weights(0)), step, 0.05, 0.0, stream.keys(np.arange(steps))[None])]
+        assert drawn == []
+        assert got == _hand_written_chain(_weights(0), 0.05, 0.0, stream, steps)
 
     def test_zero_steps_start_nothing(self, monkeypatch):
         fake = _FakeBlas()
@@ -1185,10 +1209,11 @@ _MEMORY_ARCH = NetArch.uniform(8, 96, 8, 1)
 
 
 class TestTrainingMemory:
-    """Noisy GD holds two stack-sized arrays, the iterate and the noise; a
-    network step adds one layer-block scratch, never a gradient stack."""
+    """Noisy GD holds one stack-sized array, the iterate, and draws the noise
+    into a chunk of at most STACK_MAX_PARAMS floats; a network step adds one
+    layer-block scratch, never a gradient stack."""
 
-    def test_dnn_steps_hold_two_stack_sized_arrays(self):
+    def test_dnn_steps_hold_one_stack_sized_array(self):
         arch = _MEMORY_ARCH
         data = synth_sphere(4, 8, RngStream(1))
         neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
@@ -1198,14 +1223,14 @@ class TestTrainingMemory:
         cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=runs)
         run_kl_estimation(model, data, neighbors, cfg)         # caches filled
         stack_bytes = 8 * runs * arch.num_params
-        # two stacks (the iterate and the noise) and the step's smaller
-        # buffers read 2.44 stacks here; one more stack-sized array would
-        # pass 3.4
+        # the fresh starting stack and the trainer's copy of it read 2.01
+        # stacks here, the steps' iterate, noise row and smaller buffers 1.94;
+        # an (R, P) noise buffer beside the iterate read 2.44
         peak = _peak_bytes(lambda: run_kl_estimation(model, data, neighbors, cfg))
-        assert peak < 2.75 * stack_bytes
+        assert peak < 2.2 * stack_bytes
 
     @pytest.mark.parametrize("notion", list(Neighbor))
-    def test_trainer_allocates_two_stacks_and_a_step_one_block(self, monkeypatch, cpus, notion):
+    def test_one_stack_one_row_one_block(self, monkeypatch, cpus, notion):
         # tracemalloc and the spy see this process only: keep the map in it
         cpus(1)
         arch, R = _MEMORY_ARCH, 2
@@ -1214,18 +1239,19 @@ class TestTrainingMemory:
         neighbors = enumerate_neighbors(data, notion, pool=pool)
         model = DnnModel(arch, "lecun")
         assert estimator._stack_size(model, R) == R
-        stack_bytes = 8 * R * arch.num_params
+        row_bytes = 8 * arch.num_params
         block = R * max(rows * cols for rows, cols in arch.layer_shapes)
         # what a step holds of its forward and backward passes, at their peak
         W = estimator._init_stack(model, 0, np.arange(R))
         batches = [data] if notion is Neighbor.REMOVE_ONE else [data, pool]
         passes = _peak_bytes(lambda: [loss_backprop(W, ds.X, ds.Y, LossKind.LOGISTIC_SINGLE)
                                       for ds in batches])
-        stacks, peaks, scratch = [], [], []
+        sizes, peaks, scratch = [], [], []
         call = estimator._DnnStepStats.__call__
 
         def traced(self, W, eta):
-            stacks.append(sum(t.size == stack_bytes for t in tracemalloc.take_snapshot().traces))
+            sizes.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
+                                if t.size >= row_bytes))
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             out = call(self, W, eta)
@@ -1240,13 +1266,53 @@ class TestTrainingMemory:
             assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
         finally:
             tracemalloc.stop()
-        # at every step the trainer holds two (R, P) arrays: the iterate and the noise
-        assert stacks == [2] * cfg.steps
+        # at every step the trainer holds one (R, P) array, the iterate, and
+        # one noise row: P is below STACK_MAX_PARAMS, so the chunk is a row
+        assert arch.num_params < estimator.STACK_MAX_PARAMS
+        assert sizes == [[row_bytes, R * row_bytes]] * cfg.steps
         # the first step allocates the (R, largest block) scratch that later
         # steps reuse; each step also holds the S^2 temporary B * B of one
         # block.  Here they read 1.94 and 0.93 blocks; an (R, P) array is 6.1
         assert scratch == [block] * cfg.steps
         assert peaks[0] < 2.25 and max(peaks[1:]) < 1.25
+
+    def test_a_run_above_the_limit_holds_one_array(self, monkeypatch, cpus):
+        # a limit between the largest layer block (9,216) and P = 56,160:
+        # the run trains as a stack of one and draws its noise in 4 pieces
+        cpus(1)
+        limit = 1 << 14
+        monkeypatch.setattr(estimator, "STACK_MAX_PARAMS", limit)
+        arch = _MEMORY_ARCH
+        assert max(rows * cols for rows, cols in arch.layer_shapes) < limit < arch.num_params
+        data = synth_sphere(4, 8, RngStream(1))
+        neighbors = enumerate_neighbors(data, Neighbor.REMOVE_ONE)
+        model = DnnModel(arch, "lecun")
+        assert estimator._stack_size(model, 1) == 1
+        large, noise_phase, held = [], [], []
+        call = estimator._DnnStepStats.__call__
+
+        def traced(self, W, eta):
+            # the peak since the last step ended covers that step's noise half
+            if held:
+                noise_phase.append(tracemalloc.get_traced_memory()[1] - held[-1])
+            large.append(sorted(t.size for t in tracemalloc.take_snapshot().traces
+                                if t.size > 8 * limit))
+            out = call(self, W, eta)
+            tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(estimator._DnnStepStats, "__call__", traced)
+        cfg = TrainConfig(eta=0.01, steps=3, sigma2=0.01, runs=1)
+        tracemalloc.start()
+        try:
+            assert not run_kl_estimation(model, data, neighbors, cfg).diverged_any
+        finally:
+            tracemalloc.stop()
+        # the iterate is the one allocation above the limit that a step
+        # meets, and drawing the noise allocates less than the limit
+        assert large == [[8 * arch.num_params]] * cfg.steps
+        assert len(noise_phase) == cfg.steps - 1 and max(noise_phase) < 8 * limit
 
     @pytest.mark.parametrize("notion", list(Neighbor))
     def test_parameter_vectors_do_not_grow_with_the_steps(self, monkeypatch, notion):

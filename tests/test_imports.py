@@ -1,13 +1,15 @@
-"""Every name a klpriv module imports is referenced in that module."""
+"""Every name a klpriv module or a test module imports is referenced in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "klpriv"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "klpriv"
 # the package's __init__ imports names to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -34,8 +36,14 @@ def test_the_scan_finds_an_unused_import():
 
 def test_modules_found():
     assert "estimator.py" in MODULES and len(MODULES) >= 7
+    assert {"conftest.py", "test_imports.py"} <= set(TEST_MODULES) and len(TEST_MODULES) >= 10
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_import(module):
     assert _unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_import_in_tests(module):
+    assert _unused_imports((TESTS / module).read_text()) == []
