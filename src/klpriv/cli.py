@@ -139,6 +139,8 @@ class RunConfig:
             raise ValueError("pool-size, cap and record-every must be positive")
         if self.n is not None and self.n < 1:
             raise ValueError(f"--n must be at least 1, got {self.n}")
+        if self.mc_n < 1:
+            raise ValueError(f"--mc-n must be at least 1, got {self.mc_n}")
 
     def header_items(self) -> list[tuple[str, str]]:
         items = []
@@ -488,7 +490,12 @@ def cmd_lazy(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Grid over schemes, widths and depths in long format."""
+    """Grid over schemes, widths and depths in long format.
+
+    Every cell reads the same flags and data, so an error in one cell is an
+    error of the set-up: it reaches :func:`main`, which exits 2 before
+    anything is written.
+    """
     try:
         widths = [int(w) for w in cfg.widths.split(",") if w]
         depths = [int(v) for v in cfg.depths.split(",") if v]
@@ -515,28 +522,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for scheme in _schemes(cfg):
         for m in widths:
             for L in depths:
-                try:
-                    if cfg.metric in ("analytic", "both"):
-                        arch = NetArch.uniform(d, m, L, cfg.outputs)
-                        B = gradient_norm_constant_B(arch, init_betas(scheme, arch))
-                        for step in [0, *_recorded_steps(cfg.steps, cfg.record_every).tolist()]:
-                            kl = kl_bound_linearized(B, cfg.eta * step, n, cfg.sigma2,
-                                                     cfg.convention) if step else 0.0
-                            rows.append((scheme, m, L, step, "kl_bound", kl))
-                    if train:
-                        cell = RunConfig(**{**cfg.__dict__, "scheme": scheme,
-                                            "width": m, "depth": L})
-                        result = _estimate_result(cell, scheme, *resolved)
-                        for step, mean, std, _ in _trace_rows(result):
-                            rows.append((scheme, m, L, step, "kl_mean", mean))
-                            rows.append((scheme, m, L, step, "kl_std", std))
-                        if result.diverged_any:
-                            any_diverged = True
-                            rows.append((scheme, m, L, int(cfg.steps), "diverged", 1.0))
-                except ValueError as exc:
-                    rows.append((scheme, m, L, 0, "error", math.nan))
-                    print(f"[sweep] cell scheme={scheme} width={m} depth={L} "
-                          f"failed: {exc}", file=sys.stderr)
+                if cfg.metric in ("analytic", "both"):
+                    arch = NetArch.uniform(d, m, L, cfg.outputs)
+                    B = gradient_norm_constant_B(arch, init_betas(scheme, arch))
+                    for step in [0, *_recorded_steps(cfg.steps, cfg.record_every).tolist()]:
+                        kl = kl_bound_linearized(B, cfg.eta * step, n, cfg.sigma2,
+                                                 cfg.convention) if step else 0.0
+                        rows.append((scheme, m, L, step, "kl_bound", kl))
+                if train:
+                    cell = replace(cfg, scheme=scheme, width=m, depth=L)
+                    result = _estimate_result(cell, scheme, *resolved)
+                    for step, mean, std, _ in _trace_rows(result):
+                        rows.append((scheme, m, L, step, "kl_mean", mean))
+                        rows.append((scheme, m, L, step, "kl_std", std))
+                    if result.diverged_any:
+                        any_diverged = True
+                        rows.append((scheme, m, L, int(cfg.steps), "diverged", 1.0))
     _write_table(cfg, ["scheme", "width", "depth", "epoch", "metric", "value"],
                  rows, cfg.out)
     return 3 if any_diverged else 0

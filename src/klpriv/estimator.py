@@ -281,16 +281,14 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     and each step's noise is drawn on this thread once ``step`` returns;
     with no steps BLAS is not touched.
 
-    ``W`` is copied once and never written, so a caller may pass a view of
-    weights it keeps, such as a linearized model's expansion point.  The
-    copy is updated in place, so every step yields the same stack until
-    rows leave: then the survivors' rows form a new one.  Copy an iterate
-    to keep it.
+    ``W`` is trained in place: pass a fresh stack, or a copy of weights to
+    keep, such as a linearized model's expansion point.  Every step yields
+    the same stack until rows leave: then the survivors' rows form a new
+    one.  Copy an iterate to keep it.
     """
     steps = step_keys.shape[1]
     if steps == 0:
         return
-    W = ParamVector(W.arch, W.flat.copy())
     rows = np.arange(W.flat.shape[0])
     P = W.arch.num_params
     pieces = [(a, min(a + STACK_MAX_PARAMS, P)) for a in range(0, P, STACK_MAX_PARAMS)]
@@ -620,12 +618,12 @@ def _stack_size(model, runs: int) -> int:
 
 
 def _init_stack(model, seed: int, runs: np.ndarray) -> ParamVector:
-    """Starting stack of ``runs``: the expansion point, or each run's initialization.
+    """Starting stack of ``runs``: a copy of the expansion point, or each run's initialization.
 
     Run r's initialization descends from its init stream ``run_streams(seed, r)[0]``.
     """
     if isinstance(model, LinearizedModel):
-        return ParamVector(model.arch, model.W0.flat[None])
+        return ParamVector(model.arch, model.W0.flat[None].copy())
     return sample_inits(model.arch, model.scheme, init_keys(model.arch, RngStream(seed), runs, 0))
 
 
@@ -719,7 +717,6 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
 
         # row r, step k: the key of run_streams(cfg.seed, runs[r])[1].child(k)
         step_keys = RngStream(cfg.seed).keys(runs[:, None], 1, np.arange(cfg.steps))
-        # the first stack goes straight in, where the trainer's copy replaces it
         for _ in _noisy_gd(_init_stack(model, cfg.seed, runs), step, cfg.eta, cfg.sigma2,
                            step_keys):
             pass
@@ -767,8 +764,8 @@ def lin_averaged_iterate(features: NtkFeatures, labels, eta: float, sigma2: floa
         _descend(W.flat[0], S, n, eta)
         return live
 
-    # a stack of one run
-    iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None]), step, eta, sigma2,
+    # a stack of one run, copied: the trainer writes the stack it is handed
+    iterates = _noisy_gd(ParamVector(arch, features.W0.flat[None].copy()), step, eta, sigma2,
                          noise.keys(np.arange(steps))[None])
     return ParamVector(arch, sum(W.flat[0] for W in iterates) / steps)
 

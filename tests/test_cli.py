@@ -14,6 +14,9 @@ from klpriv.network import NetArch, init_betas
 from klpriv.numerics import RngStream
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def _read_table(path):
     """Parse an output file into (header dict, column names, row lists)."""
     header, columns, rows = {}, None, []
@@ -507,18 +510,24 @@ class TestSweep:
         finals = [float(r[5]) for r in rows if r[4] == "kl_mean" and r[3] == "3"]
         assert finals and finals[0] > 0
 
-    def test_cell_failure_recorded_and_sweep_continues(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["--metric", "empirical", "--data", "synth:1", "--widths", "6,8"],
+         "remove-one needs at least two records"),
+        (["--metric", "both", "--data", f"csv:{GOLDEN / 'multiclass.csv'}",
+          "--neighbor", "replace", "--pool-size", "3", "--widths", "4"],
+         "label width does not match the architecture: the labels have 3 columns, "
+         "the network 1 outputs"),
+    ], ids=["remove-one-of-one-record", "three-classes-one-output"])
+    def test_setup_error_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, message):
+        # every cell fails alike: the sweep exits as estimate does, with no table
         out = tmp_path / "s.csv"
-        rc = main(["sweep", "--metric", "empirical", "--scheme", "he",
-                   "--widths", "6,8", "--depths", "2", "--d", "4",
-                   "--data", "synth:1", "--steps", "1", "--runs", "1",
+        rc = main(["sweep", *argv, "--depths", "2", "--steps", "1", "--runs", "1",
                    "--out", str(out)])
-        assert rc == 0
-        assert "failed" in capsys.readouterr().err
-        _, _, rows = _read_table(out)
-        error_rows = [r for r in rows if r[4] == "error"]
-        assert len(error_rows) == 2
-        assert all(r[5] == "nan" for r in error_rows)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("widths, depths, bad", [
         ("0", "1,3", "got width 0"),
@@ -731,8 +740,10 @@ class TestRunConfig:
         (["sweep", "--widths", ","], "need at least one width and one depth"),
         (["sweep", "--n", "0", "--widths", "16"], "--n must be at least 1, got 0"),
         (["bound", "--n", "-3"], "--n must be at least 1, got -3"),
+        (["mc-verify", "--mc-n", "0"], "--mc-n must be at least 1, got 0"),
     ], ids=["negative-steps", "no-runs", "one-sample", "no-pool", "no-cap", "no-record",
-            "multi-output-synth", "no-widths", "sweep-no-records", "bound-negative-records"])
+            "multi-output-synth", "no-widths", "sweep-no-records", "bound-negative-records",
+            "mc-verify-no-records"])
     def test_bad_value_exits_2_with_its_message(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
