@@ -69,7 +69,6 @@ from .numerics import (
     RankDeficiencyError,
     RngStream,
     finite_diff_gradient,
-    gaussian_matrix,
     psd_spectrum,
     solve_psd,
 )

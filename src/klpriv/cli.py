@@ -52,8 +52,6 @@ from .linearized import (
 from .network import SCHEME_NAMES, LossKind, NetArch, init_betas, sample_init
 from .numerics import RngStream, _fork_map
 
-SCHEMES = SCHEME_NAMES
-
 # Fixed substream indices, disjoint from the run indices used by the trainer.
 _DATA_CHILD = 1 << 20
 _POOL_CHILD = _DATA_CHILD + 1
@@ -80,7 +78,7 @@ class RunConfig:
 
     command: str = ""
     scheme: str = _flag("lecun", ("bound", "estimate", "mc-verify", "lazy", "sweep"),
-                        choices=SCHEMES + ("all",))
+                        choices=SCHEME_NAMES + ("all",))
     d: int = _flag(16, ("bound", "estimate", "mc-verify", "lazy", "sweep"))
     width: int = _flag(64, ("bound", "estimate", "mc-verify", "lazy"))
     depth: int = _flag(3, ("bound", "estimate", "mc-verify", "lazy"))
@@ -257,7 +255,7 @@ def _schemes(cfg: RunConfig, allow_all: bool = True) -> list[str]:
     if cfg.scheme == "all":
         if not allow_all:
             raise ValueError(f"{cfg.command} needs a single scheme, not 'all'")
-        return list(SCHEMES)
+        return list(SCHEME_NAMES)
     return [cfg.scheme]
 
 

@@ -41,7 +41,7 @@ from .network import (
     residual_batch,
     sample_inits,
 )
-from .numerics import RngStream, _fork_map, blas_threads, keyed_generator
+from .numerics import RngStream, _fork_map, _keyed_generator, _one_blas_thread
 
 # Stacks: run_kl_estimation trains the runs of a network max(1, min(runs,
 # STACK_MAX_PARAMS // P)) at a time as one (R, P) stack through the noisy-GD
@@ -57,18 +57,18 @@ from .numerics import RngStream, _fork_map, blas_threads, keyed_generator
 # a time (median of 8 alternating pairs): at that size a step is mostly
 # per-call overhead, which a stack pays once for all its runs.
 #
-# Forking: when training has steps and forms two stacks or more,
-# run_kl_estimation trains the stacks in forked processes (numerics._fork_map),
-# one per usable CPU.  A stack trains with BLAS on one thread, so the
-# processes do not contend.  On a 2-core host the two one-run stacks of a
-# P = 20,608 linearized model (perfbench's estimate-linearized) took 0.65x the
-# wall time forked and about 8% more CPU time (raw medians of 10 alternating
-# CLI pairs at each of two seeds).  A stack is never split: training the one
-# two-run stack of a P = 3,104 network (estimate-replace) as two forked
-# one-run stacks gave no steady wall-time gain over 3 pairs, 1.69x the CPU
-# time and 3.6 MB more peak RSS, since at that size a step is mostly per-call
-# overhead, which a stack pays once.  Without steps nothing trains, and a fork
-# would only add set-up time.
+# Forking: when training has steps, run_kl_estimation trains its stacks with
+# numerics._fork_map: in forked processes, one per usable CPU, when there are
+# two stacks or more, and in-process when there is one.  A stack trains with
+# BLAS on one thread, so the processes do not contend.  On a 2-core host the
+# two one-run stacks of a P = 20,608 linearized model (perfbench's
+# estimate-linearized) took 0.65x the wall time forked and about 8% more CPU
+# time (raw medians of 10 alternating CLI pairs at each of two seeds).  A
+# stack is never split: training the one two-run stack of a P = 3,104 network
+# (estimate-replace) as two forked one-run stacks gave no steady wall-time
+# gain over 3 pairs, 1.69x the CPU time and 3.6 MB more peak RSS, since at
+# that size a step is mostly per-call overhead, which a stack pays once.
+# Without steps nothing trains, and a fork would only add set-up time.
 STACK_MAX_PARAMS = 1 << 17
 
 # The Monte Carlo checks evaluate their initializations in stacks of
@@ -84,9 +84,10 @@ MC_STACK_BYTES = 1 << 17
 
 # The rules by which a run leaves training at a step, in the order they are
 # checked: its outputs, its ||S||^2 or its neighbor differences are not
-# finite, or its mean-gradient norm ||S|| / n passes the divergence threshold.
+# finite, or its mean-gradient norm ||S|| / n passes DIVERGENCE_THRESHOLD.
 _LEAVE_RULES = ("non-finite outputs", "non-finite S^2", "non-finite differences",
                 "gradient norm above the threshold")
+DIVERGENCE_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class TrainConfig:
     seed: int = 0
     kl_constant: KLConstant = KLConstant.PAPER
     record_every: int = 1
-    divergence_threshold: float = 1e12
 
     def __post_init__(self):
         if not 0 < self.eta < math.inf:
@@ -113,9 +113,6 @@ class TrainConfig:
             raise ValueError("need at least one run")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
-        # a NaN threshold would let every norm pass; inf turns the rule off
-        if not self.divergence_threshold > 0:
-            raise ValueError("divergence threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,7 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
     chunk = np.empty(min(P, STACK_MAX_PARAMS))
     # one BLAS thread for all training: on a 2-core host two threads took
     # more CPU for no less wall time on the statistics' GEMMs
-    with blas_threads(1):
+    with _one_blas_thread():
         for k in range(steps):
             live = step(W, eta, rows)
             if not live.all():
@@ -306,7 +303,7 @@ def _noisy_gd(W: ParamVector, step, eta: float, sigma2: float,
             if sigma2 > 0:
                 for key, w in zip(step_keys[:, k], W.flat):
                     # one generator across the row's pieces draws what one call would
-                    gen = keyed_generator(key)
+                    gen = _keyed_generator(key)
                     for a, b in pieces:
                         gen.standard_normal(out=chunk[:b - a])
                         _diffuse(w[a:b], chunk[:b - a], eta, sigma2)
@@ -697,7 +694,7 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                 # S^2 (and then not above the threshold); pool statistics reach
                 # the differences only
                 fired = (~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
-                         np.sqrt(S_sq) / data.n > cfg.divergence_threshold)
+                         np.sqrt(S_sq) / data.n > DIVERGENCE_THRESHOLD)
             live = ~(fired[0] | fired[1] | fired[2] | fired[3])
             if not live.all():
                 first = np.argmax(fired, axis=0)[~live]
@@ -725,10 +722,8 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
 
     size = _stack_size(model, cfg.runs)
     stacks = [np.arange(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
-    # stacks train in forked processes when there is training and more than
-    # one stack: see STACK_MAX_PARAMS
-    forked = cfg.steps > 0 and len(stacks) > 1
-    trained = _fork_map(train, stacks) if forked else [train(runs) for runs in stacks]
+    # with training, two stacks or more train in forked processes: see STACK_MAX_PARAMS
+    trained = _fork_map(train, stacks) if cfg.steps > 0 else [train(runs) for runs in stacks]
     traces = [KLTrace(*run) for stack in trained for run in stack]
 
     worst_mean, worst_std = _mean_std_over_runs(np.stack([t.cumulative_worst for t in traces]))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import RngStream, gaussian_matrix
+from .numerics import RngStream, _keyed_generator
 
 SCHEME_NAMES = ("lecun", "he", "ntk", "xavier")
 
@@ -182,10 +182,10 @@ def sample_inits(arch: NetArch, scheme, keys: np.ndarray,
     if out is not None and out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
     W = ParamVector(arch, np.empty(shape) if out is None else out)
-    for l, ((rows, cols), beta) in enumerate(zip(arch.layer_shapes, betas), start=1):
-        layer = W.layer(l)
+    for l, (block, beta) in enumerate(zip(arch.layer_shapes, betas), start=1):
+        layer, sd = W.layer(l), np.sqrt(beta)
         for s, key in enumerate(keys[:, l - 1]):
-            layer[s] = gaussian_matrix(rows, cols, beta, key)
+            layer[s] = _keyed_generator(key).normal(0.0, sd, size=block)
     return W
 
 

@@ -130,7 +130,7 @@ class RngStream:
     A stream is identified by ``(seed, stream)`` and starts from the Philox
     key that :meth:`keys` derives from that pair, at counter 0.  Draws depend
     only on the handle, never on call order or parallel scheduling: a fresh
-    :meth:`generator` and a :class:`KeyedGenerator` restarted at the key give
+    :meth:`generator` and :func:`_keyed_generator` restarted at the key give
     the same numbers.  Use :meth:`child` to carve out independent substreams,
     and :meth:`keys` for the keys of many substreams at once.
     """
@@ -175,46 +175,32 @@ class RngStream:
         return _philox_keys(self.seed, streams).reshape(shape + (2,))
 
 
-class KeyedGenerator:
-    """One Philox generator, restarted at the start of a stream before each draw.
-
-    :meth:`at` resets the bit generator to the state a fresh
-    :meth:`RngStream.generator` starts in (the stream's key, counter 0, empty
-    buffer) and returns the generator, so its draws are the stream's draws
-    without building a ``Philox``.  The generator returned is valid until the
-    next :meth:`at`; only one thread at a time may use an instance.
-    """
-
-    def __init__(self):
-        self._bits = np.random.Philox(key=0)
-        self._generator = np.random.Generator(self._bits)
-        self._key = np.zeros(2, dtype=np.uint64)
-        self._start = {"bit_generator": "Philox",
-                       "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-                       "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def at(self, key: np.ndarray) -> np.random.Generator:
-        """The generator at the start of the stream with Philox ``key``."""
-        self._key[:] = key
-        self._bits.state = self._start
-        return self._generator
-
-
 _per_thread = threading.local()
 
 
-def keyed_generator(key: np.ndarray) -> np.random.Generator:
-    """This thread's :class:`KeyedGenerator`, restarted at Philox ``key``.
+def _keyed_generator(key: np.ndarray) -> np.random.Generator:
+    """This thread's Philox generator, restarted at the start of the stream with ``key``.
 
-    Each thread gets its own on first use.  Draw from the result at once: the
-    next call on the same thread restarts it.
+    The bit generator is reset to the state a fresh :meth:`RngStream.generator`
+    starts in (the stream's key, counter 0, empty buffer), so its draws are the
+    stream's draws without building a ``Philox``.  Each thread gets its own
+    generator on first use.  Draw from the result at once: the next call on
+    the same thread restarts it.
     """
     try:
-        keyed = _per_thread.keyed
+        bits, generator, own_key, start = _per_thread.keyed
     except AttributeError:
-        keyed = _per_thread.keyed = KeyedGenerator()
-    return keyed.at(key)
+        bits = np.random.Philox(key=0)
+        generator = np.random.Generator(bits)
+        own_key = np.zeros(2, dtype=np.uint64)
+        start = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64), "key": own_key},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        _per_thread.keyed = bits, generator, own_key, start
+    own_key[:] = key
+    bits.state = start
+    return generator
 
 
 @functools.cache
@@ -235,8 +221,8 @@ def _openblas():
 
 
 @contextmanager
-def blas_threads(count: int):
-    """Run the block with numpy's bundled OpenBLAS limited to ``count`` threads.
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS limited to one thread.
 
     The limit is process-wide, not per thread.  The previous thread count is
     restored on exit, also when the block raises.  Does nothing when numpy
@@ -249,7 +235,7 @@ def blas_threads(count: int):
         return
     get, set_ = lib
     previous = get()
-    set_(count)
+    set_(1)
     try:
         yield
     finally:
@@ -363,18 +349,6 @@ def _fork_worker(fn: Callable, share: Sequence, write: int, parent: int) -> None
         code = 0
     finally:
         os._exit(code)
-
-
-def gaussian_matrix(rows: int, cols: int, variance: float, key: np.ndarray) -> np.ndarray:
-    """Sample a ``rows x cols`` matrix with iid N(0, variance) entries.
-
-    ``key`` is the Philox key of the stream to draw from (:meth:`RngStream.keys`).
-    """
-    if rows <= 0 or cols <= 0:
-        raise ValueError("empty matrix: rows and cols must be positive")
-    if not variance >= 0:
-        raise ValueError("variance must be non-negative")
-    return keyed_generator(key).normal(0.0, np.sqrt(variance), size=(rows, cols))
 
 
 def psd_spectrum(K: np.ndarray) -> tuple[np.ndarray, int, float]:

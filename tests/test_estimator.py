@@ -45,7 +45,7 @@ from klpriv.network import (
     per_example_grad_batch,
     sample_init,
 )
-from klpriv.numerics import RngStream, keyed_generator
+from klpriv.numerics import RngStream, _keyed_generator
 
 
 ARCH = NetArch.uniform(4, 6, 2, 1)
@@ -68,10 +68,6 @@ class TestTrainConfig:
             TrainConfig(eta=0.1, steps=1, sigma2=1.0, runs=0)
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, steps=1, sigma2=1.0, record_every=0)
-        for threshold in (math.nan, 0.0, -1.0):
-            with pytest.raises(ValueError, match="threshold"):
-                TrainConfig(eta=0.1, steps=1, sigma2=1.0, divergence_threshold=threshold)
-        TrainConfig(eta=0.1, steps=1, sigma2=1.0, divergence_threshold=math.inf)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["eta", "sigma2"])
@@ -104,7 +100,7 @@ class TestNoisyGdStep:
         keys = RngStream(31).keys(np.arange(reps))
         draws = np.empty((reps, arch.num_params))
         for r in range(reps):
-            noise = keyed_generator(keys[r]).standard_normal(arch.num_params)
+            noise = _keyed_generator(keys[r]).standard_normal(arch.num_params)
             draws[r] = noisy_gd_step(ParamVector.zeros(arch), ParamVector.zeros(arch),
                                      eta, sigma2, noise).flat
         want = 2.0 * eta * sigma2
@@ -224,7 +220,7 @@ def _hand_written_chain(W, eta, sigma2, stream, steps):
     ``stream.child(k)``."""
     out = []
     for k in range(steps):
-        noise = keyed_generator(stream.child(k).keys()).standard_normal(W.flat.size)
+        noise = _keyed_generator(stream.child(k).keys()).standard_normal(W.flat.size)
         W = noisy_gd_step(W, ParamVector(W.arch, _linear_grad(W)), eta, sigma2, noise)
         out.append(W.flat.tobytes())
     return out
@@ -332,7 +328,7 @@ class TestNoisyGdTrainer:
     def test_zero_noise_draws_nothing(self, monkeypatch):
         # sigma2 = 0 turns the noise half off: no generator, the plain-GD chain
         drawn = []
-        monkeypatch.setattr(estimator, "keyed_generator", lambda key: drawn.append(key))
+        monkeypatch.setattr(estimator, "_keyed_generator", lambda key: drawn.append(key))
 
         def step(W, eta, rows):
             _linear_step(W, eta)
@@ -523,10 +519,10 @@ class TestRunKlEstimation:
                     epochs.append(steps)
                 assert [0, *estimator._recorded_steps(steps, every).tolist()] == epochs
 
-    def test_divergence_flagged(self):
+    def test_divergence_flagged(self, monkeypatch):
         data, neighbors, model = _setup_estimation()
-        cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=2, seed=0,
-                          divergence_threshold=1e-300)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", 1e-300)
+        cfg = TrainConfig(eta=0.05, steps=4, sigma2=0.01, runs=2, seed=0)
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert res.diverged_any
         for t in res.traces:
@@ -542,12 +538,13 @@ class TestRunKlEstimation:
         ("dnn", 10.0, 8, [1, 4, 5]), ("dnn", 15.0, 8, [2, 4, 8]), ("dnn", 1e-300, 8, [0, 0, 0]),
         ("linearized", 1.4, 8, [2, 8, 8]), ("dnn", 1e12, 40, [40, 40, 40]),
         ("linearized", 1e12, 40, [40, 40, 40])])
-    def test_worst_is_the_cumsum_maximum_bit_for_bit(self, kind, threshold, steps, completed):
+    def test_worst_is_the_cumsum_maximum_bit_for_bit(self, monkeypatch, kind, threshold, steps,
+                                                    completed):
         data, neighbors, model = _setup_estimation()
         if kind == "linearized":
             model = _linearized_model(data)
-        cfg = TrainConfig(eta=0.5, steps=steps, sigma2=20.0, runs=3, seed=1, record_every=3,
-                          divergence_threshold=threshold)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", threshold)
+        cfg = TrainConfig(eta=0.5, steps=steps, sigma2=20.0, runs=3, seed=1, record_every=3)
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.completed for t in res.traces] == completed
         assert res.diverged_any is (min(completed) < steps)
@@ -562,13 +559,14 @@ class TestRunKlEstimation:
 
     # the constant scales each step's charge, not the trajectory, so exact is paper halved
     @pytest.mark.parametrize("kind, threshold", [("dnn", 15.0), ("linearized", 1.4)])
-    def test_exact_constant_halves_the_trace_bit_for_bit(self, kind, threshold):
+    def test_exact_constant_halves_the_trace_bit_for_bit(self, monkeypatch, kind, threshold):
         data, neighbors, model = _setup_estimation()
         if kind == "linearized":
             model = _linearized_model(data)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", threshold)
         paper, exact = (run_kl_estimation(model, data, neighbors, TrainConfig(
             eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
-            divergence_threshold=threshold, kl_constant=constant))
+            kl_constant=constant))
             for constant in (KLConstant.PAPER, KLConstant.EXACT))
         completed = [t.completed for t in paper.traces]
         assert min(completed) < 8 and max(completed) > 0    # a run left, a run trained
@@ -582,10 +580,10 @@ class TestRunKlEstimation:
         assert np.array_equal(exact.worst_mean, paper.worst_mean / 2.0, equal_nan=True)
         assert np.array_equal(exact.worst_std, paper.worst_std / 2.0, equal_nan=True)
 
-    def test_diverged_any_follows_the_traces(self):
+    def test_diverged_any_follows_the_traces(self, monkeypatch):
         data, neighbors, model = _setup_estimation()
-        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
-                          divergence_threshold=15.0)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", 15.0)
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3)
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.diverged for t in res.traces] == [True, True, False]
         assert res.diverged_any
@@ -658,9 +656,11 @@ class TestRunKlEstimation:
         capped = enumerate_neighbors(data, Neighbor.REPLACE_ONE, pool=full.pool, cap=cap,
                                      seed=seed)
         assert full.count == 24 and capped.capped and capped.count == cap
-        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3,
-                          divergence_threshold=threshold)
-        a, b = (run_kl_estimation(model, data, ns, cfg) for ns in (full, capped))
+        cfg = TrainConfig(eta=0.5, steps=8, sigma2=20.0, runs=3, seed=1, record_every=3)
+        # a context, not the fixture: hypothesis runs every example in one test call
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimator, "DIVERGENCE_THRESHOLD", threshold)
+            a, b = [run_kl_estimation(model, data, ns, cfg) for ns in (full, capped)]
         kept = list(capped.kept)
         scale = cfg.eta / (cfg.kl_constant.denominator_factor * cfg.sigma2)
         for ta, tb in zip(a.traces, b.traces, strict=True):
@@ -842,8 +842,8 @@ class TestStackedRuns:
                                                       depth, steps, threshold, completed):
         data, neighbors, _ = _setup_estimation(notion=notion)
         model = DnnModel(arch=NetArch.uniform(4, 6, depth, 1), scheme="he")
-        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1,
-                          divergence_threshold=threshold)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", threshold)
+        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             stacked = run_kl_estimation(model, data, neighbors, cfg)
             _one_run_per_stack(monkeypatch, model)
@@ -871,8 +871,8 @@ class TestStackedRuns:
         monkeypatch.setattr(estimator, "_init_stack",
                             lambda model, seed, runs: _stack(*[Ws[r] for r in runs]))
         # no threshold: run 1 can leave by its pool outputs only
-        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=4, seed=2,
-                          divergence_threshold=math.inf)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", math.inf)
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=4, seed=2)
         # no errstate here: the statistics of a leaving run must not warn
         assert estimator._stack_size(model, cfg.runs) == cfg.runs
         stacked = run_kl_estimation(model, data, neighbors, cfg)
@@ -887,7 +887,7 @@ class TestStackedRuns:
         _assert_same_bits(stacked, single)
 
     @pytest.mark.parametrize("linearized", [False, True])
-    def test_non_finite_differences_leave_at_that_step(self, linearized):
+    def test_non_finite_differences_leave_at_that_step(self, monkeypatch, linearized):
         data, neighbors, model = _setup_estimation(notion=Neighbor.REPLACE_ONE)
         # the pool record's squared norm overflows, its outputs do not
         pool = dataclasses.replace(neighbors.pool, X=neighbors.pool.X * np.array(
@@ -896,8 +896,8 @@ class TestStackedRuns:
         if linearized:
             betas = init_betas("lecun", model.arch)
             model = LinearizedModel(sample_init(model.arch, betas, RngStream(5)))
-        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=3, seed=2,
-                          divergence_threshold=math.inf)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", math.inf)
+        cfg = TrainConfig(eta=0.05, steps=3, sigma2=0.01, runs=3, seed=2)
         res = run_kl_estimation(model, data, neighbors, cfg)
         assert [t.completed for t in res.traces] == [0, 0, 0]
         assert all(t.diverged for t in res.traces)
@@ -1031,8 +1031,8 @@ class TestForkedStacks:
         data, neighbors, _ = _setup_estimation(notion=notion)
         model = DnnModel(arch=NetArch.uniform(4, 6, depth, 1), scheme="he")
         _stacks_of_two(monkeypatch, model)
-        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1,
-                          divergence_threshold=threshold)
+        monkeypatch.setattr(estimator, "DIVERGENCE_THRESHOLD", threshold)
+        cfg = TrainConfig(eta=eta, steps=steps, sigma2=sigma2, runs=5, seed=1)
         with np.errstate(over="ignore", invalid="ignore"):
             here, forked = self._both(cpus, forks, model, data, neighbors, cfg)
         assert [t.completed for t in forked.traces] == completed
@@ -1135,7 +1135,7 @@ class TestLinBlockStats:
     def test_equal_full_matrix_reference(self, n, m, o, wide, seed):
         W0, W, data, pool, loss = _block_setup(n, m, o, wide, seed)
         # training reads its statistics with BLAS on one thread
-        with numerics.blas_threads(1):
+        with numerics._one_blas_thread():
             for notion in (Neighbor.ADD_ONE, Neighbor.REMOVE_ONE):
                 if notion is Neighbor.REMOVE_ONE and n < 2:
                     continue
@@ -1346,11 +1346,11 @@ class TestBlasThreads:
     def test_pins_and_restores(self):
         get, _ = numerics._openblas()
         previous = get()
-        with numerics.blas_threads(1):
+        with numerics._one_blas_thread():
             assert get() == 1
         assert get() == previous
         with pytest.raises(KeyError):
-            with numerics.blas_threads(1):
+            with numerics._one_blas_thread():
                 raise KeyError
         assert get() == previous
 
@@ -1375,7 +1375,7 @@ class TestLinAveragedIterate:
     def _step(self, features, Y, W, eta, sigma2, stream):
         """W - eta S / n + sqrt(2 eta sigma2) z, with z from ``stream``."""
         S = lin_per_example_grads(features, W, Y, LossKind.LOGISTIC_SINGLE).sum(axis=0)
-        z = keyed_generator(stream.keys()).standard_normal(W.flat.size)
+        z = _keyed_generator(stream.keys()).standard_normal(W.flat.size)
         return ParamVector(W.arch, W.flat - eta * S / features.n
                            + math.sqrt(2.0 * eta * sigma2) * z)
 

@@ -1,7 +1,10 @@
 """Every name a klpriv module or a test module imports is referenced in that module,
-and every private module-level name of klpriv is referenced somewhere in klpriv."""
+every private module-level name of klpriv is referenced somewhere in klpriv, and
+the public functions and classes that nothing in klpriv reads are the ones the
+README lists."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,9 @@ SRC = TESTS.parent / "src" / "klpriv"
 # the package's __init__ imports names to re-export them
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(p.name for p in TESTS.glob("*.py"))
+README = TESTS.parent / "README.md"
+# the number words a README count may use, at their values
+_COUNTS = ("No", "One", "Two", "Three", "Four", "Five", "Six", "Seven", "Eight", "Nine", "Ten")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -29,12 +35,24 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _read_names(trees) -> set[str]:
+    """Every name that one of the module ``trees`` loads or reads as an attribute."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
 def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """Private functions, classes and assigned names at the top level of the
     modules in ``sources`` (file name -> source) that no module of ``sources`` reads."""
-    defined, used = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -45,12 +63,29 @@ def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [(module, node.lineno, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    used = _read_names(trees.values())
     return [f"{module}:{line} {name}" for module, line, name in defined if name not in used]
+
+
+def _unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Sorted public functions and classes at the top level of the modules in
+    ``sources`` that no module of ``sources`` reads; a re-export is no read."""
+    trees = [ast.parse(source) for source in sources.values()]
+    used = _read_names(trees)
+    return sorted(node.name for tree in trees for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in used)
+
+
+def _readme_uncalled_names(readme: str) -> list[str]:
+    """Sorted names of the README's list of public names with no caller in the
+    package; the list must be as long as its lead sentence says."""
+    lead, rest = readme.split(" public names have no caller inside the package.", 1)
+    count = lead.rsplit("\n", 1)[-1]
+    names = re.findall(r"^- `(\w+)`", rest.split("\n\n", 2)[1], flags=re.M)
+    assert len(names) == _COUNTS.index(count), f"{count} names announced, {len(names)} listed"
+    return sorted(names)
+
 
 
 def test_the_scan_finds_an_unreferenced_private_name():
@@ -68,6 +103,30 @@ def test_the_scan_finds_an_unreferenced_private_name():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced_private_names(sources) == []
+
+
+def test_the_scan_finds_an_unread_public_name():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("from . import b\nfrom .b import called\nLIMIT = 1\n\n"
+                 "def exported():\n    return called() + b.by_attribute(Hint)\n\n"
+                 "class Hint:\n    pass\n\nclass Orphan:\n    pass\n\n"
+                 "def _private():\n    pass\n"),
+        "b.py": ("def called():\n    return 0\n\ndef by_attribute(x: 'Hint'):\n"
+                 "    return 1\n\ndef unread():\n    return called()\n"),
+    }
+    assert _unread_public_names(sources) == ["Orphan", "exported", "unread"]
+    readme = ("Intro.\n\nTwo public names have no caller inside the package. They\n"
+              "stay:\n\n- `unread` is kept.\n- `Orphan` too,\n  on purpose.\n\n"
+              "- `not_listed` follows the list.\n")
+    assert _readme_uncalled_names(readme) == ["Orphan", "unread"]
+    with pytest.raises(AssertionError, match="Three names announced, 2 listed"):
+        _readme_uncalled_names(readme.replace("Two", "Three"))
+
+
+def test_the_readme_lists_every_unread_public_name():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unread_public_names(sources) == _readme_uncalled_names(README.read_text())
 
 
 def test_the_scan_finds_an_unused_import():

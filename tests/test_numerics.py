@@ -15,12 +15,10 @@ from hypothesis import strategies as st
 from klpriv import cli, numerics
 from klpriv.estimator import run_streams
 from klpriv.numerics import (
-    KeyedGenerator,
     RankDeficiencyError,
     RngStream,
+    _keyed_generator,
     finite_diff_gradient,
-    gaussian_matrix,
-    keyed_generator,
     psd_spectrum,
     solve_psd,
 )
@@ -201,7 +199,7 @@ def _state_equal(a: dict, b: dict) -> bool:
 
 class TestKeyedGenerator:
     def test_philox_state_layout(self):
-        # KeyedGenerator writes this layout into Philox.state; a numpy release
+        # _keyed_generator writes this layout into Philox.state; a numpy release
         # that changes it must fail here, not shift draws silently
         key = RngStream(5, 9).keys()
         state = np.random.Philox(key=key).state
@@ -218,25 +216,26 @@ class TestKeyedGenerator:
         assert (state["buffer_pos"], state["has_uint32"], state["uinteger"]) == (4, 0, 0)
 
     def test_restart_gives_the_fresh_state(self):
-        keyed = KeyedGenerator()
-        used = keyed.at(RngStream(1).keys())
+        used = _keyed_generator(RngStream(1).keys())
         used.standard_normal(7)
         used.integers(0, 2**32, size=3, dtype=np.uint32)
         moved = used.bit_generator.state
         assert moved["has_uint32"] == 1 and moved["buffer_pos"] < 4
         for stream in (RngStream(5, 9), RngStream(1)):
-            restarted = keyed.at(stream.keys()).bit_generator.state
-            assert _state_equal(restarted, stream.generator().bit_generator.state)
+            restarted = _keyed_generator(stream.keys())
+            # the thread's one generator, reset in place
+            assert restarted is used
+            assert _state_equal(restarted.bit_generator.state,
+                                stream.generator().bit_generator.state)
 
     def test_draws_equal_fresh_generator(self):
-        keyed = KeyedGenerator()
         for stream in (RngStream(0), RngStream(2**64 - 1, 2**64 - 1), RngStream(3).child(8)):
             fresh = stream.generator()
-            assert np.array_equal(keyed.at(stream.keys()).standard_normal(33),
+            assert np.array_equal(_keyed_generator(stream.keys()).standard_normal(33),
                                   fresh.standard_normal(33))
-            assert np.array_equal(keyed.at(stream.keys()).normal(0.0, 0.3, size=(4, 5)),
+            assert np.array_equal(_keyed_generator(stream.keys()).normal(0.0, 0.3, size=(4, 5)),
                                   stream.generator().normal(0.0, 0.3, size=(4, 5)))
-            assert np.array_equal(keyed_generator(stream.keys()).integers(0, 9, 11),
+            assert np.array_equal(_keyed_generator(stream.keys()).integers(0, 9, 11),
                                   stream.generator().integers(0, 9, 11))
 
     def test_threads_draw_their_own_streams(self):
@@ -248,7 +247,7 @@ class TestKeyedGenerator:
 
         def draw_all(order):
             start.wait()
-            results[order] = [(i, keyed_generator(keys[i]).standard_normal(3000))
+            results[order] = [(i, _keyed_generator(keys[i]).standard_normal(3000))
                               for _ in range(5) for i in order]
 
         orders = (tuple(range(24)), tuple(reversed(range(24))))
@@ -267,37 +266,6 @@ class TestKeyedGenerator:
             assert len(results[order]) == 5 * 24
             for i, draws in results[order]:
                 assert np.array_equal(draws, expected[i])
-
-
-class TestGaussianMatrix:
-    def test_shape_and_determinism(self):
-        M = gaussian_matrix(3, 5, 2.0, RngStream(0).keys())
-        assert M.shape == (3, 5)
-        assert np.array_equal(M, gaussian_matrix(3, 5, 2.0, RngStream(0).keys()))
-
-    def test_empirical_variance_close(self):
-        M = gaussian_matrix(1000, 1000, 0.5, RngStream(7).keys())
-        v = M.var()
-        assert 0.497 <= v <= 0.503
-
-    def test_zero_variance_is_zero_matrix(self):
-        M = gaussian_matrix(4, 4, 0.0, RngStream(1).keys())
-        assert not M.any()
-
-    def test_key_draws_the_stream(self):
-        stream = RngStream(4).child(2)
-        M = gaussian_matrix(3, 5, 2.0, stream.keys())
-        assert np.array_equal(M, stream.generator().normal(0.0, np.sqrt(2.0), size=(3, 5)))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            gaussian_matrix(0, 3, 1.0, RngStream(0).keys())
-        with pytest.raises(ValueError):
-            gaussian_matrix(3, 0, 1.0, RngStream(0).keys())
-        with pytest.raises(ValueError):
-            gaussian_matrix(2, 2, -1.0, RngStream(0).keys())
-        with pytest.raises(ValueError):
-            gaussian_matrix(2, 2, float("nan"), RngStream(0).keys())
 
 
 class TestPsdSpectrum:
