@@ -172,27 +172,26 @@ def dnn_drift_bound(inputs: DnnBoundInputs,
     b2 = inputs.beta_smooth ** 2
     a = 2.0 + b2
     n2 = inputs.n ** 2
-    if a * inputs.T > _EXP_ARG_LIMIT:
-        terms = {"init_difference": 2.0 * inputs.T * inputs.e_delta0,
-                 "fluctuation": math.inf,
-                 "non_smoothness": 2.0 * inputs.c_grad ** 2 * inputs.T / n2}
-        return BoundReport(value=math.inf, integral=math.inf, terms=terms,
-                           exponential_regime=True)
     init_term = 2.0 * inputs.T * inputs.e_delta0
-    growth = math.expm1(a * inputs.T) / a - inputs.T
-    fluct = (2.0 * b2 / (n2 * a)) * growth * (
-        inputs.e_grad0 + 2.0 * inputs.sigma2 * inputs.rank_mt + inputs.c_grad ** 2)
     nonsmooth = 2.0 * inputs.c_grad ** 2 * inputs.T / n2
-    integral = init_term + fluct + nonsmooth
-    if integral == 0.0:
-        value = 0.0
-    elif inputs.sigma2 == 0.0:
-        value = math.inf
+    exponential = a * inputs.T > _EXP_ARG_LIMIT
+    if exponential:
+        fluct = integral = value = math.inf
     else:
-        value = integral / (convention.denominator_factor * inputs.sigma2)
+        growth = math.expm1(a * inputs.T) / a - inputs.T
+        fluct = (2.0 * b2 / (n2 * a)) * growth * (
+            inputs.e_grad0 + 2.0 * inputs.sigma2 * inputs.rank_mt + inputs.c_grad ** 2)
+        integral = init_term + fluct + nonsmooth
+        if integral == 0.0:
+            value = 0.0
+        elif inputs.sigma2 == 0.0:
+            value = math.inf
+        else:
+            value = integral / (convention.denominator_factor * inputs.sigma2)
     terms = {"init_difference": init_term, "fluctuation": fluct,
              "non_smoothness": nonsmooth}
-    return BoundReport(value=value, integral=integral, terms=terms)
+    return BoundReport(value=value, integral=integral, terms=terms,
+                       exponential_regime=exponential)
 
 
 def lazy_R_bound(arch: NetArch, betas, n: int) -> float:
@@ -202,20 +201,18 @@ def lazy_R_bound(arch: NetArch, betas, n: int) -> float:
     Logarithmic factors in n are dropped, so treat this as a scale estimate
     rather than a certified inequality.
 
-    The product runs over beta_i m_i for the hidden layers i = 1..L-1, while
-    the product in B (:func:`gradient_norm_constant_B`) runs over
-    beta_i m_i / 2, so the two products differ by 2^(L-1), apart from B's
-    other factors.  Which of the two forms the paper's bound takes is not
-    settled here.
+    The product over the hidden layers i = 1..L-1 is computed as
+    2^(L-1) * :func:`_hidden_product`, the prod(beta_i m_i / 2) that B
+    (:func:`gradient_norm_constant_B`) uses: the two products differ by
+    exactly that 2^(L-1), apart from B's other factors.  Which of the two
+    forms the paper's bound takes is not settled here.
     """
     if arch.o != 1:
         raise ValueError("the interpolation bound is for single-output models")
     betas = _check_betas(arch, betas)
     if n < 0:
         raise ValueError("dataset size must be non-negative")
-    prod = arch.d * betas[-1]
-    for i in range(1, arch.L):
-        prod *= betas[i - 1] * arch.widths[i]
+    prod = arch.d * betas[-1] * 2.0 ** (arch.L - 1) * _hidden_product(arch, betas)
     inv_sum = sum(1.0 / b for b in betas)
     return max(1.0 / prod, 1.0) * n / inv_sum
 

@@ -144,15 +144,9 @@ class RunConfig:
         items = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None:
-                s = ""
-            elif isinstance(v, bool):
-                s = "1" if v else "0"
-            elif isinstance(v, float):
-                s = repr(v)
-            else:
-                s = str(v)
-            items.append((f.name, s))
+            if isinstance(v, bool):
+                v = int(v)
+            items.append((f.name, "" if v is None else _fmt(v)))
         return sorted(items)
 
     @property
@@ -361,10 +355,10 @@ def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset |
     arch = NetArch.uniform(data.d, cfg.width, cfg.depth, cfg.outputs)
     neighbors = enumerate_neighbors(data, Neighbor(cfg.neighbor), pool=pool,
                                     cap=cfg.cap, seed=cfg.seed)
+    where = f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}:"
     if neighbors.capped:
         # the worst case is over a subsample: say so, outside the csv
-        print(f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}: "
-              f"kept {neighbors.count} of {data.n * pool.n} replace-one pairs "
+        print(f"{where} kept {neighbors.count} of {data.n * pool.n} replace-one pairs "
               f"(cap {cfg.cap}, cap seed {cfg.seed})", file=sys.stderr)
     if cfg.linearize:
         model = LinearizedModel(sample_init(arch, scheme, RngStream(cfg.seed).child(_INIT_CHILD)))
@@ -376,9 +370,8 @@ def _estimate_result(cfg: RunConfig, scheme: str, data: Dataset, pool: Dataset |
     result = run_kl_estimation(model, data, neighbors, tc)
     for r, trace in enumerate(result.traces):
         if trace.left_by is not None:
-            print(f"[{cfg.command}] scheme={scheme} width={cfg.width} depth={cfg.depth}: "
-                  f"run {r} left at step {trace.completed + 1} "
-                  f"({trace.left_by})", file=sys.stderr)
+            print(f"{where} run {r} left at step {trace.completed + 1} ({trace.left_by})",
+                  file=sys.stderr)
     return result
 
 

@@ -62,12 +62,7 @@ def synth_sphere(n: int, d: int, rng: RngStream) -> Dataset:
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     gen = rng.generator()
-    X = gen.standard_normal((n, d))
-    # zero rows happen with probability zero; resample defensively anyway
-    while np.any(np.linalg.norm(X, axis=1) == 0):
-        bad = np.linalg.norm(X, axis=1) == 0
-        X[bad] = gen.standard_normal((int(bad.sum()), d))
-    X = normalize_to_sqrt_d(X)
+    X = normalize_to_sqrt_d(gen.standard_normal((n, d)))
     Y = np.where(gen.random(n) < 0.5, -1.0, 1.0)
     return Dataset(X=X, Y=Y)
 
@@ -77,8 +72,8 @@ def load_csv(path, label_column: str) -> Dataset:
 
     Feature columns are everything except ``label_column``; every feature
     row is rescaled onto the radius-sqrt(d) sphere.  Two distinct
-    label values map to -1/+1 (by sorted order, with an existing -1/+1 coding
-    kept as is); three or more map to one-hot rows by sorted order.
+    label values map to -1/+1 by sorted order, so an existing -1/+1 coding
+    maps to itself; three or more map to one-hot rows by sorted order.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -111,10 +106,7 @@ def load_csv(path, label_column: str) -> Dataset:
     if classes.size < 2:
         raise ValueError("labels must take at least two distinct values")
     if classes.size == 2:
-        if set(classes.tolist()) == {-1.0, 1.0}:
-            Y = labels
-        else:
-            Y = np.where(labels == classes[0], -1.0, 1.0)
+        Y = np.where(labels == classes[0], -1.0, 1.0)
     else:
         Y = np.zeros((labels.size, classes.size))
         for j, c in enumerate(classes):

@@ -183,7 +183,8 @@ class TestDnnDriftBound:
         assert rep.value == math.inf
         assert rep.integral == math.inf
         assert math.isinf(rep.terms["fluctuation"])
-        assert math.isfinite(rep.terms["init_difference"])
+        assert rep.terms["init_difference"] == 2.0 * 400.0 * 0.2
+        assert rep.terms["non_smoothness"] == 2.0 * 1.0 ** 2 * 400.0 / 10 ** 2
 
     def test_zero_noise_positive_integral_is_infinite_kl(self):
         rep = dnn_drift_bound(_inputs(sigma2=0.0))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from klpriv import estimator, numerics
 from klpriv.accountant import KLConstant, gradient_norm_constant_B
-from klpriv.data import Neighbor, NeighborSet, enumerate_neighbors, synth_sphere
+from klpriv.data import Dataset, Neighbor, NeighborSet, enumerate_neighbors, synth_sphere
 from klpriv.estimator import (
     DnnModel,
     LinearizedModel,
@@ -682,6 +682,67 @@ class TestRunKlEstimation:
             run_kl_estimation(LinearizedModel(stacked), data, neighbors, cfg)
         with pytest.raises(ValueError, match="stack"):
             build_features(stacked, data.X)
+
+
+# d 8, width 16, depth 3, He initialization; 30 steps of 3 runs at eta 0.05, sigma2 0.01
+_RELABEL_ARCH = NetArch.uniform(8, 16, 3, 1)
+_RELABEL_CFG = TrainConfig(eta=0.05, steps=30, sigma2=0.01, runs=3, seed=5)
+# a relabelling reorders sums, so each relation holds to rounding, not bit for bit:
+# within this many epsilon, relative to the largest cumulative KL of the run
+_RELABEL_EPS = 64
+
+
+def _relabel_estimate(kind, data, notion, pool=None):
+    if kind == "dnn":
+        model = DnnModel(_RELABEL_ARCH, "he")
+    else:
+        model = LinearizedModel(sample_init(_RELABEL_ARCH, init_betas("he", _RELABEL_ARCH),
+                                            RngStream(55)))
+    res = run_kl_estimation(model, data, enumerate_neighbors(data, notion, pool=pool),
+                            _RELABEL_CFG)
+    assert not res.diverged_any
+    return [t.cumulative_per_neighbor for t in res.traces]
+
+
+def _assert_within_eps(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert np.max(np.abs(g - w)) <= _RELABEL_EPS * np.finfo(float).eps * np.max(w)
+
+
+class TestNeighborRelabelling:
+    """Metamorphic relations: relabelling records or candidates relabels the columns."""
+
+    data = synth_sphere(12, 8, RngStream(200))
+    pool = synth_sphere(6, 8, RngStream(201))
+
+    @pytest.mark.parametrize("kind", ["dnn", "linearized"])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(perm=st.permutations(range(6)))
+    def test_permuting_the_pool_permutes_the_add_one_columns(self, kind, perm):
+        base = _relabel_estimate(kind, self.data, Neighbor.ADD_ONE, self.pool)
+        moved = Dataset(X=self.pool.X[perm], Y=self.pool.Y[perm])
+        got = _relabel_estimate(kind, self.data, Neighbor.ADD_ONE, moved)
+        _assert_within_eps(got, [c[perm] for c in base])
+
+    @pytest.mark.parametrize("kind", ["dnn", "linearized"])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(perm=st.permutations(range(12)))
+    def test_permuting_the_data_permutes_the_remove_one_columns(self, kind, perm):
+        base = _relabel_estimate(kind, self.data, Neighbor.REMOVE_ONE)
+        moved = Dataset(X=self.data.X[perm], Y=self.data.Y[perm])
+        got = _relabel_estimate(kind, moved, Neighbor.REMOVE_ONE)
+        _assert_within_eps(got, [c[perm] for c in base])
+
+    @pytest.mark.parametrize("kind", ["dnn", "linearized"])
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(pair=st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+    def test_two_copies_of_a_candidate_have_equal_add_one_columns(self, kind, pair):
+        i, j = pair
+        rows = np.arange(6)
+        rows[j] = i
+        twice = Dataset(X=self.pool.X[rows], Y=self.pool.Y[rows])
+        got = _relabel_estimate(kind, self.data, Neighbor.ADD_ONE, twice)
+        _assert_within_eps([c[j] for c in got], [c[i] for c in got])
 
 
 class TestMeanStdOverRuns:

@@ -87,6 +87,7 @@ def _cli_streams(seed: int) -> list[int]:
 
 
 class TestPhiloxKeys:
+    @pytest.mark.slow
     def test_bulk_keys_match_seed_sequence(self):
         gen = np.random.default_rng(2024)
         n = 24_000
