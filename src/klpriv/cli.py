@@ -88,8 +88,10 @@ class RunConfig:
     sigma2: float = _flag(0.01, ("bound", "estimate", "lazy", "sweep"))
     runs: int = _flag(6, ("estimate", "sweep"))
     seed: int = _flag(0, ("estimate", "mc-verify", "lazy", "sweep"))
-    neighbor: str = _flag("remove", ("estimate", "sweep"), choices=("replace", "remove", "add"))
-    kl_constant: str = _flag("paper", ("bound", "estimate", "sweep"), choices=("paper", "exact"))
+    neighbor: str = _flag("remove", ("estimate", "sweep"),
+                          choices=tuple(k.value for k in Neighbor))
+    kl_constant: str = _flag("paper", ("bound", "estimate", "sweep"),
+                             choices=tuple(k.value for k in KLConstant))
     data: str = _flag("synth:32", ("bound", "estimate", "lazy", "sweep"),
                       help="synth:<n> or csv:<path>")
     out: str | None = _flag(None, ("bound", "estimate", "mc-verify", "lazy", "sweep"))
@@ -151,7 +153,7 @@ class RunConfig:
 
     @property
     def convention(self) -> KLConstant:
-        return KLConstant.PAPER if self.kl_constant == "paper" else KLConstant.EXACT
+        return KLConstant(self.kl_constant)
 
     @property
     def horizon(self) -> float:
@@ -197,17 +199,14 @@ def load_config_file(path: str) -> dict:
     artifact = bool(lines) and lines[0].startswith("# klpriv-version=")
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
-        if not line:
-            continue
         if artifact:
-            if not line.startswith("#"):
+            # the header's key=value lines; data rows and notes carry no config
+            if not line.startswith("#") or "=" not in line:
                 continue
             line = line.lstrip("# ")
-            if "=" not in line:
-                continue
-        elif line.startswith("#"):
+        elif not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        elif "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
         key = key.strip().replace("-", "_")

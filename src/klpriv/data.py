@@ -20,7 +20,7 @@ from .numerics import RngStream
 
 @dataclass(frozen=True)
 class Dataset:
-    """Design matrix X of shape (n, d) and labels Y ((n,) or one-hot (n, o))."""
+    """Finite design matrix X (n, d); labels Y +-1 ((n,) or (n, 1)) or one-hot rows (n, o)."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -32,6 +32,14 @@ class Dataset:
             raise ValueError("X and Y must have the same number of rows")
         if self.Y.ndim not in (1, 2):
             raise ValueError("Y must be 1-d labels or a one-hot matrix")
+        if not np.isfinite(self.X).all():
+            raise ValueError("X must be finite")
+        # the losses read one output's label as a sign, several outputs' as a one-hot row
+        Y = self.Y
+        if self.num_outputs == 1 and not ((Y == 1) | (Y == -1)).all():
+            raise ValueError("single-output labels must be -1 or +1")
+        if self.num_outputs > 1 and not (((Y == 0) | (Y == 1)).all() and (Y.sum(1) == 1).all()):
+            raise ValueError("multi-output labels must be one-hot rows")
 
     @property
     def n(self) -> int:

@@ -445,31 +445,17 @@ def neighbor_grad_diffs(per_example_grads, pool_grads=None,
     return _sq_diffs(G.shape[0], notion, dots, S @ S, _ExplicitGrads(G), pool)
 
 
-class _StepStats:
-    """What the two producers of step statistics share: the data, the
-    neighbor candidates and the loss.
-
-    A producer takes an (R, P) stack of runs ``W`` and the step size
-    ``eta``, reads its statistics at ``W`` and then takes each run's
-    gradient half of the update in place with :func:`_descend`, W <- W -
-    eta * S / n for the run's gradient sum S.  It returns ``(finite, S_sq,
-    diffs)``, one row per run: whether the outputs it checks are all finite
-    (the network's on data and pool, the linearized model's on the data
-    only), ||S||^2 and its :func:`_sq_diffs`.  Rows of runs that are not
-    finite may hold anything, in the statistics and in ``W``; the caller
-    sees that they leave the stack, and a non-finite pool statistic shows in
-    ``diffs``.
-    """
-
-    def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
-        self.data = data
-        self.notion = neighbors.notion
-        self.pool = neighbors.pool
-        self.loss = loss
-
-
-class _DnnStepStats(_StepStats):
+class _DnnStepStats:
     """Step statistics for the full network, over a stack of runs.
+
+    A producer of step statistics takes an (R, P) stack of runs ``W`` and the
+    step size ``eta``, reads its statistics at ``W``, then descends each row
+    in place with :func:`_descend` (W <- W - eta * S / n for the row's
+    gradient sum S) and returns ``(finite, S_sq, diffs)`` with one row per
+    run: whether the outputs it checks are all finite (the network's on data
+    and pool, the linearized model's on the data only), ||S||^2 and its
+    :func:`_sq_diffs`.  Rows of runs that leave may hold anything, in the
+    statistics and in ``W``; a non-finite pool statistic shows in ``diffs``.
 
     The per-example gradients are :class:`_FactoredGrads`.  Data and pool go
     through separate batches: one concatenated batch runs larger GEMMs whose
@@ -486,7 +472,7 @@ class _DnnStepStats(_StepStats):
     """
 
     def __init__(self, data: Dataset, neighbors: NeighborSet, loss: LossKind):
-        super().__init__(data, neighbors, loss)
+        self.data, self.notion, self.pool, self.loss = data, neighbors.notion, neighbors.pool, loss
         self.input_sq = _row_norms_sq(np.asarray(data.X, dtype=float))
         self.pool_input_sq = None
         if self.pool is not None:
@@ -520,8 +506,9 @@ class _DnnStepStats(_StepStats):
         return finite, S_sq, diffs
 
 
-class _LinStepStats(_StepStats):
-    """Step statistics for the linearized model around the expansion point W0.
+class _LinStepStats:
+    """Step statistics for the linearized model around the expansion point W0,
+    under the producer contract of :class:`_DnnStepStats`.
 
     Jacobian rows are frozen at W0, so the features of the data and of the
     pool are built once, both with :func:`build_features`, which rejects a
@@ -543,9 +530,8 @@ class _LinStepStats(_StepStats):
     Runs are not stacked: ``W`` is a stack of one.
     """
 
-    def __init__(self, W0: ParamVector, data: Dataset, neighbors: NeighborSet,
-                 loss: LossKind):
-        super().__init__(data, neighbors, loss)
+    def __init__(self, W0: ParamVector, data: Dataset, neighbors: NeighborSet, loss: LossKind):
+        self.data, self.notion, self.pool, self.loss = data, neighbors.notion, neighbors.pool, loss
         self.features = build_features(W0, data.X)
         self.pool_features = None if self.pool is None else build_features(W0, self.pool.X)
         P = W0.arch.num_params
@@ -693,11 +679,11 @@ def run_kl_estimation(model, data: Dataset, neighbors: NeighborSet,
                 # catches; the norm is sqrt(||S||^2) / n, so it is NaN only with
                 # S^2 (and then not above the threshold); pool statistics reach
                 # the differences only
-                fired = (~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
-                         np.sqrt(S_sq) / data.n > DIVERGENCE_THRESHOLD)
-            live = ~(fired[0] | fired[1] | fired[2] | fired[3])
+                fired = np.array([~finite, ~np.isfinite(S_sq), ~np.isfinite(diffs).all(axis=-1),
+                                  np.sqrt(S_sq) / data.n > DIVERGENCE_THRESHOLD])
+            live = ~fired.any(axis=0)
             if not live.all():
-                first = np.argmax(fired, axis=0)[~live]
+                first = fired.argmax(axis=0)[~live]
                 for row, rule in zip(rows[~live].tolist(), first.tolist()):
                     left_by[row] = _LEAVE_RULES[rule]
                 cum[rows[~live]] = math.inf

@@ -638,10 +638,21 @@ class TestConfigFile:
         cfg.write_text("not_a_field=3\n")
         assert main(["bound", "--config", str(cfg), "--n", "8"]) == 2
 
-    def test_malformed_line_exits_2(self, tmp_path):
+    def test_malformed_line_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("width 32\n")
         assert main(["bound", "--config", str(cfg), "--n", "8"]) == 2
+        assert "c.cfg:1: expected key=value" in capsys.readouterr().err
+
+    def test_artifact_blank_and_note_lines_carry_no_config(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bound", "--n", "8", "--width", "32", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        noted = tmp_path / "noted.csv"
+        noted.write_text("".join(lines[:3] + ["\n", "# note\n"] + lines[3:]))
+        loaded = load_config_file(str(out))
+        assert loaded["width"] == 32 and loaded["n"] == 8
+        assert load_config_file(str(noted)) == loaded
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.cfg"), "--n", "8"]) == 2
@@ -693,6 +704,12 @@ class TestRunConfig:
             RunConfig(eta=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(neighbor="swap").validate()
+        with pytest.raises(ValueError, match="unknown kl constant 'bogus'"):
+            RunConfig(kl_constant="bogus").validate()
+
+    @pytest.mark.parametrize("name", ["paper", "exact"])
+    def test_convention_is_the_named_constant(self, name):
+        assert RunConfig(kl_constant=name).convention is KLConstant(name)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)

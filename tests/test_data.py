@@ -33,6 +33,30 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(X=np.zeros((4, 3)), Y=np.ones((4, 2, 1)))
 
+    @pytest.mark.parametrize("X, Y, message", [
+        (np.zeros((4, 3)), np.array([0.0, 1.0, 1.0, 0.0]), "-1 or \\+1"),
+        (np.zeros((4, 3)), np.array([[0.0], [1.0], [1.0], [1.0]]), "-1 or \\+1"),
+        (np.zeros((4, 3)), np.array([1.0, -1.0, 2.0, 1.0]), "-1 or \\+1"),
+        (np.zeros((3, 3)), np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 1]]), "one-hot"),
+        (np.zeros((3, 3)), np.array([[1.0, 0, 0], [0, 1, 1], [0, 0, 1]]), "one-hot"),
+        (np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([1.0, -1.0]), "finite"),
+        (np.array([[0.0, np.inf], [1.0, 0.0]]), np.array([1.0, -1.0]), "finite"),
+        (np.array([[0.0, -np.inf], [1.0, 0.0]]), np.array([1.0, -1.0]), "finite"),
+    ], ids=["zero-one", "zero-one-column", "two", "all-zero-row", "two-ones", "nan", "inf",
+            "minus-inf"])
+    def test_rejects_labels_the_losses_cannot_read(self, X, Y, message):
+        # a 0 label gives a zero residual, so its record would add no gradient
+        with pytest.raises(ValueError, match=message):
+            Dataset(X=X, Y=Y)
+
+    @pytest.mark.parametrize("Y", [np.array([1.0, -1.0, -1.0]), np.array([[1.0], [-1.0], [1.0]]),
+                                   np.eye(3)[[2, 0, 2]]], ids=["signs", "sign-column", "one-hot"])
+    def test_accepts_signs_and_one_hot_rows(self, Y):
+        assert Dataset(X=np.ones((3, 2)), Y=Y).n == 3
+
+    def test_accepts_an_empty_dataset(self):
+        assert Dataset(X=np.empty((0, 2)), Y=np.empty(0)).n == 0
+
 
 class TestNormalize:
     def test_exact_puts_rows_on_sphere(self):

@@ -4,12 +4,14 @@ its flag table lists the flags of each command."""
 import ast
 import io
 import math
+import re
 import tokenize
 from pathlib import Path
 
 from klpriv.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 def _python_block() -> str:
@@ -77,3 +79,10 @@ def test_flag_table_lists_the_flags_of_each_command():
     for command in commands:
         names = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
         assert table[command] == {"--" + name.replace("_", "-") for name in names}, command
+
+
+def test_python_floor_matches_pyproject():
+    # numerics._fork_worker calls BaseException.add_note, new in Python 3.11
+    stated = re.findall(r"Python (3\.\d+)\+", README.read_text())
+    floor = re.search(r'requires-python = ">=(3\.\d+)"', PYPROJECT.read_text())
+    assert stated == [floor.group(1)] == ["3.11"]
